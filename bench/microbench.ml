@@ -62,15 +62,19 @@ let tests () =
             Hgp_util.Arena.Table.size tbl)));
     (let rng = Prng.create 99 in
      let m = 512 in
-     let costs = Array.init m (fun _ -> float_of_int (Prng.int rng 1000)) in
-     let keys = Array.init m (fun _ -> Prng.int rng 100_000) in
+     (* Costs drawn from 64 values, so cost ties fall back to the key. *)
+     let costs = Array.init m (fun _ -> float_of_int (Prng.int rng 64)) in
+     let keys = Array.init m (fun i -> (i * 7919) land 0xFFFFF) in
      let perm = Array.make m 0 in
      Test.make ~name:"arena.sort_perm"
        (Staged.stage (fun () ->
             for i = 0 to m - 1 do
               perm.(i) <- i
             done;
-            Hgp_util.Arena.sort_perm_by_cost_key perm 0 m costs keys;
+            Hgp_util.Arena.heapify_perm_min perm m costs keys;
+            for k = 0 to m - 1 do
+              ignore (Hgp_util.Arena.pop_perm_min perm (m - k) costs keys : int)
+            done;
             perm.(0))));
     Test.make ~name:"cost.assignment"
       (Staged.stage (fun () -> Hgp_core.Cost.assignment_cost inst assignment));

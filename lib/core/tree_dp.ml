@@ -116,9 +116,13 @@ let validate_config cfg =
    - per-node state tables are (cost, key)-sorted segments of one packed
      key/cost store, so folding a child iterates two contiguous ranges;
    - the merge accumulator is one open-addressed [Arena.Table] cleared by
-     epoch between children;
-   - Pareto pruning and beam truncation run over an index permutation
-     sorted in place — no intermediate lists, no closures per entry;
+     epoch between children, its probed range narrowed to the fold's
+     insert bound;
+   - every pass after the merge is proportional to what the beam can keep:
+     the occupied table slots are heapified in place (O(raw)) and popped in
+     (cost, key) order only as far as the Pareto scan reads, and the scan
+     stops once [beam_width] survivors are kept — no intermediate lists,
+     no closures per entry;
    - backpointers are key-sorted stride-4 segments of one packed int store,
      binary-searched during reconstruction.
 
@@ -263,8 +267,11 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
           Array.iter
             (fun c ->
               let w = Tree.edge_weight t c in
-              Arena.Table.clear tbl;
               let coff = node_off.(c) and clen = node_len.(c) in
+              (* Each (accumulator, child, level) triple inserts at most
+                 once, so the fold's table is sized to that bound rather than
+                 to the largest fold this workspace has seen. *)
+              Arena.Table.clear_bounded tbl (!acc_len * clen * (h + 1));
               (* Decode each child state once into the signature matrix. *)
               Arena.Ibuf.clear ws.Workspace.sigs;
               Arena.Ibuf.reserve ws.Workspace.sigs (clen * h);
@@ -385,121 +392,87 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
                   done
                 done
               done;
-              (* Extract the raw table into sortable parallel arrays — a
-                 direct slot scan (closure-free, floats unboxed). *)
+              (* Collect the occupied slots and heapify them in place: the
+                 post-merge passes read keys, costs and back payloads
+                 straight from the table's slot arrays, which stay untouched
+                 until the next child clears the table. *)
               let raw = Arena.Table.size tbl in
               if raw > !table_peak then table_peak := raw;
-              Arena.Ibuf.clear ws.Workspace.ekeys;
-              Arena.Fbuf.clear ws.Workspace.ecosts;
-              Arena.Ibuf.clear ws.Workspace.eb1;
-              Arena.Ibuf.clear ws.Workspace.eb2;
-              Arena.Ibuf.clear ws.Workspace.eb3;
-              ignore (Arena.Ibuf.alloc ws.Workspace.ekeys raw : int);
-              ignore (Arena.Fbuf.alloc ws.Workspace.ecosts raw : int);
-              ignore (Arena.Ibuf.alloc ws.Workspace.eb1 raw : int);
-              ignore (Arena.Ibuf.alloc ws.Workspace.eb2 raw : int);
-              ignore (Arena.Ibuf.alloc ws.Workspace.eb3 raw : int);
-              (let ekeys = Arena.Ibuf.data ws.Workspace.ekeys in
-               let ecosts = Arena.Fbuf.data ws.Workspace.ecosts in
-               let eb1 = Arena.Ibuf.data ws.Workspace.eb1 in
-               let eb2 = Arena.Ibuf.data ws.Workspace.eb2 in
-               let eb3 = Arena.Ibuf.data ws.Workspace.eb3 in
-               let marks = !t_marks
-               and src_keys = !t_keys
-               and src_costs = !t_costs
-               and src_b1 = !t_b1
-               and src_b2 = !t_b2
-               and src_b3 = !t_b3 in
+              Arena.Ibuf.reserve ws.Workspace.perm raw;
+              let perm = Arena.Ibuf.data ws.Workspace.perm in
+              (let marks = !t_marks in
                let ep = !t_epoch in
                let out = ref 0 in
                for s = 0 to !t_mask do
                  if marks.(s) = ep then begin
-                   ekeys.(!out) <- src_keys.(s);
-                   ecosts.(!out) <- src_costs.(s);
-                   eb1.(!out) <- src_b1.(s);
-                   eb2.(!out) <- src_b2.(s);
-                   eb3.(!out) <- src_b3.(s);
+                   perm.(!out) <- s;
                    incr out
                  end
                done);
-              Arena.Ibuf.reserve ws.Workspace.perm raw;
-              let perm = Arena.Ibuf.data ws.Workspace.perm in
-              for i = 0 to raw - 1 do
-                perm.(i) <- i
-              done;
-              let ekeys = Arena.Ibuf.data ws.Workspace.ekeys in
-              let ecosts = Arena.Fbuf.data ws.Workspace.ecosts in
-              Arena.sort_perm_by_cost_key perm 0 raw ecosts ekeys;
+              let skeys = !t_keys and scosts = !t_costs in
+              Arena.heapify_perm_min perm raw scosts skeys;
               (* Very large raw tables are pre-truncated so the Pareto pass
                  stays near-linear: the sorted prefix IS beam truncation. *)
-              let pre =
+              let pre, width =
                 match cfg.beam_width with
-                | Some width when raw > 8 * width -> 8 * width
-                | _ -> raw
+                | Some width when raw > 8 * width -> (8 * width, width)
+                | Some width -> (raw, width)
+                | None -> (raw, raw)
               in
-              (* Pareto-prune the sorted prefix: drop any state whose
-                 signature is pointwise >= an earlier (cheaper-or-equal)
-                 kept state.  Sound: capacities are upper bounds, so a
-                 smaller active-set vector admits every completion of a
-                 larger one at the same future cost. *)
-              Arena.Ibuf.clear ws.Workspace.kept;
-              let pruned =
-                if cfg.prune && pre > 1 then begin
-                  Arena.Ibuf.clear ws.Workspace.sigs;
-                  Arena.Ibuf.reserve ws.Workspace.sigs (pre * h);
-                  let psig = Arena.Ibuf.data ws.Workspace.sigs in
-                  for idx = 0 to pre - 1 do
-                    Signature.decode_into space ekeys.(perm.(idx)) psig ~pos:(idx * h)
-                  done;
-                  let kept = ws.Workspace.kept in
-                  for idx = 0 to pre - 1 do
-                    let dominated = ref false in
-                    let ki = ref 0 in
-                    let nk = Arena.Ibuf.length kept in
-                    let kdata = Arena.Ibuf.data kept in
-                    while (not !dominated) && !ki < nk do
-                      let r = kdata.(!ki) in
-                      let ok = ref true in
-                      let j = ref 0 in
-                      while !ok && !j < h do
-                        if psig.((r * h) + !j) > psig.((idx * h) + !j) then ok := false;
-                        incr j
-                      done;
-                      if !ok then dominated := true;
-                      incr ki
+              (* Scan the (cost, key)-sorted prefix, popped lazily from the
+                 heap, and Pareto-prune it: drop any state whose signature is
+                 pointwise >= an earlier (cheaper-or-equal) kept state.
+                 Sound: capacities are upper bounds, so a smaller active-set
+                 vector admits every completion of a larger one at the same
+                 future cost.  The beam keeps exactly the first [width]
+                 survivors, so the scan stops there; [psig] holds the kept
+                 states' decoded signatures, row [r] for survivor [r]. *)
+              let kept = ws.Workspace.kept in
+              Arena.Ibuf.clear kept;
+              Arena.Ibuf.clear ws.Workspace.sigs;
+              Arena.Ibuf.reserve ws.Workspace.sigs (min pre width * h);
+              let psig = Arena.Ibuf.data ws.Workspace.sigs in
+              let scanned = ref 0 in
+              while !scanned < pre && Arena.Ibuf.length kept < width do
+                let slot = Arena.pop_perm_min perm (raw - !scanned) scosts skeys in
+                incr scanned;
+                let nk = Arena.Ibuf.length kept in
+                let row = nk * h in
+                let dominated = ref false in
+                if cfg.prune then begin
+                  Signature.decode_into space skeys.(slot) psig ~pos:row;
+                  let ki = ref 0 in
+                  while (not !dominated) && !ki < nk do
+                    let r = !ki * h in
+                    let ok = ref true in
+                    let j = ref 0 in
+                    while !ok && !j < h do
+                      if psig.(r + !j) > psig.(row + !j) then ok := false;
+                      incr j
                     done;
-                    if not !dominated then Arena.Ibuf.push kept idx
-                  done;
-                  Arena.Ibuf.length kept
-                end
-                else begin
-                  for idx = 0 to pre - 1 do
-                    Arena.Ibuf.push ws.Workspace.kept idx
-                  done;
-                  pre
-                end
-              in
-              pareto_dropped := !pareto_dropped + (pre - pruned);
-              let kept_count =
-                match cfg.beam_width with
-                | Some width when pruned > width -> width
-                | _ -> pruned
-              in
-              beam_evictions := !beam_evictions + (raw - pre) + (pruned - kept_count);
+                    if !ok then dominated := true;
+                    incr ki
+                  done
+                end;
+                if not !dominated then Arena.Ibuf.push kept slot
+              done;
+              let kept_count = Arena.Ibuf.length kept in
+              (* Scanned-and-dominated states are Pareto drops; everything
+                 the scan never reached is a beam eviction. *)
+              pareto_dropped := !pareto_dropped + (!scanned - kept_count);
+              beam_evictions := !beam_evictions + (raw - !scanned);
               (* Persist the survivors' backpointers as a key-sorted
                  stride-4 segment; only kept states are ever looked up. *)
               let kdata = Arena.Ibuf.data ws.Workspace.kept in
-              let eb1 = Arena.Ibuf.data ws.Workspace.eb1 in
-              let eb2 = Arena.Ibuf.data ws.Workspace.eb2 in
-              let eb3 = Arena.Ibuf.data ws.Workspace.eb3 in
+              let sb1 = !t_b1 and sb2 = !t_b2 and sb3 = !t_b3 in
               let bo = Arena.Ibuf.alloc ws.Workspace.back_store (4 * kept_count) in
               let bdata = Arena.Ibuf.data ws.Workspace.back_store in
               for i = 0 to kept_count - 1 do
-                let e = perm.(kdata.(i)) in
-                bdata.(bo + (4 * i)) <- ekeys.(e);
-                bdata.(bo + (4 * i) + 1) <- eb1.(e);
-                bdata.(bo + (4 * i) + 2) <- eb2.(e);
-                bdata.(bo + (4 * i) + 3) <- eb3.(e)
+                let slot = kdata.(i) in
+                bdata.(bo + (4 * i)) <- skeys.(slot);
+                bdata.(bo + (4 * i) + 1) <- sb1.(slot);
+                bdata.(bo + (4 * i) + 2) <- sb2.(slot);
+                bdata.(bo + (4 * i) + 3) <- sb3.(slot)
               done;
               Arena.sort_stride4_by_key bdata bo kept_count;
               back_off.(c) <- bo;
@@ -511,9 +484,9 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
               let nkeys = Arena.Ibuf.data ws.Workspace.node_keys in
               let ncosts = Arena.Fbuf.data ws.Workspace.node_costs in
               for i = 0 to kept_count - 1 do
-                let e = perm.(kdata.(i)) in
-                nkeys.(ao + i) <- ekeys.(e);
-                ncosts.(ao + i) <- ecosts.(e)
+                let slot = kdata.(i) in
+                nkeys.(ao + i) <- skeys.(slot);
+                ncosts.(ao + i) <- scosts.(slot)
               done;
               acc_off := ao;
               acc_len := kept_count)

@@ -133,9 +133,23 @@ module Table = struct
   let capacity t = t.mask + 1
   let grows t = t.grows
 
+  (* [clear] restores the full physical capacity; [clear_bounded t bound]
+     narrows probing to the smallest power of two >= 2 * (bound + 1) (capped
+     at the physical length), for a caller that will insert at most [bound]
+     keys before the next clear.  Only the logical mask shrinks — the arrays
+     are kept — and slots past it still carry older epochs, so they read as
+     empty when a later clear widens the mask again. *)
   let clear t =
     t.epoch <- t.epoch + 1;
-    t.size <- 0
+    t.size <- 0;
+    t.mask <- Array.length t.marks - 1
+
+  let clear_bounded t bound =
+    t.epoch <- t.epoch + 1;
+    t.size <- 0;
+    let phys = Array.length t.marks in
+    let want = 2 * (bound + 1) in
+    t.mask <- (if want >= phys then phys else pow2_at_least min_capacity want) - 1
 
   (* Fibonacci hashing spreads consecutive signature keys (which differ by
      small stride multiples) across the slot range before masking. *)
@@ -150,6 +164,10 @@ module Table = struct
     done;
     !i
 
+  (* A table narrowed by {!clear_bounded} widens to its full physical
+     length; a full-width one doubles.  So an under-stated bound can neither
+     shrink the arrays nor, repeated, balloon them.  Entries of the current
+     epoch all lie within the old mask. *)
   let grow t =
     let old_cap = t.mask + 1 in
     let old_keys = t.keys
@@ -159,7 +177,8 @@ module Table = struct
     and old_b3 = t.b3
     and old_marks = t.marks
     and old_epoch = t.epoch in
-    let cap = 2 * old_cap in
+    let phys = Array.length old_marks in
+    let cap = if old_cap < phys then phys else 2 * phys in
     t.mask <- cap - 1;
     t.keys <- Array.make cap 0;
     t.costs <- Array.make cap 0.;
@@ -270,51 +289,52 @@ module Table = struct
     done
 end
 
-(* ---- permutation sort ---- *)
+(* ---- permutation heaps and sorts ---- *)
 
-(* In-place heapsort of [perm.(lo .. lo+len-1)] ordering indices by
-   [(costs.(i), keys.(i))] ascending.  Heapsort: no allocation, no closure
-   in the compare, deterministic O(len log len) worst case.  [perm] holds
-   slot/entry indices into the parallel [costs]/[keys] arrays. *)
-let sort_perm_by_cost_key perm lo len (costs : float array) (keys : int array) =
-  if len > 1 then begin
-    let less i j =
-      (* (cost, key) lexicographic *)
-      let ci = costs.(i) and cj = costs.(j) in
-      ci < cj || (ci = cj && keys.(i) < keys.(j))
-    in
-    let sift_down root last =
-      let r = ref root in
-      let continue = ref true in
-      while !continue do
-        let child = (2 * !r) + 1 in
-        if child > last then continue := false
-        else begin
-          let child =
-            if child + 1 <= last && less (perm.(lo + child)) (perm.(lo + child + 1)) then
-              child + 1
-            else child
-          in
-          if less (perm.(lo + !r)) (perm.(lo + child)) then begin
-            let tmp = perm.(lo + !r) in
-            perm.(lo + !r) <- perm.(lo + child);
-            perm.(lo + child) <- tmp;
-            r := child
-          end
-          else continue := false
-        end
-      done
-    in
-    for root = (len - 2) / 2 downto 0 do
-      sift_down root (len - 1)
-    done;
-    for last = len - 1 downto 1 do
-      let tmp = perm.(lo) in
-      perm.(lo) <- perm.(lo + last);
-      perm.(lo + last) <- tmp;
-      sift_down 0 (last - 1)
-    done
-  end
+(* Min-heap over [perm.(0 .. len-1)] ordering indices by
+   [(costs.(i), keys.(i))] ascending.  [heapify_perm_min] builds it in
+   O(len); each [pop_perm_min] moves the minimum into the slot the heap just
+   gave up, so after [k] pops from a heap of [len] the [k] smallest entries
+   sit at [perm.(len-1)], [perm.(len-2)], ... in ascending order.  A caller
+   that only reads a prefix pays O(len + prefix * log len) instead of a full
+   sort.  No allocation, no closure in the compare. *)
+let perm_less (costs : float array) (keys : int array) i j =
+  let ci = costs.(i) and cj = costs.(j) in
+  ci < cj || (ci = cj && keys.(i) < keys.(j))
+
+let sift_down_min perm root last costs keys =
+  let r = ref root in
+  let continue = ref true in
+  while !continue do
+    let child = (2 * !r) + 1 in
+    if child > last then continue := false
+    else begin
+      let child =
+        if child + 1 <= last && perm_less costs keys perm.(child + 1) perm.(child) then
+          child + 1
+        else child
+      in
+      if perm_less costs keys perm.(child) perm.(!r) then begin
+        let tmp = perm.(!r) in
+        perm.(!r) <- perm.(child);
+        perm.(child) <- tmp;
+        r := child
+      end
+      else continue := false
+    end
+  done
+
+let heapify_perm_min perm len costs keys =
+  for root = (len - 2) / 2 downto 0 do
+    sift_down_min perm root (len - 1) costs keys
+  done
+
+let pop_perm_min perm len costs keys =
+  let top = perm.(0) in
+  perm.(0) <- perm.(len - 1);
+  perm.(len - 1) <- top;
+  sift_down_min perm 0 (len - 2) costs keys;
+  top
 
 (* In-place heapsort of [count] 4-int blocks at [data.(off ...)], ordered
    by each block's first element — lays backpointer segments out in key
@@ -351,43 +371,6 @@ let sort_stride4_by_key (data : int array) off count =
     done;
     for last = count - 1 downto 1 do
       swap_block 0 last;
-      sift_down 0 (last - 1)
-    done
-  end
-
-(* Same shape, ordering indices by [keys.(i)] alone — used to lay back
-   segments out in key order for binary search. *)
-let sort_perm_by_key perm lo len (keys : int array) =
-  if len > 1 then begin
-    let sift_down root last =
-      let r = ref root in
-      let continue = ref true in
-      while !continue do
-        let child = (2 * !r) + 1 in
-        if child > last then continue := false
-        else begin
-          let child =
-            if child + 1 <= last && keys.(perm.(lo + child)) < keys.(perm.(lo + child + 1))
-            then child + 1
-            else child
-          in
-          if keys.(perm.(lo + !r)) < keys.(perm.(lo + child)) then begin
-            let tmp = perm.(lo + !r) in
-            perm.(lo + !r) <- perm.(lo + child);
-            perm.(lo + child) <- tmp;
-            r := child
-          end
-          else continue := false
-        end
-      done
-    in
-    for root = (len - 2) / 2 downto 0 do
-      sift_down root (len - 1)
-    done;
-    for last = len - 1 downto 1 do
-      let tmp = perm.(lo) in
-      perm.(lo) <- perm.(lo + last);
-      perm.(lo + last) <- tmp;
       sift_down 0 (last - 1)
     done
   end

@@ -66,9 +66,22 @@ module Table : sig
 
   val create : ?capacity:int -> unit -> t
   val size : t -> int
+
+  (** Slots currently probed (the logical capacity; see {!clear_bounded}). *)
   val capacity : t -> int
+
   val grows : t -> int
+
+  (** Empties the table and restores its full physical capacity. *)
   val clear : t -> unit
+
+  (** [clear_bounded t bound] empties the table for at most [bound] inserts:
+      probing and slot scans ({!iter}, {!fold_slots}) then cover only the
+      smallest power of two [>= 2 * (bound + 1)] slots, capped at the
+      physical length.  The arrays are kept.  An under-stated bound is safe:
+      growth widens back to the physical length (doubling only a table
+      already at full width), so it never shrinks the arrays. *)
+  val clear_bounded : t -> int -> unit
 
   (** [upsert t key cost b1 b2 b3] returns [true] iff [key] was new. *)
   val upsert : t -> int -> float -> int -> int -> int -> bool
@@ -109,13 +122,17 @@ module Table : sig
   val iter : t -> (int -> float -> int -> int -> int -> unit) -> unit
 end
 
-(** [sort_perm_by_cost_key perm lo len costs keys] heapsorts the index
-    slice [perm.(lo .. lo+len-1)] by [(costs.(i), keys.(i))] ascending —
-    in place, allocation-free, deterministic. *)
-val sort_perm_by_cost_key : int array -> int -> int -> float array -> int array -> unit
+(** [heapify_perm_min perm len costs keys] turns [perm.(0 .. len-1)] into
+    a min-heap of indices ordered by [(costs.(i), keys.(i))] — O(len), in
+    place, allocation-free. *)
+val heapify_perm_min : int array -> int -> float array -> int array -> unit
 
-(** [sort_perm_by_key perm lo len keys] — same, ordering by key alone. *)
-val sort_perm_by_key : int array -> int -> int -> int array -> unit
+(** [pop_perm_min perm len costs keys] pops the minimum of the heap
+    [perm.(0 .. len-1)], returns it, and stores it at [perm.(len-1)]; the
+    heap is then [perm.(0 .. len-2)].  After [k] pops starting from [len],
+    the [k] smallest indices sit at [perm.(len-1)], [perm.(len-2)], ... in
+    ascending order — a lazily sorted prefix. *)
+val pop_perm_min : int array -> int -> float array -> int array -> int
 
 (** [sort_stride4_by_key data off count] heapsorts [count] 4-int blocks at
     [data.(off), data.(off+4), ...] by each block's first element — lays

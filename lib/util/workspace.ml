@@ -12,14 +12,9 @@ type t = {
   node_keys : Arena.Ibuf.t;  (* packed per-node state tables: keys *)
   node_costs : Arena.Fbuf.t;  (* packed per-node state tables: costs *)
   back_store : Arena.Ibuf.t;  (* packed backpointer segments, stride 4 *)
-  ekeys : Arena.Ibuf.t;  (* merge-result extraction: keys *)
-  ecosts : Arena.Fbuf.t;  (* merge-result extraction: costs *)
-  eb1 : Arena.Ibuf.t;  (* extraction: back previous-key *)
-  eb2 : Arena.Ibuf.t;  (* extraction: back child-key *)
-  eb3 : Arena.Ibuf.t;  (* extraction: back merge-level *)
-  perm : Arena.Ibuf.t;  (* index permutation for sorted passes *)
+  perm : Arena.Ibuf.t;  (* heap of occupied table slots for the prune scan *)
   sigs : Arena.Ibuf.t;  (* decoded signature matrix (entries x h) *)
-  kept : Arena.Ibuf.t;  (* surviving entry indices after pruning *)
+  kept : Arena.Ibuf.t;  (* surviving table slots after pruning *)
   mutable uses : int;  (* solves served so far (feeds workspace.reuses) *)
 }
 
@@ -29,11 +24,6 @@ let create () =
     node_keys = Arena.Ibuf.create ~capacity:256 ();
     node_costs = Arena.Fbuf.create ~capacity:256 ();
     back_store = Arena.Ibuf.create ~capacity:1024 ();
-    ekeys = Arena.Ibuf.create ~capacity:256 ();
-    ecosts = Arena.Fbuf.create ~capacity:256 ();
-    eb1 = Arena.Ibuf.create ~capacity:256 ();
-    eb2 = Arena.Ibuf.create ~capacity:256 ();
-    eb3 = Arena.Ibuf.create ~capacity:256 ();
     perm = Arena.Ibuf.create ~capacity:256 ();
     sigs = Arena.Ibuf.create ~capacity:256 ();
     kept = Arena.Ibuf.create ~capacity:64 ();
@@ -54,11 +44,6 @@ let grows ws =
   + Arena.Ibuf.grows ws.node_keys
   + Arena.Fbuf.grows ws.node_costs
   + Arena.Ibuf.grows ws.back_store
-  + Arena.Ibuf.grows ws.ekeys
-  + Arena.Fbuf.grows ws.ecosts
-  + Arena.Ibuf.grows ws.eb1
-  + Arena.Ibuf.grows ws.eb2
-  + Arena.Ibuf.grows ws.eb3
   + Arena.Ibuf.grows ws.perm
   + Arena.Ibuf.grows ws.sigs
   + Arena.Ibuf.grows ws.kept
@@ -69,11 +54,6 @@ let reset ws =
   Arena.Ibuf.clear ws.node_keys;
   Arena.Fbuf.clear ws.node_costs;
   Arena.Ibuf.clear ws.back_store;
-  Arena.Ibuf.clear ws.ekeys;
-  Arena.Fbuf.clear ws.ecosts;
-  Arena.Ibuf.clear ws.eb1;
-  Arena.Ibuf.clear ws.eb2;
-  Arena.Ibuf.clear ws.eb3;
   Arena.Ibuf.clear ws.perm;
   Arena.Ibuf.clear ws.sigs;
   Arena.Ibuf.clear ws.kept

@@ -2,10 +2,10 @@
 
     A workspace bundles every scratch structure the flat DP kernel of
     [Tree_dp] needs — the merge-accumulator table, packed per-node state
-    and backpointer stores, and the extraction/permutation buffers of the
-    sorted prune passes.  One lives on each domain (via [Domain.DLS]), so
-    the worker domains of {!Domain_pool} reuse their own scratch across
-    solves and parallel ensemble members never contend for it.
+    and backpointer stores, and the slot heap and survivor buffers of the
+    prune pass.  One lives on each domain (via [Domain.DLS]), so the worker
+    domains of {!Domain_pool} reuse their own scratch across solves and
+    parallel ensemble members never contend for it.
 
     Ownership rule: a workspace belongs to exactly one in-flight solve on
     its domain.  {!acquire} hands out the domain's resident workspace and
@@ -18,14 +18,9 @@ type t = {
   node_keys : Arena.Ibuf.t;  (** packed per-node state tables: keys *)
   node_costs : Arena.Fbuf.t;  (** packed per-node state tables: costs *)
   back_store : Arena.Ibuf.t;  (** packed backpointer segments, stride 4 *)
-  ekeys : Arena.Ibuf.t;  (** merge-result extraction: keys *)
-  ecosts : Arena.Fbuf.t;  (** merge-result extraction: costs *)
-  eb1 : Arena.Ibuf.t;  (** extraction: back previous-key *)
-  eb2 : Arena.Ibuf.t;  (** extraction: back child-key *)
-  eb3 : Arena.Ibuf.t;  (** extraction: back merge-level *)
-  perm : Arena.Ibuf.t;  (** index permutation for sorted passes *)
+  perm : Arena.Ibuf.t;  (** heap of occupied table slots for the prune scan *)
   sigs : Arena.Ibuf.t;  (** decoded signature matrix (entries × h) *)
-  kept : Arena.Ibuf.t;  (** surviving entry indices after pruning *)
+  kept : Arena.Ibuf.t;  (** surviving table slots after pruning *)
   mutable uses : int;  (** solves served so far (feeds [workspace.reuses]) *)
 }
 

@@ -114,15 +114,127 @@ let test_table_upsert_canonical_ties () =
   Alcotest.(check (option (triple int int int)))
     "canonical payload" (Some (2, 9, 8)) !found
 
-(* ---- permutation / block sorts ---- *)
+(* Canonical upsert rule as a Hashtbl model: minimum cost per key, exact
+   cost ties won by the lexicographically smallest (b1, b2, b3) payload. *)
+let model_upsert model k c b =
+  match Hashtbl.find_opt model k with
+  | Some (c', b') when c' < c || (c' = c && b' <= b) -> ()
+  | _ -> Hashtbl.replace model k (c, b)
 
-let test_sort_perm_by_cost_key () =
+let check_against_model tag t model =
+  Alcotest.(check int) (tag ^ ": size") (Hashtbl.length model) (Arena.Table.size t);
+  let seen = ref 0 in
+  Arena.Table.iter t (fun k c b1 b2 b3 ->
+      incr seen;
+      match Hashtbl.find_opt model k with
+      | Some (c', b') when Float.equal c c' && b' = (b1, b2, b3) -> ()
+      | Some _ -> Alcotest.failf "%s: key %d has the wrong cost or payload" tag k
+      | None -> Alcotest.failf "%s: iter returned stale key %d" tag k);
+  Alcotest.(check int) (tag ^ ": iter visits") (Hashtbl.length model) !seen
+
+let test_table_grow_under_bounded_mask () =
+  let t = Arena.Table.create ~capacity:1024 () in
+  Arena.Table.clear_bounded t 3;
+  Alcotest.(check int) "narrowed to 2*(3+1)" 16 (Arena.Table.capacity t);
+  (* Under-state the bound: 100 inserts into a table sized for 3. *)
+  for k = 0 to 99 do
+    ignore (Arena.Table.upsert t (k * 31) 1. 0 0 0)
+  done;
+  Alcotest.(check bool) "grew" true (Arena.Table.grows t > 0);
+  Alcotest.(check int) "all resident" 100 (Arena.Table.size t);
+  Arena.Table.clear t;
+  let phys = Arena.Table.capacity t in
+  Alcotest.(check bool) "growth kept the physical length" true (phys >= 1024);
+  Arena.Table.clear_bounded t 1_000_000;
+  Alcotest.(check int) "bound capped at the physical length" phys
+    (Arena.Table.capacity t);
+  (* Growth at full width still doubles. *)
+  for k = 0 to phys do
+    ignore (Arena.Table.upsert t (k * 17) 1. 0 0 0)
+  done;
+  Alcotest.(check bool) "full-width growth doubles" true
+    (Arena.Table.capacity t >= 2 * phys)
+
+(* Random shrink -> grow -> shrink rounds of [clear_bounded] + [upsert],
+   checked against the Hashtbl model after every round.  Some rounds
+   under-state their bound so growth happens under a narrowed mask. *)
+let test_table_bounded_rounds_match_model () =
+  let rng = Prng.create 2024 in
+  let t = Arena.Table.create ~capacity:64 () in
+  for round = 0 to 59 do
+    let bound, inserts =
+      match round mod 3 with
+      | 0 -> (1 + Prng.int rng 8, 1 + Prng.int rng 8) (* shrink *)
+      | 1 -> (1 + Prng.int rng 4, 50 + Prng.int rng 400) (* grow past it *)
+      | _ -> (Prng.int rng 3, Prng.int rng 3) (* shrink again *)
+    in
+    Arena.Table.clear_bounded t bound;
+    let model = Hashtbl.create 64 in
+    for _ = 1 to inserts do
+      let k = Prng.int rng 300 in
+      let c = float_of_int (Prng.int rng 4) in
+      let b = (Prng.int rng 3, Prng.int rng 3, Prng.int rng 3) in
+      let b1, b2, b3 = b in
+      let fresh = Arena.Table.upsert t k c b1 b2 b3 in
+      if fresh = Hashtbl.mem model k then
+        Alcotest.failf "round %d: upsert of %d misreported novelty" round k;
+      model_upsert model k c b
+    done;
+    check_against_model (Printf.sprintf "round %d" round) t model
+  done
+
+let test_table_scans_current_epoch_after_shrink () =
+  let t = Arena.Table.create ~capacity:256 () in
+  for k = 0 to 99 do
+    ignore (Arena.Table.upsert t k 5. 0 0 0)
+  done;
+  Arena.Table.clear_bounded t 2;
+  ignore (Arena.Table.upsert t 1000 1. 1 2 3);
+  ignore (Arena.Table.upsert t 7 2. 0 0 0);
+  let model = Hashtbl.create 4 in
+  model_upsert model 1000 1. (1, 2, 3);
+  model_upsert model 7 2. (0, 0, 0);
+  check_against_model "narrowed" t model;
+  Alcotest.(check int) "fold_slots counts current epoch only" 2
+    (Arena.Table.fold_slots t (fun n _ _ _ _ _ -> n + 1) 0);
+  (* Widening again must not resurrect the first epoch's slots. *)
+  Arena.Table.clear t;
+  check_against_model "widened" t (Hashtbl.create 1);
+  Alcotest.(check bool) "old key gone" false (Arena.Table.mem t 50)
+
+(* ---- permutation heap / block sorts ---- *)
+
+(* Pops [count] entries from a min-heap over [0 .. len-1]; returns them in
+   pop order and checks each landed in the freed tail slot. *)
+let pop_prefix perm len count costs keys =
+  Array.iteri (fun i _ -> perm.(i) <- i) perm;
+  Arena.heapify_perm_min perm len costs keys;
+  List.init count (fun k ->
+      let e = Arena.pop_perm_min perm (len - k) costs keys in
+      if perm.(len - 1 - k) <> e then Alcotest.failf "pop %d not stored in tail slot" k;
+      e)
+
+let test_heap_perm_by_cost_key () =
   let costs = [| 3.; 1.; 3.; 0.; 1. |] in
   let keys = [| 9; 4; 2; 7; 1 |] in
-  let perm = [| 0; 1; 2; 3; 4 |] in
-  Arena.sort_perm_by_cost_key perm 0 5 costs keys;
+  let perm = Array.make 5 0 in
   (* (0.,7) (1.,1) (1.,4) (3.,2) (3.,9) *)
-  Alcotest.(check (array int)) "sorted by (cost,key)" [| 3; 4; 1; 2; 0 |] perm
+  Alcotest.(check (list int)) "popped by (cost,key)" [ 3; 4; 1; 2; 0 ]
+    (pop_prefix perm 5 5 costs keys);
+  Alcotest.(check (array int)) "sorted from the tail" [| 0; 2; 1; 4; 3 |] perm;
+  (* A partial pop of a larger heap with many cost ties is the prefix of
+     the full (cost, key) sort. *)
+  let rng = Prng.create 11 in
+  let len = 300 in
+  let costs = Array.init len (fun _ -> float_of_int (Prng.int rng 6)) in
+  let keys = Array.init len (fun i -> (i * 7919) mod 10_007) in
+  let sorted =
+    List.sort (fun i j -> compare (costs.(i), keys.(i)) (costs.(j), keys.(j)))
+      (List.init len Fun.id)
+  in
+  Alcotest.(check (list int)) "lazy prefix = full sort prefix"
+    (List.filteri (fun k _ -> k < 40) sorted)
+    (pop_prefix (Array.make len 0) len 40 costs keys)
 
 let test_sort_stride4_by_key () =
   let rng = Prng.create 7 in
@@ -191,10 +303,16 @@ let () =
           Alcotest.test_case "growth preserves entries" `Quick
             test_table_growth_preserves_entries;
           Alcotest.test_case "canonical tie-break" `Quick test_table_upsert_canonical_ties;
+          Alcotest.test_case "grow under a bounded mask" `Quick
+            test_table_grow_under_bounded_mask;
+          Alcotest.test_case "bounded rounds match model" `Quick
+            test_table_bounded_rounds_match_model;
+          Alcotest.test_case "scans current epoch after shrink" `Quick
+            test_table_scans_current_epoch_after_shrink;
         ] );
       ( "sorts",
         [
-          Alcotest.test_case "perm by (cost,key)" `Quick test_sort_perm_by_cost_key;
+          Alcotest.test_case "perm by (cost,key)" `Quick test_heap_perm_by_cost_key;
           Alcotest.test_case "stride-4 blocks by key" `Quick test_sort_stride4_by_key;
         ] );
       ( "workspace",

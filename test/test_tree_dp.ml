@@ -279,6 +279,50 @@ let test_differential_shared_workspace () =
           (diff_configs ~cm ~cp_units)
       done)
 
+(* Post-merge telemetry split.  The kernel's scan may stop early, moving
+   states from [tree_dp.pareto_dropped] to [tree_dp.beam_evictions], but
+   their sum per solve (raw merge states minus survivors) is fixed by the
+   merge itself.  Pinned per seed 1..60 from the kernel that scanned every
+   state. *)
+let pinned_dropped_total =
+  [
+    ( "beam2",
+      [| 14; 19; 35; 13; 22; 13; 22; 33; 14; 16; 26; 19; 11; 34; 23; 19; 35; 20; 16; 17;
+         18; 3; 22; 19; 13; 36; 6; 34; 19; 11; 19; 16; 5; 31; 13; 15; 12; 48; 25; 49;
+         10; 42; 11; 12; 13; 23; 12; 12; 11; 8; 23; 9; 23; 43; 14; 24; 21; 6; 21; 15 |] );
+    ( "beam4-bucketed",
+      [| 20; 32; 54; 19; 16; 19; 32; 43; 20; 18; 40; 20; 8; 54; 46; 32; 57; 25; 18; 26;
+         25; 2; 38; 33; 10; 58; 5; 60; 35; 8; 14; 26; 3; 62; 11; 10; 9; 75; 20; 76;
+         13; 69; 10; 11; 10; 43; 17; 7; 6; 6; 17; 6; 38; 66; 12; 32; 17; 4; 19; 21 |] );
+  ]
+
+let test_dropped_split () =
+  let module Obs = Hgp_obs.Obs in
+  let counts t ~demand_units cfg =
+    Obs.reset ();
+    Obs.enable ();
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        ignore (Tree_dp.solve t ~demand_units cfg);
+        (Obs.counter_value "tree_dp.pareto_dropped", Obs.counter_value "tree_dp.beam_evictions"))
+  in
+  for seed = 1 to 60 do
+    let t, demand_units, cm, cp_units = mk_diff_instance seed in
+    List.iter
+      (fun (name, (cfg : Tree_dp.config)) ->
+        let tag = Printf.sprintf "seed %d %s" seed name in
+        let dropped, evicted = counts t ~demand_units cfg in
+        match (cfg.beam_width, List.assoc_opt name pinned_dropped_total) with
+        | None, _ -> Alcotest.(check int) (tag ^ ": no beam, no evictions") 0 evicted
+        | Some _, Some pinned ->
+          Alcotest.(check int) (tag ^ ": dropped + evicted") pinned.(seed - 1) (dropped + evicted)
+        | Some _, None -> Alcotest.failf "%s: no pinned totals" tag)
+      (diff_configs ~cm ~cp_units)
+  done
+
 let () =
   Alcotest.run "tree_dp"
     [
@@ -308,5 +352,6 @@ let () =
           Alcotest.test_case "deadline aborts" `Quick test_differential_deadline_abort;
           Alcotest.test_case "shared workspace lease" `Quick
             test_differential_shared_workspace;
+          Alcotest.test_case "pareto/beam drop split" `Quick test_dropped_split;
         ] );
     ]
