@@ -81,6 +81,68 @@ let of_leaf s units =
     Some !key
   end
 
+(* ---- packed dominance words ----
+
+   Field [j] holds the level-[j+1] value in [bit_length caps.(j)] value
+   bits topped by one guard bit; fields never straddle a word.  With every
+   guard set in [b], [(b lor g) - a] never borrows across a field (each
+   field computes [b_j + 2^bits_j - a_j >= 1]), and a field keeps its guard
+   exactly when [a_j <= b_j].  A word spans all [Sys.int_size] bits: the
+   top field's guard may be the sign bit, which is sound because the
+   subtraction is exact modulo [2^Sys.int_size].  There is always at least
+   one word: at [h = 0] it is a constant 0 with no guards, and the test
+   holds vacuously. *)
+
+type packing = {
+  words : int;
+  word_of : int array;
+  shift : int array;
+  guards : int array;
+}
+
+let bit_length c =
+  let rec go c n = if c = 0 then n else go (c lsr 1) (n + 1) in
+  go c 0
+
+let packing caps =
+  let h = Array.length caps in
+  let word_of = Array.make h 0 and shift = Array.make h 0 in
+  let w = ref 0 and used = ref 0 in
+  for j = 0 to h - 1 do
+    if caps.(j) < 0 then invalid_arg "Signature.packing: negative capacity";
+    let width = bit_length caps.(j) + 1 in
+    if !used + width > Sys.int_size then begin
+      incr w;
+      used := 0
+    end;
+    word_of.(j) <- !w;
+    shift.(j) <- !used;
+    used := !used + width
+  done;
+  let words = !w + 1 in
+  let guards = Array.make words 0 in
+  for j = 0 to h - 1 do
+    let w = word_of.(j) in
+    guards.(w) <- guards.(w) lor (1 lsl (shift.(j) + bit_length caps.(j)))
+  done;
+  { words; word_of; shift; guards }
+
+let pack_into p sg dst ~pos =
+  Array.fill dst pos p.words 0;
+  for j = 0 to Array.length p.word_of - 1 do
+    let w = pos + p.word_of.(j) in
+    dst.(w) <- dst.(w) lor (sg.(j) lsl p.shift.(j))
+  done
+
+let packed_leq p a ~apos b ~bpos =
+  let ok = ref true and w = ref 0 in
+  while !ok && !w < p.words do
+    let g = p.guards.(!w) in
+    if ((b.(bpos + !w) lor g) - a.(apos + !w)) land g <> g then ok := false;
+    incr w
+  done;
+  !ok
+
 let space_size s =
   Array.fold_left (fun acc c -> acc * (c + 1)) 1 s.caps
 

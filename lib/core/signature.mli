@@ -43,6 +43,37 @@ val zero : t -> int
     [None] when [units] exceeds the leaf-level capacity. *)
 val of_leaf : t -> int -> int option
 
+(** {2 Packed dominance words}
+
+    The DP's Pareto scan asks, for many signature pairs, whether one is
+    componentwise [<=] the other.  A {!packing} lays a signature out as a
+    few machine words with one guard bit above each level's value bits, so
+    the whole componentwise test is one subtract-and-mask per word. *)
+
+type packing = {
+  words : int;  (** words per packed signature, at least 1 *)
+  word_of : int array;  (** [word_of.(j)]: the word holding level [j+1] *)
+  shift : int array;  (** [shift.(j)]: bit offset of level [j+1]'s value *)
+  guards : int array;  (** [guards.(w)]: the guard bits of word [w] *)
+}
+
+(** [packing caps] is the guard-bit layout for signatures whose level
+    [j+1] value lies in [0 .. caps.(j)] (e.g. {!t.caps}): one guard bit
+    above [ceil(log2(caps.(j) + 1))] value bits per level, no level split
+    across words, as many words as needed. *)
+val packing : int array -> packing
+
+(** [pack_into p sg dst ~pos] writes the packed form of the signature
+    vector [sg] (values within [p]'s caps) to [dst.(pos .. pos+words-1)]. *)
+val pack_into : packing -> int array -> int array -> pos:int -> unit
+
+(** [packed_leq p a ~apos b ~bpos] is true iff the signature packed at
+    [a.(apos ..)] is componentwise [<=] the one at [b.(bpos ..)]: for every
+    word [w], [((b_w lor g_w) - a_w) land g_w = g_w].  This is the
+    dominance test of the DP's Pareto scan, which runs it only on pairs
+    whose word 0 already passes. *)
+val packed_leq : packing -> int array -> apos:int -> int array -> bpos:int -> bool
+
 (** [space_size s] is the product of [(caps.(j) + 1)] — the dense upper bound
     on distinct keys (the DP stores only reachable ones). *)
 val space_size : t -> int

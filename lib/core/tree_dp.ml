@@ -60,7 +60,7 @@ type snapshot = {
   s_node_len : int array;
   s_node_keys : int array;
   s_node_costs : float array;
-  s_back_off : int array;  (* int offsets into s_back_store; stride-4 blocks *)
+  s_back_off : int array;  (* int offsets into s_back_store; stride-3 blocks *)
   s_back_len : int array;
   s_back_store : int array;
   s_states : int array;  (* states created while processing node v itself *)
@@ -117,22 +117,31 @@ let validate_config cfg =
      key/cost store, so folding a child iterates two contiguous ranges;
    - the merge accumulator is one open-addressed [Arena.Table] cleared by
      epoch between children, its probed range narrowed to the fold's
-     insert bound;
+     insert bound; the merge loop decodes and buckets each accumulator row
+     once, probes before it touches the table's size, and checks the
+     deadline once per row;
    - every pass after the merge is proportional to what the beam can keep:
      the occupied table slots are heapified in place (O(raw)) and popped in
      (cost, key) order only as far as the Pareto scan reads, and the scan
      stops once [beam_width] survivors are kept — no intermediate lists,
      no closures per entry;
-   - backpointers are key-sorted stride-4 segments of one packed int store,
-     binary-searched during reconstruction.
+   - the Pareto scan packs each popped signature into guard-bit words
+     ({!Signature.packing}) once, so a dominance check is one
+     subtract-and-mask per word instead of a loop over [h] levels;
+   - backpointers are positional: a fold records, per survivor and in
+     survivor order, the stride-3 block (accumulator index, child index,
+     merge level), and reconstruction indexes those blocks directly.
 
    All scratch comes from a per-domain {!Hgp_util.Workspace}, so the solve
-   allocates only its outputs in steady state.  Results are bit-identical
-   to the reference DP (test/support/tree_dp_reference.ml): table contents
-   per merge are order-independent (minimum cost per key over the same
-   state set), ties are broken canonically — smallest back tuple at equal
-   cost, smallest (cost, key) at the root — and the cost arithmetic keeps
-   the reference's association order. *)
+   allocates only its outputs in steady state.  The default dev profile
+   compiles with [-opaque], so every cross-module call is a real call:
+   helpers on the per-candidate path are written inline here.  Results are
+   bit-identical to the reference DP (test/support/tree_dp_reference.ml):
+   table contents per merge are order-independent (minimum cost per key
+   over the same state set), ties are broken canonically — smallest
+   (accumulator key, child key, level) at equal cost, smallest (cost, key)
+   at the root — and the cost arithmetic keeps the reference's association
+   order. *)
 
 let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
     ~demand_units cfg =
@@ -140,7 +149,6 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
   let bytes0 = Gc.allocated_bytes () in
   let h = validate_config cfg in
   let n = Tree.n_nodes t in
-  let dl_tick = ref 0 in
   if Array.length demand_units <> n then invalid_arg "Tree_dp.solve: demand_units length";
   Array.iteri
     (fun v d ->
@@ -165,23 +173,34 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
     let ws_reused = Workspace.note_use ws in
     let grows0 = Workspace.grows ws in
     let space = Signature.create ~cp_units:cfg.cp_units ?bucketing:cfg.bucketing () in
-    let caps = Array.sub cfg.cp_units 1 h in
+    let caps = space.Signature.caps in
     let strides = space.Signature.strides in
+    let bucket = space.Signature.bucket in
+    let bucketed = Option.is_some cfg.bucketing in
+    let cm = cfg.cm in
+    let layout = Signature.packing caps in
+    let nw = layout.Signature.words in
+    let g0 = layout.Signature.guards.(0) in
     let states = ref 0 in
     let beam_evictions = ref 0 in
     let pareto_dropped = ref 0 in
     let table_peak = ref 0 in
+    (* Merge pairs since the last deadline check. *)
+    let dl_pairs = ref 0 in
     (* node_off/node_len.(v): node v's final state table, a (cost, key)-
        sorted segment of ws.node_keys / ws.node_costs. *)
     let node_off = Array.make n 0 in
     let node_len = Array.make n 0 in
     (* back_off/back_len.(c): the backpointer segment written when child c
-       was folded into its parent — key-sorted stride-4 blocks
-       (key, previous key, child key, merge level) in ws.back_store. *)
+       was folded into its parent — one stride-3 block (accumulator index,
+       child index, merge level) per survivor, in survivor order, in
+       ws.back_store. *)
     let back_off = Array.make n 0 in
     let back_len = Array.make n 0 in
+    (* sig_a: the decoded accumulator row (merge) or popped state (scan);
+       bsig_a: its bucketed values, filled only under bucketing. *)
     let sig_a = Array.make h 0 in
-    let a = Array.make h 0 in
+    let bsig_a = Array.make h 0 in
     let infeasible_leaf = ref false in
     let tbl = ws.Workspace.tbl in
     let po = Tree.post_order t in
@@ -267,11 +286,12 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
           Array.iter
             (fun c ->
               let w = Tree.edge_weight t c in
+              let aoff = !acc_off and alen = !acc_len in
               let coff = node_off.(c) and clen = node_len.(c) in
               (* Each (accumulator, child, level) triple inserts at most
                  once, so the fold's table is sized to that bound rather than
                  to the largest fold this workspace has seen. *)
-              Arena.Table.clear_bounded tbl (!acc_len * clen * (h + 1));
+              Arena.Table.clear_bounded tbl (alen * clen * (h + 1));
               (* Decode each child state once into the signature matrix. *)
               Arena.Ibuf.clear ws.Workspace.sigs;
               Arena.Ibuf.reserve ws.Workspace.sigs (clen * h);
@@ -285,8 +305,11 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
                  inline form keeps the cost float unboxed — Arena.Table.upsert
                  called cross-module would box it on every one of the merge's
                  millions of calls.  Semantics must stay exactly those of
-                 [Arena.Table.upsert]; the caches are re-read whenever
-                 [ensure_room] grows the backing arrays. *)
+                 [Arena.Table.upsert], except that the payload is positional
+                 (accumulator index, child index, level) and the canonical
+                 tie-break compares the keys those indices name; the caches
+                 are re-read whenever [ensure_room] grows the backing
+                 arrays. *)
               let t_mask = ref (Arena.Table.mask tbl) in
               let t_epoch = ref (Arena.Table.epoch tbl) in
               let t_marks = ref (Arena.Table.marks tbl) in
@@ -295,100 +318,110 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
               let t_b1 = ref (Arena.Table.b1s tbl) in
               let t_b2 = ref (Arena.Table.b2s tbl) in
               let t_b3 = ref (Arena.Table.b3s tbl) in
-              let refresh () =
-                t_mask := Arena.Table.mask tbl;
-                t_epoch := Arena.Table.epoch tbl;
-                t_marks := Arena.Table.marks tbl;
-                t_keys := Arena.Table.keys tbl;
-                t_costs := Arena.Table.costs tbl;
-                t_b1 := Arena.Table.b1s tbl;
-                t_b2 := Arena.Table.b2s tbl;
-                t_b3 := Arena.Table.b3s tbl
-              in
-              for ai = 0 to !acc_len - 1 do
-                let ka = nkeys.(!acc_off + ai) in
-                let costa = ncosts.(!acc_off + ai) in
+              for ai = 0 to alen - 1 do
+                let ka = nkeys.(aoff + ai) in
+                let costa = ncosts.(aoff + ai) in
                 Signature.decode_into space ka sig_a ~pos:0;
+                if bucketed then
+                  for j = 0 to h - 1 do
+                    bsig_a.(j) <- bucket sig_a.(j)
+                  done;
+                dl_pairs := !dl_pairs + clen;
+                if !dl_pairs >= 256 then begin
+                  dl_pairs := 0;
+                  Deadline.check deadline ~stage:"tree_dp"
+                end;
                 for ci = 0 to clen - 1 do
-                  Deadline.tick deadline ~stage:"tree_dp" ~count:dl_tick ~mask:0xFF;
                   let kc = nkeys.(coff + ci) in
-                  let costc = ncosts.(coff + ci) in
-                  let base = costa +. costc in
-                  Array.blit sig_a 0 a 0 h;
+                  let base = costa +. ncosts.(coff + ci) in
                   let cbase = ci * h in
                   let key = ref ka in
-                  let ok = ref true in
                   (* j2 = 0: child closes entirely (accumulator key kept);
                      j2 = 1..h: incrementally merge one more level. *)
                   let j2 = ref 0 in
-                  while !ok && !j2 <= h do
-                    (if !j2 > 0 then begin
-                       let idx = !j2 - 1 in
-                       let merged = a.(idx) + smat.(cbase + idx) in
-                       if merged > caps.(idx) then ok := false
-                       else begin
-                         (* bucketed delta keeps the key consistent with
-                            re-encoding the bucketed vector *)
-                         let bucketed = space.Signature.bucket merged in
-                         let prev_b = space.Signature.bucket a.(idx) in
-                         key := !key + ((bucketed - prev_b) * strides.(idx));
-                         a.(idx) <- merged
-                       end
-                     end);
-                    if !ok then begin
-                      let c = cfg.cm.(!j2) in
-                      (* pay, inlined: inf *. 0. = 0. convention *)
-                      let cost = if c = 0. then base else base +. (w *. c) in
-                      if
-                        2 * (Arena.Table.size tbl + 1) > !t_mask + 1
-                        && Arena.Table.ensure_room tbl
-                      then refresh ();
-                      let mask = !t_mask
-                      and marks = !t_marks
-                      and keyarr = !t_keys in
-                      let ep = !t_epoch in
-                      let k = !key in
-                      (* same Fibonacci hash / linear probe as the Table *)
-                      let s = ref ((k * 0x2545F4914F6CDD1D) land max_int land mask) in
-                      while marks.(!s) = ep && keyarr.(!s) <> k do
-                        s := (!s + 1) land mask
-                      done;
-                      let s = !s in
-                      if marks.(s) <> ep then begin
-                        marks.(s) <- ep;
-                        keyarr.(s) <- k;
-                        !t_costs.(s) <- cost;
-                        !t_b1.(s) <- ka;
-                        !t_b2.(s) <- kc;
-                        !t_b3.(s) <- !j2;
-                        Arena.Table.added tbl;
-                        incr states
+                  while !j2 <= h do
+                    let lvl = !j2 in
+                    let c = cm.(lvl) in
+                    (* pay, inlined: inf *. 0. = 0. convention *)
+                    let cost = if c = 0. then base else base +. (w *. c) in
+                    let k = !key in
+                    (* same Fibonacci hash / linear probe as the Table *)
+                    let s = ref ((k * 0x2545F4914F6CDD1D) land max_int land !t_mask) in
+                    while !t_marks.(!s) = !t_epoch && !t_keys.(!s) <> k do
+                      s := (!s + 1) land !t_mask
+                    done;
+                    if !t_marks.(!s) = !t_epoch then begin
+                      let costs = !t_costs in
+                      let sl = !s in
+                      let old = costs.(sl) in
+                      if cost < old then begin
+                        costs.(sl) <- cost;
+                        !t_b1.(sl) <- ai;
+                        !t_b2.(sl) <- ci;
+                        !t_b3.(sl) <- lvl
                       end
-                      else begin
-                        let costs = !t_costs in
-                        let old = costs.(s) in
-                        if cost < old then begin
-                          costs.(s) <- cost;
-                          !t_b1.(s) <- ka;
-                          !t_b2.(s) <- kc;
-                          !t_b3.(s) <- !j2
-                        end
-                        else if cost = old then begin
-                          (* canonical tie-break: smallest back tuple *)
-                          let b1a = !t_b1 and b2a = !t_b2 and b3a = !t_b3 in
-                          if
-                            ka < b1a.(s)
-                            || (ka = b1a.(s)
-                               && (kc < b2a.(s) || (kc = b2a.(s) && !j2 < b3a.(s))))
-                          then begin
-                            b1a.(s) <- ka;
-                            b2a.(s) <- kc;
-                            b3a.(s) <- !j2
-                          end
+                      else if cost = old then begin
+                        (* canonical tie-break: smallest (accumulator key,
+                           child key, level); keys are distinct within a
+                           segment, so equal indices mean equal keys *)
+                        let b1a = !t_b1 and b2a = !t_b2 and b3a = !t_b3 in
+                        let o1 = b1a.(sl) and o2 = b2a.(sl) in
+                        if
+                          if ai <> o1 then ka < nkeys.(aoff + o1)
+                          else if ci <> o2 then kc < nkeys.(coff + o2)
+                          else lvl < b3a.(sl)
+                        then begin
+                          b1a.(sl) <- ai;
+                          b2a.(sl) <- ci;
+                          b3a.(sl) <- lvl
                         end
                       end
+                    end
+                    else begin
+                      (* A new key: only now can the table need to grow.
+                         After growth the key is still absent, so the
+                         re-probe stops at the first free slot. *)
+                      if Arena.Table.ensure_room tbl then begin
+                        t_mask := Arena.Table.mask tbl;
+                        t_epoch := Arena.Table.epoch tbl;
+                        t_marks := Arena.Table.marks tbl;
+                        t_keys := Arena.Table.keys tbl;
+                        t_costs := Arena.Table.costs tbl;
+                        t_b1 := Arena.Table.b1s tbl;
+                        t_b2 := Arena.Table.b2s tbl;
+                        t_b3 := Arena.Table.b3s tbl;
+                        s := (k * 0x2545F4914F6CDD1D) land max_int land !t_mask;
+                        while !t_marks.(!s) = !t_epoch do
+                          s := (!s + 1) land !t_mask
+                        done
+                      end;
+                      let sl = !s in
+                      !t_marks.(sl) <- !t_epoch;
+                      !t_keys.(sl) <- k;
+                      !t_costs.(sl) <- cost;
+                      !t_b1.(sl) <- ai;
+                      !t_b2.(sl) <- ci;
+                      !t_b3.(sl) <- lvl;
+                      Arena.Table.added tbl;
+                      incr states
                     end;
-                    incr j2
+                    (* Advance to level lvl + 1 by merging the child's
+                       level-lvl value; a capacity overflow ends the pair. *)
+                    if lvl < h then begin
+                      let cv = smat.(cbase + lvl) in
+                      let merged = sig_a.(lvl) + cv in
+                      if merged > caps.(lvl) then j2 := h + 1
+                      else begin
+                        (* the bucketed delta keeps the key consistent with
+                           re-encoding the bucketed vector; unbucketed, the
+                           delta is just the child's value *)
+                        (if bucketed then
+                           key := !key + ((bucket merged - bsig_a.(lvl)) * strides.(lvl))
+                         else key := !key + (cv * strides.(lvl)));
+                        j2 := lvl + 1
+                      end
+                    end
+                    else j2 := h + 1
                   done
                 done
               done;
@@ -425,56 +458,62 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
                  Sound: capacities are upper bounds, so a smaller active-set
                  vector admits every completion of a larger one at the same
                  future cost.  The beam keeps exactly the first [width]
-                 survivors, so the scan stops there; [psig] holds the kept
-                 states' decoded signatures, row [r] for survivor [r]. *)
+                 survivors, so the scan stops there.  [pw] holds the kept
+                 states' packed signatures, words [r*nw ..] for survivor
+                 [r]; kept [k] dominates popped [p] iff
+                 [((p_w lor g_w) - k_w) land g_w = g_w] for every word [w]
+                 ({!Signature.packed_leq}). *)
               let kept = ws.Workspace.kept in
               Arena.Ibuf.clear kept;
               Arena.Ibuf.clear ws.Workspace.sigs;
-              Arena.Ibuf.reserve ws.Workspace.sigs (min pre width * h);
-              let psig = Arena.Ibuf.data ws.Workspace.sigs in
+              Arena.Ibuf.reserve ws.Workspace.sigs (min pre width * nw);
+              let pw = Arena.Ibuf.data ws.Workspace.sigs in
               let scanned = ref 0 in
-              while !scanned < pre && Arena.Ibuf.length kept < width do
+              let nk = ref 0 in
+              while !scanned < pre && !nk < width do
                 let slot = Arena.pop_perm_min perm (raw - !scanned) scosts skeys in
                 incr scanned;
-                let nk = Arena.Ibuf.length kept in
-                let row = nk * h in
                 let dominated = ref false in
                 if cfg.prune then begin
-                  Signature.decode_into space skeys.(slot) psig ~pos:row;
-                  let ki = ref 0 in
-                  while (not !dominated) && !ki < nk do
-                    let r = !ki * h in
-                    let ok = ref true in
-                    let j = ref 0 in
-                    while !ok && !j < h do
-                      if psig.(r + !j) > psig.(row + !j) then ok := false;
-                      incr j
-                    done;
-                    if !ok then dominated := true;
-                    incr ki
+                  let row = !nk * nw in
+                  Signature.decode_into space skeys.(slot) sig_a ~pos:0;
+                  Signature.pack_into layout sig_a pw ~pos:row;
+                  (* Word 0, tested inline, rejects almost every pair; the
+                     full test runs only when it passes — with one word,
+                     at most once per popped state. *)
+                  let p0 = pw.(row) lor g0 in
+                  let kr = ref 0 in
+                  while (not !dominated) && !kr < row do
+                    if
+                      (p0 - pw.(!kr)) land g0 = g0
+                      && Signature.packed_leq layout pw ~apos:!kr pw ~bpos:row
+                    then dominated := true;
+                    kr := !kr + nw
                   done
                 end;
-                if not !dominated then Arena.Ibuf.push kept slot
+                if not !dominated then begin
+                  Arena.Ibuf.push kept slot;
+                  incr nk
+                end
               done;
-              let kept_count = Arena.Ibuf.length kept in
+              let kept_count = !nk in
               (* Scanned-and-dominated states are Pareto drops; everything
                  the scan never reached is a beam eviction. *)
               pareto_dropped := !pareto_dropped + (!scanned - kept_count);
               beam_evictions := !beam_evictions + (raw - !scanned);
-              (* Persist the survivors' backpointers as a key-sorted
-                 stride-4 segment; only kept states are ever looked up. *)
+              (* Persist the survivors' positional backpointers in survivor
+                 order: block [i] belongs to the new accumulator's state
+                 [i]. *)
               let kdata = Arena.Ibuf.data ws.Workspace.kept in
               let sb1 = !t_b1 and sb2 = !t_b2 and sb3 = !t_b3 in
-              let bo = Arena.Ibuf.alloc ws.Workspace.back_store (4 * kept_count) in
+              let bo = Arena.Ibuf.alloc ws.Workspace.back_store (3 * kept_count) in
               let bdata = Arena.Ibuf.data ws.Workspace.back_store in
               for i = 0 to kept_count - 1 do
                 let slot = kdata.(i) in
-                bdata.(bo + (4 * i)) <- skeys.(slot);
-                bdata.(bo + (4 * i) + 1) <- sb1.(slot);
-                bdata.(bo + (4 * i) + 2) <- sb2.(slot);
-                bdata.(bo + (4 * i) + 3) <- sb3.(slot)
+                bdata.(bo + (3 * i)) <- sb1.(slot);
+                bdata.(bo + (3 * i) + 1) <- sb2.(slot);
+                bdata.(bo + (3 * i) + 2) <- sb3.(slot)
               done;
-              Arena.sort_stride4_by_key bdata bo kept_count;
               back_off.(c) <- bo;
               back_len.(c) <- kept_count;
               (* The survivors, already (cost, key)-sorted, become the new
@@ -517,47 +556,42 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
            optimum (minimal cost, smallest key among ties). *)
         let root_key = Arena.Ibuf.get ws.Workspace.node_keys node_off.(r) in
         let cost = Arena.Fbuf.get ws.Workspace.node_costs node_off.(r) in
-        (* Reconstruct kappa by walking the packed back segments. *)
+        (* Reconstruct kappa by walking the positional back segments: a
+           node's chosen state is an index into its final table (the root's
+           is 0), and the block at that index in its last child's segment
+           names the child's state and the accumulator state before that
+           fold, and so on back to the first child (whose accumulator index
+           is always 0, the all-zeros start). *)
         let kappa = Array.make n 0 in
         let sv = Array.make n 0 in
-        let sk = Array.make n 0 in
+        let si = Array.make n 0 in
         sv.(0) <- r;
-        sk.(0) <- root_key;
         let sp = ref 1 in
         let bdata_ws = Arena.Ibuf.data ws.Workspace.back_store in
         while !sp > 0 do
           decr sp;
-          let v = sv.(!sp) and key = sk.(!sp) in
+          let v = sv.(!sp) in
           let cs = Tree.children t v in
           (* A child's back segment was written when [v] folded it — fresh
              in the workspace iff [v] was recomputed this run, otherwise it
              lives in the snapshot (v is inside a clean subtree). *)
           let from_prev = incremental && reuse.(v) in
-          let k = ref key in
+          let idx = ref si.(!sp) in
           for i = Array.length cs - 1 downto 0 do
             let c = cs.(i) in
-            let bdata, off, len =
-              if from_prev then begin
-                let s = match prev with Some s -> s | None -> assert false in
-                (s.s_back_store, s.s_back_off.(c), s.s_back_len.(c))
-              end
-              else (bdata_ws, back_off.(c), back_len.(c))
+            let bdata, off =
+              if from_prev then
+                match prev with
+                | Some s -> (s.s_back_store, s.s_back_off.(c))
+                | None -> assert false
+              else (bdata_ws, back_off.(c))
             in
-            let lo = ref 0 and hi = ref (len - 1) and found = ref (-1) in
-            while !found < 0 && !lo <= !hi do
-              let mid = (!lo + !hi) / 2 in
-              let km = bdata.(off + (4 * mid)) in
-              if km = !k then found := mid
-              else if km < !k then lo := mid + 1
-              else hi := mid - 1
-            done;
-            if !found < 0 then invalid_arg "Tree_dp.solve: missing backpointer";
-            let f = off + (4 * !found) in
-            kappa.(c) <- bdata.(f + 3);
+            let f = off + (3 * !idx) in
+            kappa.(c) <- bdata.(f + 2);
             sv.(!sp) <- c;
-            sk.(!sp) <- bdata.(f + 2);
+            si.(!sp) <- bdata.(f + 1);
             incr sp;
-            k := bdata.(f + 1)
+            idx := bdata.(f)
           done
         done;
         (* Corrupt action: zero one edge label — a plausible-looking but
@@ -604,7 +638,7 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
             let o_keys = Array.make (max 1 !tot_tab) 0 in
             let o_costs = Array.make (max 1 !tot_tab) 0. in
             let o_bo = Array.make n 0 and o_bl = Array.make n 0 in
-            let o_bs = Array.make (max 1 (4 * !tot_back)) 0 in
+            let o_bs = Array.make (max 1 (3 * !tot_back)) 0 in
             let tpos = ref 0 and bpos = ref 0 in
             for v = 0 to n - 1 do
               (match prev with
@@ -626,16 +660,16 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
                 match prev with
                 | Some s when reuse.(parents.(v)) ->
                   let len = s.s_back_len.(v) in
-                  Array.blit s.s_back_store s.s_back_off.(v) o_bs !bpos (4 * len);
+                  Array.blit s.s_back_store s.s_back_off.(v) o_bs !bpos (3 * len);
                   o_bo.(v) <- !bpos;
                   o_bl.(v) <- len;
-                  bpos := !bpos + (4 * len)
+                  bpos := !bpos + (3 * len)
                 | _ ->
                   let len = back_len.(v) in
-                  Array.blit bd back_off.(v) o_bs !bpos (4 * len);
+                  Array.blit bd back_off.(v) o_bs !bpos (3 * len);
                   o_bo.(v) <- !bpos;
                   o_bl.(v) <- len;
-                  bpos := !bpos + (4 * len)
+                  bpos := !bpos + (3 * len)
             done;
             Some
               {

@@ -101,9 +101,9 @@ module Table = struct
     mutable mask : int;  (* capacity - 1, capacity a power of two *)
     mutable keys : int array;
     mutable costs : float array;
-    mutable b1 : int array;  (* back payload: previous key *)
-    mutable b2 : int array;  (* back payload: child key *)
-    mutable b3 : int array;  (* back payload: merge level *)
+    mutable b1 : int array;  (* payload; the DP's accumulator index *)
+    mutable b2 : int array;  (* payload; the DP's child index *)
+    mutable b3 : int array;  (* payload; the DP's merge level *)
     mutable marks : int array;  (* occupied iff marks.(i) = epoch *)
     mutable epoch : int;
     mutable size : int;
@@ -242,7 +242,8 @@ module Table = struct
   (* Raw-slot access for inlined hot paths.  Without flambda, every float
      crossing a module boundary is boxed; a DP merge performs millions of
      upserts, so [Tree_dp] inlines the upsert against these arrays instead
-     (semantics must match {!upsert} exactly).  All of these invalidate on
+     (same minimum-cost rule; its tie-break reads keys through a positional
+     payload).  All of these invalidate on
      {!grow} — callers re-read them when [ensure_room] returns [true]. *)
   let mask t = t.mask
   let epoch t = t.epoch
@@ -335,42 +336,3 @@ let pop_perm_min perm len costs keys =
   perm.(len - 1) <- top;
   sift_down_min perm 0 (len - 2) costs keys;
   top
-
-(* In-place heapsort of [count] 4-int blocks at [data.(off ...)], ordered
-   by each block's first element — lays backpointer segments out in key
-   order so reconstruction can binary-search them. *)
-let sort_stride4_by_key (data : int array) off count =
-  if count > 1 then begin
-    let swap_block i j =
-      let bi = off + (4 * i) and bj = off + (4 * j) in
-      for d = 0 to 3 do
-        let tmp = data.(bi + d) in
-        data.(bi + d) <- data.(bj + d);
-        data.(bj + d) <- tmp
-      done
-    in
-    let key i = data.(off + (4 * i)) in
-    let sift_down root last =
-      let r = ref root in
-      let continue = ref true in
-      while !continue do
-        let child = (2 * !r) + 1 in
-        if child > last then continue := false
-        else begin
-          let child = if child + 1 <= last && key child < key (child + 1) then child + 1 else child in
-          if key !r < key child then begin
-            swap_block !r child;
-            r := child
-          end
-          else continue := false
-        end
-      done
-    in
-    for root = (count - 2) / 2 downto 0 do
-      sift_down root (count - 1)
-    done;
-    for last = count - 1 downto 1 do
-      swap_block 0 last;
-      sift_down 0 (last - 1)
-    done
-  end

@@ -90,11 +90,12 @@ module Table : sig
 
       Without flambda every float argument crossing a module boundary is
       boxed; the DP merge performs millions of upserts, so its kernel
-      inlines the probe/update against these parallel arrays (keeping the
-      exact {!upsert} semantics).  A slot [s] is occupied iff
+      inlines the probe/update against these parallel arrays (keeping
+      {!upsert}'s minimum-cost rule; its tie-break compares the keys its
+      positional payload names).  A slot [s] is occupied iff
       [(marks t).(s) = epoch t].  Every accessor is invalidated by growth:
-      call {!ensure_room} before each insertion and re-read them when it
-      returns [true]. *)
+      call {!ensure_room} before inserting a new key and re-read them when
+      it returns [true]. *)
 
   val mask : t -> int
   val epoch : t -> int
@@ -133,9 +134,3 @@ val heapify_perm_min : int array -> int -> float array -> int array -> unit
     the [k] smallest indices sit at [perm.(len-1)], [perm.(len-2)], ... in
     ascending order — a lazily sorted prefix. *)
 val pop_perm_min : int array -> int -> float array -> int array -> int
-
-(** [sort_stride4_by_key data off count] heapsorts [count] 4-int blocks at
-    [data.(off), data.(off+4), ...] by each block's first element — lays
-    packed backpointer segments out in key order for binary search. *)
-val sort_stride4_by_key : int array -> int -> int -> unit
-

@@ -236,23 +236,6 @@ let test_heap_perm_by_cost_key () =
     (List.filteri (fun k _ -> k < 40) sorted)
     (pop_prefix (Array.make len 0) len 40 costs keys)
 
-let test_sort_stride4_by_key () =
-  let rng = Prng.create 7 in
-  let count = 97 in
-  let data = Array.init (4 * count) (fun _ -> Prng.int rng 1000) in
-  let copy = Array.copy data in
-  Arena.sort_stride4_by_key data 0 count;
-  (* keys ascending *)
-  for i = 1 to count - 1 do
-    if data.(4 * (i - 1)) > data.(4 * i) then Alcotest.failf "keys out of order at %d" i
-  done;
-  (* blocks stay intact: multiset of blocks unchanged *)
-  let blocks a =
-    List.init count (fun i -> (a.(4 * i), a.((4 * i) + 1), a.((4 * i) + 2), a.((4 * i) + 3)))
-    |> List.sort compare
-  in
-  Alcotest.(check bool) "same blocks" true (blocks data = blocks copy)
-
 (* ---- workspace pooling ---- *)
 
 let test_workspace_reuse_and_nesting () =
@@ -313,7 +296,6 @@ let () =
       ( "sorts",
         [
           Alcotest.test_case "perm by (cost,key)" `Quick test_heap_perm_by_cost_key;
-          Alcotest.test_case "stride-4 blocks by key" `Quick test_sort_stride4_by_key;
         ] );
       ( "workspace",
         [

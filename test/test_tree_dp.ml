@@ -217,6 +217,38 @@ let test_differential_seeded () =
       (diff_configs ~cm ~cp_units)
   done
 
+(* A tall instance: h = 4 with capacities wide enough that the Pareto
+   scan's packed signature needs two words (17 + 17 + 16 + 16 bits), and
+   demands large enough that the lower capacities bind. *)
+let tall_cp_units n = [| 60_000 * n; 60_000; 40_000; 30_000; 20_000 |]
+
+let mk_tall_instance seed =
+  let rng = Prng.create (1000 + seed) in
+  let n = 4 + Prng.int rng 4 (* 4..7 graph nodes *) in
+  let g = Gen.random_tree rng n in
+  let g = Gen.randomize_weights rng g ~lo:1.0 ~hi:9.0 in
+  let t = Tree.of_graph g ~root:0 in
+  let t, job_leaf = Tree.lift_internal_jobs t in
+  let demand_units = Array.make (Tree.n_nodes t) 0 in
+  Array.iter (fun l -> demand_units.(l) <- 1 + Prng.int rng 12_000) job_leaf;
+  (t, demand_units, [| 12.; 6.; 3.; 1.; 0. |], tall_cp_units n)
+
+(* 30 tall seeds x 5 configs: the multi-word dominance path, bit-for-bit
+   against the oracle, states explored included. *)
+let test_differential_tall () =
+  let caps = Array.sub (tall_cp_units 1) 1 4 in
+  Alcotest.(check int) "two-word layout" 2
+    (Hgp_core.Signature.packing caps).Hgp_core.Signature.words;
+  for seed = 1 to 30 do
+    let t, demand_units, cm, cp_units = mk_tall_instance seed in
+    List.iter
+      (fun (name, cfg) ->
+        let flat = Tree_dp.solve t ~demand_units cfg in
+        let reference = Ref_dp.solve t ~demand_units cfg in
+        check_identical (Printf.sprintf "tall seed %d %s" seed name) flat reference)
+      (diff_configs ~cm ~cp_units)
+  done
+
 (* Infeasible leaves: one job is pushed past the leaf capacity; both sides
    must agree the instance is infeasible (and on feasible neighbours). *)
 let test_differential_infeasible_leaves () =
@@ -348,6 +380,8 @@ let () =
         [
           Alcotest.test_case "kernel = oracle, 60 seeds x 5 configs" `Quick
             test_differential_seeded;
+          Alcotest.test_case "tall two-word signatures, 30 seeds x 5 configs" `Quick
+            test_differential_tall;
           Alcotest.test_case "infeasible leaves" `Quick test_differential_infeasible_leaves;
           Alcotest.test_case "deadline aborts" `Quick test_differential_deadline_abort;
           Alcotest.test_case "shared workspace lease" `Quick
