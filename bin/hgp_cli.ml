@@ -267,14 +267,18 @@ let solve_cmd =
     let options =
       { Solver.default_options with ensemble_size = ensemble; seed; resolution }
     in
-    (* Satellite of ISSUE: surface the silent tractability clamp.  When eps
-       stops binding the default resolution, say so once on stderr. *)
-    if Solver.resolution_clamped inst options then
-      Printf.eprintf
-        "hgp_cli: note: demand resolution clamped at %d (tractability cap; \
-         eps=%g no longer binds — pass --resolution to override)\n"
-        (Solver.resolution_of inst options)
-        options.Solver.eps;
+    (* Surface the silent tractability clamp: when eps stops binding the
+       default resolution of the instance the exact solve runs on, say so
+       once on stderr.  Under --multilevel that is the coarse instance. *)
+    let clamp_note inst =
+      if Solver.resolution_clamped inst options then
+        Printf.eprintf
+          "hgp_cli: note: demand resolution clamped at %d (tractability cap; \
+           eps=%g no longer binds — pass --resolution to override)\n"
+          (Solver.resolution_of inst options)
+          options.Solver.eps
+    in
+    if multilevel = None then clamp_note inst;
     (match (delta_file, multilevel) with
      | Some dfile, Some threshold ->
        (* Incremental multilevel: open a V-cycle session on the base
@@ -288,11 +292,12 @@ let solve_cmd =
        let sess, _ = V.start_session ~options:mopts inst in
        let u = V.resolve_delta sess delta in
        let r = u.V.u_result in
+       clamp_note r.V.coarse_instance;
        let sol = r.V.solution in
        Printf.printf "# cost %.6g\n# violation %.4f\n# tree %d\n# dp-states %d\n" sol.cost
          sol.max_violation sol.tree_index sol.dp_states;
        Printf.printf "# multilevel levels=%d coarse-n=%d ratio=%.2f cached=%b\n" r.V.levels
-         r.V.coarse_n r.V.coarsening_ratio r.V.hierarchy_cached;
+         (Instance.n r.V.coarse_instance) r.V.coarsening_ratio r.V.hierarchy_cached;
        Printf.printf
          "# incremental resolved=%d reused=%d reused-levels=%d/%d churn=%.4f \
           certified=%b incremental=%b\n"
@@ -333,12 +338,13 @@ let solve_cmd =
          r := solve_once ()
        done;
        let r = !r in
+       clamp_note r.V.coarse_instance;
        let sol = r.V.solution in
        Printf.printf "# cost %.6g\n# violation %.4f\n# tree %d\n# dp-states %d\n" sol.cost
          sol.max_violation sol.tree_index sol.dp_states;
        Printf.printf "# cached-dp-states %d\n" sol.cached_dp_states;
        Printf.printf "# multilevel levels=%d coarse-n=%d ratio=%.2f cached=%b\n" r.V.levels
-         r.V.coarse_n r.V.coarsening_ratio r.V.hierarchy_cached;
+         (Instance.n r.V.coarse_instance) r.V.coarsening_ratio r.V.hierarchy_cached;
        let cert = r.V.coarse_certificate in
        Printf.printf "# coarse-certified within-band=%b violation=%.4f bound=%.4f\n"
          cert.Hgp_core.Verify.within_theorem_bound cert.Hgp_core.Verify.max_violation

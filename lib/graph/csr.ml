@@ -1,300 +1,64 @@
 module E = Hgp_resilience.Hgp_error
 
 type t = {
-  n : int;
-  xadj : int array;
-  adjncy : int array;
-  adjw : float array;
+  graph : Graph.t;
   vwgt : float array;
   total_vw : float;
-  total_ew : float;
 }
 
 let invalid context fmt =
   Printf.ksprintf (fun msg -> E.error (E.Invalid_input { context; msg })) fmt
 
+(* Loops rather than closures: a float crossing a closure is boxed, and
+   these run once per vertex on every solve. *)
 let sum a =
   let s = ref 0. in
-  Array.iter (fun x -> s := !s +. x) a;
+  for v = 0 to Array.length a - 1 do
+    s := !s +. a.(v)
+  done;
   !s
-
-let check_vwgt context n = function
-  | None -> Array.make n 1.
-  | Some vw ->
-    if Array.length vw <> n then
-      invalid context "vwgt length %d, expected n = %d" (Array.length vw) n;
-    Array.iteri
-      (fun v w ->
-        if not (w > 0. && Float.is_finite w) then
-          invalid context "vertex %d has non-positive weight %g" v w)
-      vw;
-    Array.copy vw
-
-(* Shared finisher: takes directed arcs already sorted by (src, dst) — two
-   stable counting-sort passes upstream — and merges duplicate (src, dst)
-   runs by summing.  Stability means each run keeps the caller's arc order,
-   and both directions of an undirected edge see the same addition sequence,
-   so symmetric slots hold bit-identical weights. *)
-let of_sorted_arcs ~n ~vwgt ~total_vw asrc adst aw =
-  let na = Array.length asrc in
-  let deg = Array.make n 0 in
-  let slots = ref 0 in
-  for i = 0 to na - 1 do
-    if i = 0 || asrc.(i) <> asrc.(i - 1) || adst.(i) <> adst.(i - 1) then begin
-      deg.(asrc.(i)) <- deg.(asrc.(i)) + 1;
-      incr slots
-    end
-  done;
-  let xadj = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    xadj.(v + 1) <- xadj.(v) + deg.(v)
-  done;
-  let adjncy = Array.make !slots 0 in
-  let adjw = Array.make !slots 0. in
-  let total2 = ref 0. in
-  let j = ref (-1) in
-  for i = 0 to na - 1 do
-    if i = 0 || asrc.(i) <> asrc.(i - 1) || adst.(i) <> adst.(i - 1) then begin
-      incr j;
-      adjncy.(!j) <- adst.(i);
-      adjw.(!j) <- aw.(i)
-    end
-    else adjw.(!j) <- adjw.(!j) +. aw.(i);
-    total2 := !total2 +. aw.(i)
-  done;
-  { n; xadj; adjncy; adjw; vwgt; total_vw; total_ew = !total2 /. 2. }
-
-(* Sort directed arcs by (src, dst) with two stable counting passes: first
-   key dst, then key src.  O(n + arcs), no comparisons, no boxing. *)
-let sort_arcs ~n asrc adst aw =
-  let na = Array.length asrc in
-  let count = Array.make (n + 1) 0 in
-  let pass key src dst w =
-    Array.fill count 0 (n + 1) 0;
-    for i = 0 to na - 1 do
-      count.(key.(i) + 1) <- count.(key.(i) + 1) + 1
-    done;
-    for v = 0 to n - 1 do
-      count.(v + 1) <- count.(v + 1) + count.(v)
-    done;
-    let src' = Array.make na 0 in
-    let dst' = Array.make na 0 in
-    let w' = Array.make na 0. in
-    for i = 0 to na - 1 do
-      let p = count.(key.(i)) in
-      count.(key.(i)) <- p + 1;
-      src'.(p) <- src.(i);
-      dst'.(p) <- dst.(i);
-      w'.(p) <- w.(i)
-    done;
-    (src', dst', w')
-  in
-  let asrc, adst, aw = pass adst asrc adst aw in
-  pass asrc asrc adst aw
-
-let of_arrays ~n ?vwgt ~src ~dst ~w () =
-  let context = "csr.of_arrays" in
-  if n < 0 then invalid context "negative vertex count %d" n;
-  let ne = Array.length src in
-  if Array.length dst <> ne || Array.length w <> ne then
-    invalid context "edge array lengths differ: src %d, dst %d, w %d" ne
-      (Array.length dst) (Array.length w);
-  let vwgt = check_vwgt context n vwgt in
-  let live = ref 0 in
-  for i = 0 to ne - 1 do
-    let u = src.(i) and v = dst.(i) in
-    if u < 0 || u >= n || v < 0 || v >= n then
-      invalid context "edge %d = {%d, %d} has a dangling endpoint (n = %d)" i u v n;
-    if not (w.(i) >= 0. && Float.is_finite w.(i)) then
-      invalid context "edge %d = {%d, %d} has invalid weight %g" i u v w.(i);
-    if u <> v then incr live
-  done;
-  let na = 2 * !live in
-  let asrc = Array.make na 0 in
-  let adst = Array.make na 0 in
-  let aw = Array.make na 0. in
-  let j = ref 0 in
-  for i = 0 to ne - 1 do
-    let u = src.(i) and v = dst.(i) in
-    if u <> v then begin
-      asrc.(!j) <- u;
-      adst.(!j) <- v;
-      aw.(!j) <- w.(i);
-      asrc.(!j + 1) <- v;
-      adst.(!j + 1) <- u;
-      aw.(!j + 1) <- w.(i);
-      j := !j + 2
-    end
-  done;
-  let asrc, adst, aw = sort_arcs ~n asrc adst aw in
-  of_sorted_arcs ~n ~vwgt ~total_vw:(sum vwgt) asrc adst aw
 
 let of_graph ?vwgt g =
   let n = Graph.n g in
-  let vwgt = check_vwgt "csr.of_graph" n vwgt in
-  (* [Graph.edges] is merged and sorted ascending by (u, v) with u < v; the
-     Builder fill order (u-slot then v-slot per edge, in edge order) yields
-     ascending rows, so replaying it reproduces the exact CSR triple. *)
-  let deg = Array.make n 0 in
-  Graph.iter_edges
-    (fun u v _ ->
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
-    g;
-  let xadj = Array.make (n + 1) 0 in
-  for v = 0 to n - 1 do
-    xadj.(v + 1) <- xadj.(v) + deg.(v)
-  done;
-  let slots = xadj.(n) in
-  let adjncy = Array.make slots 0 in
-  let adjw = Array.make slots 0. in
-  let fill = Array.copy xadj in
-  Graph.iter_edges
-    (fun u v w ->
-      adjncy.(fill.(u)) <- v;
-      adjw.(fill.(u)) <- w;
-      fill.(u) <- fill.(u) + 1;
-      adjncy.(fill.(v)) <- u;
-      adjw.(fill.(v)) <- w;
-      fill.(v) <- fill.(v) + 1)
-    g;
-  {
-    n;
-    xadj;
-    adjncy;
-    adjw;
-    vwgt;
-    total_vw = sum vwgt;
-    total_ew = Graph.total_weight g;
-  }
+  let vwgt =
+    match vwgt with
+    | None -> Array.make n 1.
+    | Some vw ->
+      let context = "csr.of_graph" in
+      if Array.length vw <> n then
+        invalid context "vwgt length %d, expected n = %d" (Array.length vw) n;
+      for v = 0 to n - 1 do
+        let w = vw.(v) in
+        if not (w > 0. && Float.is_finite w) then
+          invalid context "vertex %d has non-positive weight %g" v w
+      done;
+      Array.copy vw
+  in
+  { graph = g; vwgt; total_vw = sum vwgt }
 
-let slot t u v =
-  (* adjacency slot of [v] in row [u], or -1 — rows are ascending *)
-  let lo = ref t.xadj.(u) and hi = ref (t.xadj.(u + 1) - 1) in
-  let res = ref (-1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let x = t.adjncy.(mid) in
-    if x = v then begin
-      res := mid;
-      lo := !hi + 1
-    end
-    else if x < v then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !res
-
-let reweight t ~total_ew updates =
-  let context = "csr.reweight" in
-  let adjw = Array.copy t.adjw in
-  List.iter
-    (fun (u, v, w) ->
-      if u < 0 || u >= t.n || v < 0 || v >= t.n then
-        invalid context "reweight {%d, %d}: vertex out of range (n = %d)" u v t.n;
-      if u = v then invalid context "reweight {%d, %d}: self-loop" u v;
-      if not (w >= 0. && Float.is_finite w) then
-        invalid context "reweight {%d, %d}: invalid weight %g" u v w;
-      let i = slot t u v and j = slot t v u in
-      if i < 0 || j < 0 then invalid context "reweight {%d, %d}: no such edge" u v;
-      adjw.(i) <- w;
-      adjw.(j) <- w)
-    updates;
-  { t with adjw; total_ew }
-
-let n t = t.n
-
-let m t = Array.length t.adjncy / 2
-
-let degree t v = t.xadj.(v + 1) - t.xadj.(v)
+let to_graph t = t.graph
+let n t = Graph.n t.graph
 let vertex_weight t v = t.vwgt.(v)
 let total_vertex_weight t = t.total_vw
-let total_edge_weight t = t.total_ew
-
-let iter_neighbors f t v =
-  for i = t.xadj.(v) to t.xadj.(v + 1) - 1 do
-    f t.adjncy.(i) t.adjw.(i)
-  done
-
-let iter_edges f t =
-  for u = 0 to t.n - 1 do
-    for i = t.xadj.(u) to t.xadj.(u + 1) - 1 do
-      let v = t.adjncy.(i) in
-      if u < v then f u v t.adjw.(i)
-    done
-  done
-
-let edge_weight t u v =
-  (* rows are ascending: binary search the slice *)
-  let lo = ref t.xadj.(u) and hi = ref (t.xadj.(u + 1) - 1) in
-  let w = ref 0. in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let x = t.adjncy.(mid) in
-    if x = v then begin
-      w := t.adjw.(mid);
-      lo := !hi + 1
-    end
-    else if x < v then lo := mid + 1
-    else hi := mid - 1
-  done;
-  !w
-
-let to_graph t =
-  let b = Graph.Builder.create t.n in
-  iter_edges (fun u v w -> Graph.Builder.add_edge b u v w) t;
-  Graph.Builder.build b
 
 let contract t map ~n_parts =
-  let context = "csr.contract" in
-  if Array.length map <> t.n then
-    invalid context "partition length %d, expected n = %d" (Array.length map) t.n;
-  Array.iteri
-    (fun v p ->
-      if p < 0 || p >= n_parts then
-        invalid context "vertex %d mapped to part %d, outside 0..%d" v p (n_parts - 1))
-    map;
+  let graph = Graph.contract t.graph map ~n_parts in
   let cvw = Array.make n_parts 0. in
-  for v = 0 to t.n - 1 do
-    cvw.(map.(v)) <- cvw.(map.(v)) +. t.vwgt.(v)
+  Array.iteri (fun v p -> cvw.(p) <- cvw.(p) +. t.vwgt.(v)) map;
+  for p = 0 to n_parts - 1 do
+    if not (cvw.(p) > 0.) then invalid "csr.contract" "part %d is empty" p
   done;
-  (* Count surviving arcs, then emit both directions of each fine edge in
-     ascending (u, v) order; the stable sort keeps that order within each
-     coarse run, matching [Graph.contract]'s Builder accumulation order. *)
-  let live = ref 0 in
-  iter_edges (fun u v _ -> if map.(u) <> map.(v) then incr live) t;
-  let na = 2 * !live in
-  let asrc = Array.make na 0 in
-  let adst = Array.make na 0 in
-  let aw = Array.make na 0. in
-  let j = ref 0 in
-  iter_edges
-    (fun u v w ->
-      let pu = map.(u) and pv = map.(v) in
-      if pu <> pv then begin
-        asrc.(!j) <- pu;
-        adst.(!j) <- pv;
-        aw.(!j) <- w;
-        asrc.(!j + 1) <- pv;
-        adst.(!j + 1) <- pu;
-        aw.(!j + 1) <- w;
-        j := !j + 2
-      end)
-    t;
-  let asrc, adst, aw = sort_arcs ~n:n_parts asrc adst aw in
-  (* A part with no fine vertex keeps weight 0 — reject it: coarse vertices
-     stand for demands and a zero demand is uninstantiable downstream. *)
-  Array.iteri
-    (fun p w -> if not (w > 0.) then invalid context "part %d is empty" p)
-    cvw;
-  of_sorted_arcs ~n:n_parts ~vwgt:cvw ~total_vw:(sum cvw) asrc adst aw
+  { graph; vwgt = cvw; total_vw = sum cvw }
 
 let fingerprint t =
   let open Hgp_util.Fingerprint in
-  seed |> Fun.flip add_string "csr" |> Fun.flip add_int t.n
-  |> Fun.flip add_int_array t.xadj
-  |> Fun.flip add_int_array t.adjncy
-  |> Fun.flip add_float_array t.adjw
+  let g = t.graph in
+  seed |> Fun.flip add_string "csr" |> Fun.flip add_int g.Graph.n
+  |> Fun.flip add_int_array g.Graph.xadj
+  |> Fun.flip add_int_array g.Graph.adjncy
+  |> Fun.flip add_float_array g.Graph.adjw
   |> Fun.flip add_float_array t.vwgt
 
 let pp ppf t =
-  Format.fprintf ppf "csr(n=%d, m=%d, W=%g, Wv=%g)" t.n (m t) t.total_ew t.total_vw
+  Format.fprintf ppf "csr(n=%d, m=%d, W=%g, Wv=%g)" (n t) (Graph.m t.graph)
+    (Graph.total_weight t.graph) t.total_vw

@@ -1,102 +1,41 @@
-(** Flat struct-of-arrays graphs with weighted vertices, built for
-    million-vertex scale.
+(** Vertex-weighted graphs: a {!Graph.t} plus one weight per vertex.
 
-    {!Graph.t} is CSR-backed but pays a boxed [(u, v, w)] tuple per edge and
-    a hashtable pass per build; at 10^6 vertices both dominate the solve.
-    This module keeps the whole representation in int/float arrays — the same
-    idiom as the DP workspace arenas (docs/ARCHITECTURE.md, "DP kernel &
-    workspaces") — and adds {e vertex weights}, the quantity coarsening must
+    The adjacency is the graph's own CSR arrays, shared, not copied; this
+    module adds only {e vertex weights}, the quantity coarsening must
     conserve: a coarse vertex's weight is the demand of everything merged
     into it (the nonuniform-weights setting of Makarychev & Makarychev).
+    Adjacency queries go to {!Graph} on the [graph] field.
 
-    Vertices are [0..n-1].  Parallel edges are merged by summing weights,
-    self-loops are dropped (they can never be cut) — the same semantics as
-    {!Graph.Builder}.  Adjacency rows are sorted by neighbor id.  The
-    structure is immutable.
-
-    Structural validation raises structured
-    {!Hgp_resilience.Hgp_error.Invalid_input} errors (exit class 65), not
-    [Invalid_argument]: builders sit on the ingest path of the multilevel
-    front-end, where malformed data is an input problem, not a bug. *)
+    Validation raises structured {!Hgp_resilience.Hgp_error.Invalid_input}
+    errors (exit class 65), not [Invalid_argument]: these constructors sit
+    on the ingest path of the multilevel front-end, where malformed data is
+    an input problem, not a bug. *)
 
 type t = private {
-  n : int;
-  xadj : int array;  (** length [n + 1]; row [v] is [xadj.(v) .. xadj.(v+1) - 1] *)
-  adjncy : int array;  (** neighbor ids, ascending within each row *)
-  adjw : float array;  (** edge weight per adjacency slot *)
-  vwgt : float array;  (** vertex weights (demands); all [> 0.] *)
-  total_vw : float;  (** sum of vertex weights *)
-  total_ew : float;  (** sum of undirected edge weights *)
+  graph : Graph.t;
+  vwgt : float array;  (** vertex weights (demands); all [> 0.] and finite *)
+  total_vw : float;  (** sum of vertex weights, in vertex order *)
 }
 
-(** [of_arrays ~n ~src ~dst ~w ()] builds the graph with edges
-    [{src.(i), dst.(i)}] of weight [w.(i)] — struct-of-arrays input, no
-    per-edge boxing, two counting-sort passes, O(n + m) time and memory.
-    [vwgt] defaults to all-ones.
-    @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _]) on negative
-    [n], mismatched array lengths, dangling endpoints (outside [0..n-1]),
-    negative or non-finite edge weights, or non-positive vertex weights. *)
-val of_arrays :
-  n:int ->
-  ?vwgt:float array ->
-  src:int array ->
-  dst:int array ->
-  w:float array ->
-  unit ->
-  t
-
-(** [of_graph ?vwgt g] adopts the CSR arrays of a boxed {!Graph.t} (adjacency
-    copied, already merged and sorted).  [vwgt] defaults to all-ones. *)
+(** [of_graph ?vwgt g] attaches vertex weights to [g], sharing its
+    adjacency arrays — O(n).  [vwgt] defaults to all-ones.
+    @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _]) on a length
+    mismatch or a non-positive or non-finite vertex weight. *)
 val of_graph : ?vwgt:float array -> Graph.t -> t
 
-(** [reweight t ~total_ew updates] patches the weights of existing edges —
-    O(k log degree) slot lookups plus one O(m) copy of the weight array; the
-    CSR skeleton ([xadj]/[adjncy]) and the vertex weights are shared with
-    [t].  Both adjacency slots of each [{u, v}] receive exactly the listed
-    weight, which is also what {!of_graph} stores for every edge, so the
-    result is bit-identical to [of_graph] on the patched graph {e provided}
-    [total_ew] is the patched graph's own replayed total
-    ({!Graph.total_weight}) — the caller owns that sum because its float
-    accumulation order cannot be reproduced from a sparse patch.  This is
-    the incremental V-cycle's fast path for reweight-only deltas
-    (docs/INCREMENTAL.md).
-    @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _]) on an unknown
-    edge, an out-of-range endpoint, a self-loop, or an invalid weight. *)
-val reweight : t -> total_ew:float -> (int * int * float) list -> t
-
-(** [to_graph t] converts back to the boxed representation.  The round trip
-    [to_graph (of_graph g)] is an isomorphism: same vertex count, same edge
-    multiset, same weights (property-tested in [test_csr.ml]). *)
+(** [to_graph t] is [t.graph]. *)
 val to_graph : t -> Graph.t
 
 val n : t -> int
-
-(** [m t] is the number of distinct undirected edges. *)
-val m : t -> int
-
-val degree : t -> int -> int
 val vertex_weight : t -> int -> float
 val total_vertex_weight : t -> float
-val total_edge_weight : t -> float
 
-(** [iter_neighbors f t v] calls [f u w] for each neighbor in ascending id
-    order. *)
-val iter_neighbors : (int -> float -> unit) -> t -> int -> unit
-
-(** [iter_edges f t] calls [f u v w] once per undirected edge with [u < v],
-    in ascending [(u, v)] order. *)
-val iter_edges : (int -> int -> float -> unit) -> t -> unit
-
-(** [edge_weight t u v] is the weight of [{u, v}] or [0.] — binary search,
-    O(log degree). *)
-val edge_weight : t -> int -> int -> float
-
-(** [contract t map ~n_parts] merges each part into a super-vertex: vertex
-    weights add up, parallel coarse edges merge by summing (in ascending
-    fine-edge order, so the float sums are reproducible), intra-part edges
-    disappear.  O(n + m).
+(** [contract t map ~n_parts] is {!Graph.contract} with vertex weights
+    added up per part.  O(n + m).
     @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _]) on a length
-    mismatch or an out-of-range part id. *)
+    mismatch or an out-of-range part id (context ["graph.contract"]), or
+    an empty part (context ["csr.contract"]): coarse vertices stand for
+    demands, and a zero demand cannot be instantiated downstream. *)
 val contract : t -> int array -> n_parts:int -> t
 
 (** [fingerprint t] digests the full structure including vertex weights —

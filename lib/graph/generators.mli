@@ -3,7 +3,7 @@
     {!randomize_weights} to perturb them.
 
     Every generator emits {e dense} vertex ids [0..n-1] — this is a
-    guarantee, not an accident: CSR construction ({!Csr}), the DP kernels
+    guarantee, not an accident: CSR construction ({!Graph}), the DP kernels
     and the multilevel front-end all index flat arrays by vertex id.
     External edge lists with sparse ids must go through
     {!Io.normalize_ids} first. *)

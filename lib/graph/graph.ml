@@ -1,26 +1,112 @@
+module E = Hgp_resilience.Hgp_error
+
 type t = {
   n : int;
   xadj : int array;
   adjncy : int array;
   adjw : float array;
-  edge_list : (int * int * float) array;
   total_w : float;
 }
+
+let invalid context fmt =
+  Printf.ksprintf (fun msg -> E.error (E.Invalid_input { context; msg })) fmt
+
+(* Sum of the edge weights in ascending (u, v) order — the one summation
+   rule, shared by every constructor so equal graphs carry equal totals. *)
+let edge_total n xadj adjncy adjw =
+  let s = ref 0. in
+  for u = 0 to n - 1 do
+    for i = xadj.(u) to xadj.(u + 1) - 1 do
+      if u < adjncy.(i) then s := !s +. adjw.(i)
+    done
+  done;
+  !s
+
+(* The one CSR build, over the first [ne] entries of [src]/[dst]/[w]
+   (validated by the caller; self-loops are dropped here).  The directed
+   arcs are sorted by (src, dst) with two stable counting passes — by dst,
+   then by src — so each (src, dst) run keeps input order, and both
+   directions of an undirected edge see the same addition sequence: the two
+   slots hold bit-identical sums.  Sums start from [0.], as accumulating
+   into an empty table would. *)
+let build n ~ne src dst w =
+  let start = Array.make (n + 1) 0 in
+  for i = 0 to ne - 1 do
+    let u = src.(i) and v = dst.(i) in
+    if u <> v then begin
+      start.(u + 1) <- start.(u + 1) + 1;
+      start.(v + 1) <- start.(v + 1) + 1
+    end
+  done;
+  for v = 0 to n - 1 do
+    start.(v + 1) <- start.(v + 1) + start.(v)
+  done;
+  (* Every vertex is the source of as many arcs as it is the destination
+     of, so [start] delimits both the dst buckets and the src rows. *)
+  let na = start.(n) in
+  let fill = Array.sub start 0 n in
+  let bsrc = Array.make na 0 and bw = Array.make na 0. in
+  for i = 0 to ne - 1 do
+    let u = src.(i) and v = dst.(i) in
+    if u <> v then begin
+      let p = fill.(v) in
+      fill.(v) <- p + 1;
+      bsrc.(p) <- u;
+      bw.(p) <- w.(i);
+      let p = fill.(u) in
+      fill.(u) <- p + 1;
+      bsrc.(p) <- v;
+      bw.(p) <- w.(i)
+    end
+  done;
+  Array.blit start 0 fill 0 n;
+  let adjncy = Array.make na 0 and adjw = Array.make na 0. in
+  for d = 0 to n - 1 do
+    for k = start.(d) to start.(d + 1) - 1 do
+      let s = bsrc.(k) in
+      let p = fill.(s) in
+      fill.(s) <- p + 1;
+      adjncy.(p) <- d;
+      adjw.(p) <- 0. +. bw.(k)
+    done
+  done;
+  (* Merge duplicate (src, dst) runs in place; rows only shrink, so the
+     write cursor never passes the read cursor. *)
+  let j = ref 0 in
+  for u = 0 to n - 1 do
+    let lo = start.(u) and hi = start.(u + 1) in
+    start.(u) <- !j;
+    for k = lo to hi - 1 do
+      if !j > start.(u) && adjncy.(!j - 1) = adjncy.(k) then
+        adjw.(!j - 1) <- adjw.(!j - 1) +. adjw.(k)
+      else begin
+        adjncy.(!j) <- adjncy.(k);
+        adjw.(!j) <- adjw.(k);
+        incr j
+      end
+    done
+  done;
+  start.(n) <- !j;
+  let adjncy, adjw =
+    if !j = na then (adjncy, adjw) else (Array.sub adjncy 0 !j, Array.sub adjw 0 !j)
+  in
+  { n; xadj = start; adjncy; adjw; total_w = edge_total n start adjncy adjw }
 
 module Builder = struct
   type graph = t
 
   type t = {
     bn : int;
-    weights : (int, float) Hashtbl.t; (* key = min*n + max *)
+    mutable src : int array;
+    mutable dst : int array;
+    mutable w : float array;
+    mutable len : int;
     mutable closed : bool;
   }
 
   let create n =
     if n < 0 then invalid_arg "Graph.Builder.create: negative n";
-    { bn = n; weights = Hashtbl.create (4 * max 1 n); closed = false }
-
-  let key b u v = if u < v then (u * b.bn) + v else (v * b.bn) + u
+    { bn = n; src = [||]; dst = [||]; w = [||]; len = 0; closed = false }
 
   let add_edge b u v w =
     if b.closed then invalid_arg "Graph.Builder: reused after build";
@@ -28,65 +114,74 @@ module Builder = struct
       invalid_arg "Graph.Builder.add_edge: vertex out of range";
     if not (w >= 0.) then invalid_arg "Graph.Builder.add_edge: negative weight";
     if u <> v then begin
-      let k = key b u v in
-      let prev = try Hashtbl.find b.weights k with Not_found -> 0. in
-      Hashtbl.replace b.weights k (prev +. w)
+      if b.len = Array.length b.src then begin
+        let cap = max 16 (2 * b.len) in
+        let grow a z =
+          let a' = Array.make cap z in
+          Array.blit a 0 a' 0 b.len;
+          a'
+        in
+        b.src <- grow b.src 0;
+        b.dst <- grow b.dst 0;
+        b.w <- grow b.w 0.
+      end;
+      b.src.(b.len) <- u;
+      b.dst.(b.len) <- v;
+      b.w.(b.len) <- w;
+      b.len <- b.len + 1
     end
 
   let build b =
     b.closed <- true;
-    let n = b.bn in
-    let m = Hashtbl.length b.weights in
-    let edge_list = Array.make m (0, 0, 0.) in
-    let idx = ref 0 in
-    Hashtbl.iter
-      (fun k w ->
-        let u = k / n and v = k mod n in
-        edge_list.(!idx) <- (u, v, w);
-        incr idx)
-      b.weights;
-    Array.sort compare edge_list;
-    let deg = Array.make n 0 in
-    Array.iter
-      (fun (u, v, _) ->
-        deg.(u) <- deg.(u) + 1;
-        deg.(v) <- deg.(v) + 1)
-      edge_list;
-    let xadj = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      xadj.(i + 1) <- xadj.(i) + deg.(i)
-    done;
-    let adjncy = Array.make (2 * m) 0 in
-    let adjw = Array.make (2 * m) 0. in
-    let fill = Array.copy xadj in
-    let total_w = ref 0. in
-    Array.iter
-      (fun (u, v, w) ->
-        adjncy.(fill.(u)) <- v;
-        adjw.(fill.(u)) <- w;
-        fill.(u) <- fill.(u) + 1;
-        adjncy.(fill.(v)) <- u;
-        adjw.(fill.(v)) <- w;
-        fill.(v) <- fill.(v) + 1;
-        total_w := !total_w +. w)
-      edge_list;
-    { n; xadj; adjncy; adjw; edge_list; total_w = !total_w }
+    build b.bn ~ne:b.len b.src b.dst b.w
 end
 
 let n g = g.n
-let m g = Array.length g.edge_list
+let m g = Array.length g.adjncy / 2
 
 let of_edges nv edges =
   let b = Builder.create nv in
   List.iter (fun (u, v, w) -> Builder.add_edge b u v w) edges;
   Builder.build b
 
-let edges g = Array.copy g.edge_list
+let of_arrays ~n ~src ~dst ~w () =
+  let context = "graph.of_arrays" in
+  if n < 0 then invalid context "negative vertex count %d" n;
+  let ne = Array.length src in
+  if Array.length dst <> ne || Array.length w <> ne then
+    invalid context "edge array lengths differ: src %d, dst %d, w %d" ne
+      (Array.length dst) (Array.length w);
+  for i = 0 to ne - 1 do
+    let u = src.(i) and v = dst.(i) in
+    if u < 0 || u >= n || v < 0 || v >= n then
+      invalid context "edge %d = {%d, %d} has a dangling endpoint (n = %d)" i u v n;
+    if not (w.(i) >= 0. && Float.is_finite w.(i)) then
+      invalid context "edge %d = {%d, %d} has invalid weight %g" i u v w.(i)
+  done;
+  build n ~ne src dst w
 
-let iter_edges f g = Array.iter (fun (u, v, w) -> f u v w) g.edge_list
+let iter_edges f g =
+  for u = 0 to g.n - 1 do
+    for i = g.xadj.(u) to g.xadj.(u + 1) - 1 do
+      let v = g.adjncy.(i) in
+      if u < v then f u v g.adjw.(i)
+    done
+  done
 
 let fold_edges f init g =
-  Array.fold_left (fun acc (u, v, w) -> f acc u v w) init g.edge_list
+  let acc = ref init in
+  iter_edges (fun u v w -> acc := f !acc u v w) g;
+  !acc
+
+let edges g =
+  let out = Array.make (m g) (0, 0, 0.) in
+  let k = ref 0 in
+  iter_edges
+    (fun u v w ->
+      out.(!k) <- (u, v, w);
+      incr k)
+    g;
+  out
 
 let iter_neighbors f g u =
   for i = g.xadj.(u) to g.xadj.(u + 1) - 1 do
@@ -111,19 +206,27 @@ let weighted_degree g u =
 
 let total_weight g = g.total_w
 
-let edge_weight g u v =
-  let w = ref 0. in
-  for i = g.xadj.(u) to g.xadj.(u + 1) - 1 do
-    if g.adjncy.(i) = v then w := g.adjw.(i)
+(* Adjacency slot of [v] in row [u], or -1 — rows are ascending. *)
+let slot g u v =
+  let lo = ref g.xadj.(u) and hi = ref (g.xadj.(u + 1) - 1) in
+  let res = ref (-1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let x = g.adjncy.(mid) in
+    if x = v then begin
+      res := mid;
+      lo := !hi + 1
+    end
+    else if x < v then lo := mid + 1
+    else hi := mid - 1
   done;
-  !w
+  !res
 
-let has_edge g u v =
-  let found = ref false in
-  for i = g.xadj.(u) to g.xadj.(u + 1) - 1 do
-    if g.adjncy.(i) = v then found := true
-  done;
-  !found
+let edge_weight g u v =
+  let i = slot g u v in
+  if i < 0 then 0. else g.adjw.(i)
+
+let has_edge g u v = slot g u v >= 0
 
 let induced g vs =
   let nv = Array.length vs in
@@ -146,77 +249,52 @@ let induced g vs =
   (Builder.build b, Array.copy vs)
 
 let contract g partition ~n_parts =
-  if Array.length partition <> g.n then invalid_arg "Graph.contract: partition length";
-  let b = Builder.create n_parts in
+  let context = "graph.contract" in
+  if Array.length partition <> g.n then
+    invalid context "partition length %d, expected n = %d" (Array.length partition) g.n;
+  Array.iteri
+    (fun v p ->
+      if p < 0 || p >= n_parts then
+        invalid context "vertex %d mapped to part %d, outside 0..%d" v p (n_parts - 1))
+    partition;
+  (* Fine edges in ascending order; intra-part edges become self-loops,
+     which the build drops. *)
+  let ne = m g in
+  let src = Array.make ne 0 and dst = Array.make ne 0 and w = Array.make ne 0. in
+  let k = ref 0 in
   iter_edges
-    (fun u v w ->
-      let pu = partition.(u) and pv = partition.(v) in
-      if pu < 0 || pu >= n_parts || pv < 0 || pv >= n_parts then
-        invalid_arg "Graph.contract: part id out of range";
-      if pu <> pv then Builder.add_edge b pu pv w)
+    (fun u v x ->
+      src.(!k) <- partition.(u);
+      dst.(!k) <- partition.(v);
+      w.(!k) <- x;
+      incr k)
     g;
-  Builder.build b
+  build n_parts ~ne src dst w
 
 let reweight_edges g updates =
-  (* Patch weights of existing edges without touching the structure.  The
-     CSR skeleton (xadj/adjncy) and the (u, v) order of [edge_list] only
-     depend on the edge *set*, so both are shared; [adjw], the patched
-     [edge_list], and [total_w] are rebuilt by replaying exactly the fill
-     loop of [Builder.build], which makes the result bit-identical to a
-     from-scratch build on the patched edge list (including the float
-     summation order of [total_w]). *)
-  let m = Array.length g.edge_list in
-  let edge_list = Array.copy g.edge_list in
-  let find a b =
-    (* Binary search for (a, b) in the (u, v)-sorted edge list. *)
-    let lo = ref 0 and hi = ref (m - 1) and res = ref (-1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let u, v, _ = edge_list.(mid) in
-      let c = compare (u, v) (a, b) in
-      if c = 0 then begin
-        res := mid;
-        lo := !hi + 1
-      end
-      else if c < 0 then lo := mid + 1
-      else hi := mid - 1
-    done;
-    !res
-  in
+  let context = "graph.reweight_edges" in
+  let adjw = Array.copy g.adjw in
   List.iter
     (fun (u, v, w) ->
       if u < 0 || u >= g.n || v < 0 || v >= g.n then
-        invalid_arg "Graph.reweight_edges: vertex out of range";
-      if u = v then invalid_arg "Graph.reweight_edges: self-loop";
-      if not (w >= 0.) then invalid_arg "Graph.reweight_edges: negative weight";
-      let a = min u v and b = max u v in
-      let i = find a b in
-      if i < 0 then
-        invalid_arg
-          (Printf.sprintf "Graph.reweight_edges: no edge {%d, %d}" u v);
-      edge_list.(i) <- (a, b, w))
+        invalid context "{%d, %d}: vertex out of range (n = %d)" u v g.n;
+      if u = v then invalid context "{%d, %d}: self-loop" u v;
+      if not (w >= 0. && Float.is_finite w) then
+        invalid context "{%d, %d}: invalid weight %g" u v w;
+      let i = slot g u v in
+      if i < 0 then invalid context "no edge {%d, %d}" u v;
+      adjw.(i) <- w;
+      adjw.(slot g v u) <- w)
     updates;
-  let adjw = Array.make (2 * m) 0. in
-  let fill = Array.copy g.xadj in
-  let total_w = ref 0. in
-  Array.iter
-    (fun (u, v, w) ->
-      adjw.(fill.(u)) <- w;
-      fill.(u) <- fill.(u) + 1;
-      adjw.(fill.(v)) <- w;
-      fill.(v) <- fill.(v) + 1;
-      total_w := !total_w +. w)
-    edge_list;
-  { g with adjw; edge_list; total_w = !total_w }
+  { g with adjw; total_w = edge_total g.n g.xadj g.adjncy adjw }
 
 let fingerprint g =
   let open Hgp_util.Fingerprint in
-  (* The CSR triple determines the graph completely (edge_list and total_w
-     are derived from it at build time). *)
+  (* The CSR triple determines the graph completely ([total_w] is derived
+     from it). *)
   seed |> Fun.flip add_int g.n
   |> Fun.flip add_int_array g.xadj
   |> Fun.flip add_int_array g.adjncy
   |> Fun.flip add_float_array g.adjw
 
-let pp ppf g =
-  Format.fprintf ppf "graph(n=%d, m=%d, W=%g)" g.n (m g) g.total_w
+let pp ppf g = Format.fprintf ppf "graph(n=%d, m=%d, W=%g)" g.n (m g) g.total_w

@@ -1,4 +1,5 @@
 module Csr = Hgp_graph.Csr
+module Graph = Hgp_graph.Graph
 module Prng = Hgp_util.Prng
 
 type level = {
@@ -12,13 +13,14 @@ type chain = level list
 
 let matching rng csr ~max_weight =
   let n = Csr.n csr in
+  let g = csr.Csr.graph in
   let matched = Array.make n (-1) in
   let order = Prng.permutation rng n in
   Array.iter
     (fun v ->
       if matched.(v) = -1 then begin
         let best = ref (-1) and best_w = ref 0. in
-        Csr.iter_neighbors
+        Graph.iter_neighbors
           (fun u w ->
             if
               matched.(u) = -1 && u <> v && w > !best_w
@@ -27,7 +29,7 @@ let matching rng csr ~max_weight =
               best := u;
               best_w := w
             end)
-          csr v;
+          g v;
         if !best >= 0 then begin
           matched.(v) <- !best;
           matched.(!best) <- v

@@ -1,4 +1,5 @@
 module Csr = Hgp_graph.Csr
+module Graph = Hgp_graph.Graph
 module Hierarchy = Hgp_hierarchy.Hierarchy
 
 type stats = {
@@ -22,17 +23,18 @@ type move = {
 
 let cost csr hy assignment =
   let acc = ref 0. in
-  Csr.iter_edges
+  Graph.iter_edges
     (fun u v w -> acc := !acc +. (w *. Hierarchy.edge_cost hy assignment.(u) assignment.(v)))
-    csr;
+    csr.Csr.graph;
   !acc
 
 let boundary csr assignment =
   let n = Csr.n csr in
+  let graph = csr.Csr.graph in
   let b = Array.make n false in
   for v = 0 to n - 1 do
     let l = assignment.(v) in
-    Csr.iter_neighbors (fun u _ -> if assignment.(u) <> l then b.(v) <- true) csr v
+    Graph.iter_neighbors (fun u _ -> if assignment.(u) <> l then b.(v) <- true) graph v
   done;
   b
 
@@ -176,36 +178,39 @@ let in_band csr hy assignment ~slack =
 
 let cnt_init csr assignment =
   let n = Csr.n csr in
+  let graph = csr.Csr.graph in
   let cnt = Array.make n 0 in
   for v = 0 to n - 1 do
     let l = assignment.(v) in
-    Csr.iter_neighbors (fun u _ -> if assignment.(u) <> l then cnt.(v) <- cnt.(v) + 1) csr v
+    Graph.iter_neighbors (fun u _ -> if assignment.(u) <> l then cnt.(v) <- cnt.(v) + 1) graph v
   done;
   cnt
 
 (* Call with [assignment] already updated to place [v] on [dst]. *)
 let cnt_move csr cnt assignment v ~src ~dst =
+  let graph = csr.Csr.graph in
   cnt.(v) <- 0;
-  Csr.iter_neighbors
+  Graph.iter_neighbors
     (fun u _ ->
       let lu = assignment.(u) in
       if lu <> dst then cnt.(v) <- cnt.(v) + 1;
       let before = if src <> lu then 1 else 0 in
       let after = if dst <> lu then 1 else 0 in
       cnt.(u) <- cnt.(u) + after - before)
-    csr v
+    graph v
 
 (* ---- the greedy engine (historical semantics, bit-identical moves) ---- *)
 
 let refine csr hy assignment ~slack ~max_passes =
   let n = Csr.n csr in
+  let graph = csr.Csr.graph in
   let assignment = Array.copy assignment in
   let band = band_init csr hy assignment ~slack in
   let incident l v =
     let acc = ref 0. in
-    Csr.iter_neighbors
+    Graph.iter_neighbors
       (fun u w -> if u <> v then acc := !acc +. (w *. Hierarchy.edge_cost hy l assignment.(u)))
-      csr v;
+      graph v;
     !acc
   in
   let moves = ref 0 and total_gain = ref 0. and passes = ref 0 in
@@ -226,7 +231,7 @@ let refine csr hy assignment ~slack ~max_passes =
       if cnt.(v) > 0 then begin
         let from = assignment.(v) in
         let ncand = ref 0 in
-        Csr.iter_neighbors
+        Graph.iter_neighbors
           (fun u _ ->
             let l = assignment.(u) in
             if l <> from then begin
@@ -244,7 +249,7 @@ let refine csr hy assignment ~slack ~max_passes =
                 incr ncand
               end
             end)
-          csr v;
+          graph v;
         if !ncand > 0 then begin
           let here = incident from v in
           let d = Csr.vertex_weight csr v in
@@ -279,14 +284,15 @@ type logged = { lv : int; lsrc : int; ldst : int; lgain : float }
 
 let refine_fm csr hy assignment ~slack ~max_passes ~hill_climb ?observe () =
   let n = Csr.n csr in
+  let graph = csr.Csr.graph in
   let assignment = Array.copy assignment in
   let band = band_init csr hy assignment ~slack in
   let cnt = cnt_init csr assignment in
   let incident l v =
     let acc = ref 0. in
-    Csr.iter_neighbors
+    Graph.iter_neighbors
       (fun u w -> if u <> v then acc := !acc +. (w *. Hierarchy.edge_cost hy l assignment.(u)))
-      csr v;
+      graph v;
     !acc
   in
   let notify mv =
@@ -298,8 +304,8 @@ let refine_fm csr hy assignment ~slack ~max_passes ~hill_climb ?observe () =
      edge at the root multiplier split across 64 buckets orders candidates
      finely enough that bucket ties are rare. *)
   let quantum =
-    let m = Csr.m csr in
-    let avg_w = if m = 0 then 1. else Csr.total_edge_weight csr /. float_of_int m in
+    let m = Graph.m graph in
+    let avg_w = if m = 0 then 1. else Graph.total_weight graph /. float_of_int m in
     let c0 = Hierarchy.cm hy 0 in
     Float.max 1e-12 (avg_w *. (if c0 > 0. then c0 else 1.) /. 64.)
   in
@@ -316,7 +322,7 @@ let refine_fm csr hy assignment ~slack ~max_passes ~hill_climb ?observe () =
       let d = Csr.vertex_weight csr v in
       let here = incident from v in
       let best_l = ref from and best_g = ref neg_infinity in
-      Csr.iter_neighbors
+      Graph.iter_neighbors
         (fun u _ ->
           let l = assignment.(u) in
           (* Ascending-id neighbor iteration makes the first occurrence of a
@@ -328,7 +334,7 @@ let refine_fm csr hy assignment ~slack ~max_passes ~hill_climb ?observe () =
               best_l := l
             end
           end)
-        csr v;
+        graph v;
       if !best_l = from then None else Some (!best_l, !best_g)
     end
   in
@@ -374,11 +380,11 @@ let refine_fm csr hy assignment ~slack ~max_passes ~hill_climb ?observe () =
       (* Lazy gain update: a neighbor's cached candidates are stale now —
          bump its stamp so queued entries die at pop, and queue a fresh
          candidate computed against the new assignment. *)
-      Csr.iter_neighbors
+      Graph.iter_neighbors
         (fun u _ ->
           stamp.(u) <- stamp.(u) + 1;
           push_candidate u)
-        csr v
+        graph v
     in
     let draining = ref true in
     while !draining do

@@ -50,7 +50,7 @@ type level_report = {
 type result = {
   solution : Pipeline.solution;
   coarse_certificate : Verify.report;
-  coarse_n : int;
+  coarse_instance : Instance.t;
   levels : int;
   coarsening_ratio : float;
   level_reports : level_report list;
@@ -114,18 +114,23 @@ let boundary_resolve_level csr hy assignment ~slack ~boundary_max ~solver_option
           incr next
         end)
       flags;
-    try
+    let demands = Array.map (Csr.vertex_weight csr) ids in
+    (* A super-vertex heavier than a leaf has no placement of its own:
+       [Instance.create] would reject the sub-instance. *)
+    let cap = Hierarchy.leaf_capacity hy in
+    if Array.exists (fun d -> d > cap +. 1e-9) demands then None
+    else begin
       let bld = Graph.Builder.create kk in
       let parent = Array.init kk (fun i -> i) in
       let rec find i = if parent.(i) = i then i else find parent.(i) in
-      Csr.iter_edges
+      Graph.iter_edges
         (fun u v w ->
           if sub.(u) >= 0 && sub.(v) >= 0 then begin
             Graph.Builder.add_edge bld sub.(u) sub.(v) w;
             let ru = find sub.(u) and rv = find sub.(v) in
             if ru <> rv then parent.(ru) <- rv
           end)
-        csr;
+        csr.Csr.graph;
       let prev = ref (-1) in
       for i = 0 to kk - 1 do
         if find i = i then begin
@@ -133,21 +138,22 @@ let boundary_resolve_level csr hy assignment ~slack ~boundary_max ~solver_option
           prev := i
         end
       done;
-      let demands = Array.map (Csr.vertex_weight csr) ids in
       let sub_inst = Instance.create (Graph.Builder.build bld) ~demands hy in
-      let sol = Solver.solve ~options:solver_options sub_inst in
-      let candidate = Array.copy assignment in
-      Array.iteri (fun i v -> candidate.(v) <- sol.Pipeline.assignment.(i)) ids;
-      let before = Refine.cost csr hy assignment in
-      let after = Refine.cost csr hy candidate in
-      if after < before -. 1e-9 && Refine.in_band csr hy candidate ~slack then
-        Some (candidate, before -. after)
-      else None
-    with _ ->
-      (* The sub-instance can be unsolvable under the exact options (e.g.
-         [Infeasible] after retry, or a super-vertex demand the ragged
-         validation rejects); the re-solve is opportunistic, so skip it. *)
-      None
+      match Solver.solve ~options:solver_options sub_inst with
+      | exception Hgp_resilience.Hgp_error.Error _ ->
+        (* The sub-instance can be unsolvable under the exact options (e.g.
+           [Infeasible] after retry, an expired deadline, an injected
+           fault); the re-solve is opportunistic, so skip it. *)
+        None
+      | sol ->
+        let candidate = Array.copy assignment in
+        Array.iteri (fun i v -> candidate.(v) <- sol.Pipeline.assignment.(i)) ids;
+        let before = Refine.cost csr hy assignment in
+        let after = Refine.cost csr hy candidate in
+        if after < before -. 1e-9 && Refine.in_band csr hy candidate ~slack then
+          Some (candidate, before -. after)
+        else None
+    end
   end
 
 (* Per-level refinement, shared verbatim between the cold [solve] and the
@@ -223,7 +229,7 @@ let refine_level options hy ~slack ~level (lvl : Coarsen.level) projected acc =
     {
       level;
       n = Csr.n lvl.Coarsen.fine;
-      m = Csr.m lvl.Coarsen.fine;
+      m = Graph.m lvl.Coarsen.fine.Csr.graph;
       moves = st.Refine.moves;
       gain = st.Refine.gain +. extra_gain;
       rollbacks = st.Refine.rollbacks;
@@ -275,7 +281,7 @@ let solve ?(options = default_options) (inst : Instance.t) =
            ("csr.build_bytes_per_edge_max"). *)
         Obs.count "multilevel.csr_build_bytes"
           (int_of_float (Gc.allocated_bytes () -. before));
-        Obs.count "multilevel.csr_build_edges" (Csr.m csr);
+        Obs.count "multilevel.csr_build_edges" (Graph.m inst.Instance.graph);
         csr)
   in
   let chain, hierarchy_cached =
@@ -302,9 +308,7 @@ let solve ?(options = default_options) (inst : Instance.t) =
   let coarse_inst =
     if chain = [] then inst
     else
-      Instance.create (Csr.to_graph coarsest)
-        ~demands:(Array.init (Csr.n coarsest) (Csr.vertex_weight coarsest))
-        hy
+      Instance.create coarsest.Csr.graph ~demands:coarsest.Csr.vwgt hy
   in
   let coarse_sol =
     Obs.span "multilevel.coarse_solve" (fun () ->
@@ -358,7 +362,7 @@ let solve ?(options = default_options) (inst : Instance.t) =
   {
     solution;
     coarse_certificate;
-    coarse_n = Csr.n coarsest;
+    coarse_instance = coarse_inst;
     levels;
     coarsening_ratio = ratio;
     level_reports = acc.a_reports;
@@ -406,17 +410,14 @@ type incr_run = {
   i_total_nodes : int;
 }
 
-let run_incr ?prev ?(delta_pairs = []) ?fine ~options (inst : Instance.t) =
+let run_incr ?prev ?(delta_pairs = []) ~options (inst : Instance.t) =
   let hy = inst.Instance.hierarchy in
   let eps = options.solver.Pipeline.eps in
   let seed = options.solver.Pipeline.seed in
   let max_weight = Hierarchy.min_leaf_capacity hy in
   let fine =
-    match fine with
-    | Some f -> f
-    | None ->
-      Obs.span "multilevel.csr_build" (fun () ->
-          Csr.of_graph ~vwgt:inst.Instance.demands inst.Instance.graph)
+    Obs.span "multilevel.csr_build" (fun () ->
+        Csr.of_graph ~vwgt:inst.Instance.demands inst.Instance.graph)
   in
   let rb =
     Obs.span "multilevel.coarsen" @@ fun () ->
@@ -452,9 +453,7 @@ let run_incr ?prev ?(delta_pairs = []) ?fine ~options (inst : Instance.t) =
   let coarse_inst =
     if chain = [] then inst
     else
-      Instance.create (Csr.to_graph coarsest)
-        ~demands:(Array.init (Csr.n coarsest) (Csr.vertex_weight coarsest))
-        hy
+      Instance.create coarsest.Csr.graph ~demands:coarsest.Csr.vwgt hy
   in
   let coarse_sol, resolved, reused, coarse_reused =
     match prev with
@@ -513,7 +512,7 @@ let run_incr ?prev ?(delta_pairs = []) ?fine ~options (inst : Instance.t) =
             {
               level;
               n = Csr.n lvl.Coarsen.fine;
-              m = Csr.m lvl.Coarsen.fine;
+              m = Graph.m lvl.Coarsen.fine.Csr.graph;
               moves = 0;
               gain = 0.;
               rollbacks = 0;
@@ -562,7 +561,7 @@ let run_incr ?prev ?(delta_pairs = []) ?fine ~options (inst : Instance.t) =
     {
       solution;
       coarse_certificate;
-      coarse_n = Csr.n coarsest;
+      coarse_instance = coarse_inst;
       levels = nlev;
       coarsening_ratio = ratio;
       level_reports = acc.a_reports;
@@ -645,28 +644,9 @@ let resolve_delta (s : session) (delta : Delta.t) =
                | _ -> None)
              delta)
       in
-      (* Reweight-only deltas keep the adjacency structure, so instead of
-         rebuilding the fine CSR from scratch (an O(n + m) pass per update)
-         we patch the previous level-0 CSR in O(k log degree) —
-         [Csr.reweight]'s contract makes the patch bit-identical to
-         [Csr.of_graph] on the post-delta graph. *)
-      let fine =
-        match s.v_state.p_chain with
-        | { Coarsen.fine; _ } :: _ when Csr.n fine = Instance.n inst' ->
-          let patches =
-            List.filter_map
-              (function
-                | Delta.Reweight_edge (u, v, w) -> Some (u, v, w)
-                | _ -> None)
-              delta
-          in
-          Some
-            (Csr.reweight fine
-               ~total_ew:(Graph.total_weight inst'.Instance.graph)
-               patches)
-        | _ -> None
-      in
-      run_incr ~prev:s.v_state ~delta_pairs ?fine ~options:s.v_options inst'
+      (* [Delta.apply_mapped] already patched the graph's weights in place
+         (structure-sharing), and attaching the demands to it is O(n). *)
+      run_incr ~prev:s.v_state ~delta_pairs ~options:s.v_options inst'
     end
     else
       (* structural change: vertex ids shifted, so cached chains and parts

@@ -81,7 +81,10 @@ type result = {
           true instance, DP accounting inherited from the coarse solve *)
   coarse_certificate : Hgp_core.Verify.report;
       (** [Verify.certify] of the exact solve on the coarse instance *)
-  coarse_n : int;
+  coarse_instance : Hgp_core.Instance.t;
+      (** the instance the exact solve ran on: the coarsest graph with its
+          vertex weights as demands, or the input itself when no coarsening
+          ran *)
   levels : int;
   coarsening_ratio : float;  (** fine n / coarse n; 1.0 when no coarsening ran *)
   level_reports : level_report list;  (** finest-first *)

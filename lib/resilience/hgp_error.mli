@@ -19,7 +19,7 @@ type t =
   | Invalid_input of { context : string; msg : string }
       (** structurally invalid in-memory data handed to a builder (dangling
           edge endpoint, negative weight, length mismatch); [context] names
-          the constructor ("csr.of_arrays", "csr.contract", ...) *)
+          the constructor ("graph.of_arrays", "csr.contract", ...) *)
   | Infeasible of { resolution : int; retried : bool; msg : string }
       (** the quantized instance admits no packing; [retried] is set once the
           higher-resolution retry has also failed, so the instance is

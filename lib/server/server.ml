@@ -239,9 +239,10 @@ type group = { key : Fingerprint.t; members : pending list; priority : int }
 
 (* Session-bearing solves go through [Pipeline.start_session] fail-fast, so
    the registered session state and the response embody the same
-   bit-identical pipeline solution.  On infeasibility or any raised error the
-   group falls back to the supervised ladder below with nothing registered —
-   a fallback-rung answer has no DP snapshots to update incrementally.
+   bit-identical pipeline solution.  On infeasibility or a structured error
+   (an expired deadline, an injected fault) the group falls back to the
+   supervised ladder below with nothing registered — a fallback-rung answer
+   has no DP snapshots to update incrementally.
    Distinct session names in one coalesced group each get their own session
    (the repeat solves hit the warm caches); the solutions are bit-identical,
    so answering the group from the first is sound. *)
@@ -252,8 +253,8 @@ let register_sessions t ~inst ~options alive =
   in
   List.fold_left
     (fun acc name ->
-      match (try Pipeline.start_session inst options with _ -> None) with
-      | None -> acc
+      match Pipeline.start_session inst options with
+      | exception Hgp_error.Error _ | None -> acc
       | Some (sess, sol) ->
         with_slock t (fun () -> Hashtbl.replace t.sessions name sess);
         Obs.count "server.sessions.opened" 1;

@@ -269,6 +269,30 @@ let test_multilevel_fm_schema () =
   check_golden "solve_multilevel_fm_stderr"
     (normalize_cache_stats (normalize_metrics_json err))
 
+(* The demand-resolution clamp note describes the exact solve that ran.
+   Under --multilevel that is the coarse instance: on a ~2.7e4-vertex
+   stream DAG the fine instance is clamped (the control below), the
+   ~128-vertex coarse one is not, so the run prints no note. *)
+let test_multilevel_clamp_note () =
+  let path = Filename.temp_file "hgp_clamp" ".graph" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let code, _, _ =
+        run_cli [ "generate"; "--kind"; "stream"; "-n"; "40000"; "--seed"; "7"; "-o"; path ]
+      in
+      Alcotest.(check int) "generate exit 0" 0 code;
+      let fine =
+        Instance.uniform_demands (Hgp_graph.Io.load path) H.Presets.dual_socket
+          ~load_factor:0.7
+      in
+      Alcotest.(check bool) "the fine instance is clamped" true
+        (Hgp_core.Solver.resolution_clamped fine Hgp_core.Solver.default_options);
+      let code, _out, err = run_cli [ "solve"; path; "--trees"; "1"; "--multilevel" ] in
+      Alcotest.(check int) "exit 0" 0 code;
+      Alcotest.(check bool) "no clamp note" true
+        (find_substring err "resolution clamped" = None))
+
 let test_batch_response_schema () =
   with_fixture_file @@ fun inst ->
   let req ~id ~seed = Protocol.request ~id ~trees:2 ~seed (Protocol.Path inst) in
@@ -308,5 +332,10 @@ let () =
           Alcotest.test_case "--multilevel-refine=fm,boundary" `Quick
             test_multilevel_fm_schema;
           Alcotest.test_case "batch responses" `Quick test_batch_response_schema;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "--multilevel clamp note follows the coarse solve" `Quick
+            test_multilevel_clamp_note;
         ] );
     ]

@@ -214,7 +214,8 @@ let cold_vcycle inst opts =
 let check_same_result ctx (a : Vcycle.result) (b : Vcycle.result) =
   check_same_solution ctx a.Vcycle.solution b.Vcycle.solution;
   Alcotest.(check int) (ctx ^ ": levels") b.Vcycle.levels a.Vcycle.levels;
-  Alcotest.(check int) (ctx ^ ": coarse n") b.Vcycle.coarse_n a.Vcycle.coarse_n
+  Alcotest.(check int) (ctx ^ ": coarse n") (Instance.n b.Vcycle.coarse_instance)
+    (Instance.n a.Vcycle.coarse_instance)
 
 let ml_differential_case ctx inst opts delta =
   Pipeline.clear_caches ();

@@ -119,7 +119,7 @@ let test_zero_refinement_exactness () =
           Coarsen.build rng csr ~threshold:24 ~max_levels:40
             ~max_weight:(Hierarchy.leaf_capacity hy)
         in
-        Csr.total_edge_weight (Coarsen.coarsest ~fine:csr c)
+        Graph.total_weight (Csr.to_graph (Coarsen.coarsest ~fine:csr c))
       in
       let expected =
         cert.Verify.cost_eq1
@@ -301,6 +301,46 @@ let test_boundary_resolve_splices () =
     (Printf.sprintf "boundary re-solve spliced at least twice (%d)" !fired)
     true (!fired >= 2)
 
+(* A structured error inside the boundary re-solve takes the skip path, not
+   the caller's: an injected crash in the exact solve of the first boundary
+   sub-instance (hit 2 of the quantize site; hit 1 is the coarse solve)
+   leaves the V-cycle complete and in-band, with that level unspliced. *)
+let test_boundary_resolve_error_skips () =
+  let module Faults = Hgp_resilience.Faults in
+  let module Obs = Hgp_obs.Obs in
+  let seed = 2107 in
+  let name, g = List.nth (preset seed) 4 (* barbell-20+8 *) in
+  let inst = instance_of seed g in
+  let options = fm_options ~boundary:true seed in
+  let clean = Vcycle.solve ~options inst in
+  let plan =
+    match Faults.parse "seed=1;demand.quantize=crash@2" with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "bad plan: %s" e
+  in
+  Obs.reset ();
+  Obs.enable ();
+  let r, fired =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.disable ();
+        Obs.reset ())
+      (fun () ->
+        let r = Faults.with_plan plan (fun () -> Vcycle.solve ~options inst) in
+        (r, Obs.counter_value "faults.fired.demand.quantize"))
+  in
+  Alcotest.(check int) (name ^ ": one re-solve crashed") 1 fired;
+  let spliced (r : Vcycle.result) =
+    List.length (List.filter (fun lr -> lr.Vcycle.boundary_resolved) r.Vcycle.level_reports)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: crashed run splices less (%d < %d)" name (spliced r) (spliced clean))
+    true
+    (spliced r < spliced clean);
+  let cert = r.Vcycle.coarse_certificate in
+  if r.Vcycle.solution.Pipeline.max_violation > cert.Verify.theorem_bound +. 1e-9 then
+    Alcotest.failf "%s: skipped re-solve broke the band" name
+
 (* ---- matching determinism and invariants ---- *)
 
 let test_matching_deterministic () =
@@ -343,7 +383,7 @@ let test_matching_invariants () =
         (fun group ->
           match group with
           | [ a; b ] ->
-            if Csr.edge_weight csr a b <= 0. then
+            if Graph.edge_weight (Csr.to_graph csr) a b <= 0. then
               Alcotest.failf "seed=%d: matched pair {%d,%d} is not an edge" seed a b;
             if Csr.vertex_weight csr a +. Csr.vertex_weight csr b > max_weight then
               Alcotest.failf "seed=%d: pair {%d,%d} over weight cap" seed a b
@@ -410,6 +450,8 @@ let () =
             test_fm_monotone_per_level;
           Alcotest.test_case "boundary re-solve splices and stays certified" `Quick
             test_boundary_resolve_splices;
+          Alcotest.test_case "boundary re-solve skips on a structured error" `Quick
+            test_boundary_resolve_error_skips;
         ] );
       ( "matching",
         [

@@ -434,6 +434,33 @@ let test_session_update_bit_identical () =
   Alcotest.(check int) "updates counted" 1 (Server.stats server).Server.updates;
   ignore (Server.shutdown server)
 
+(* A structured error while opening a session (an injected crash in the
+   session solve's quantization, the first hit of that site) takes the
+   fallback path: the request is answered by the supervised ladder, and no
+   session is registered, so a later update to it is an unknown session. *)
+let test_session_open_error_falls_back () =
+  Pipeline.clear_caches ();
+  let inst = mk_instance 11 in
+  let server = mk_server () in
+  submit_ok server (Protocol.inline_request ~id:"open" ~trees:2 ~seed:5 ~session:"s1" inst);
+  let plan =
+    match Faults.parse "seed=1;demand.quantize=crash@1" with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "bad plan: %s" e
+  in
+  (match Faults.with_plan plan (fun () -> Server.drain server) with
+  | [ r ] -> ignore (solved r)
+  | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
+  Alcotest.(check int) "no session registered" 0 (Server.session_count server);
+  submit_update_ok server
+    (Protocol.update_request ~id:"upd" ~session:"s1"
+       (Delta.to_string [ Delta.Reweight_edge (0, 1, 2.) ]));
+  (match Server.drain server with
+  | [ { Protocol.outcome = Protocol.Failed (Hgp_error.Invalid_input _); _ } ] -> ()
+  | [ r ] -> Alcotest.failf "expected unknown session, got %s" (Protocol.response_to_line r)
+  | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
+  ignore (Server.shutdown server)
+
 let test_update_unknown_session () =
   let server = mk_server () in
   submit_update_ok server
@@ -488,6 +515,8 @@ let () =
           Alcotest.test_case "session update bit-identical" `Quick
             test_session_update_bit_identical;
           Alcotest.test_case "unknown session" `Quick test_update_unknown_session;
+          Alcotest.test_case "session open error falls back" `Quick
+            test_session_open_error_falls_back;
           Alcotest.test_case "bad delta rejected" `Quick
             test_update_bad_delta_rejected_at_admission;
         ] );

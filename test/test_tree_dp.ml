@@ -205,16 +205,48 @@ let diff_configs ~cm ~cp_units =
       { (mk_config ~bucketing:(Some 0.3) ~cm ~cp_units ()) with Tree_dp.beam_width = Some 4 } );
   ]
 
-(* 60 seeded samples x 5 configs, kernel == oracle on every field. *)
+(* A tie-heavy instance: small integer edge weights, integer multipliers and
+   tight capacities make many distinct accumulator states reach the same
+   merged key at exactly the same cost, so the canonical tie-break — the
+   smallest (accumulator key, child key, level) — decides the backpointer,
+   and with it kappa.  Cost order and key order of the accumulator states
+   disagree often enough that comparing state positions instead of keys
+   changes the reconstruction. *)
+let mk_tie_instance seed =
+  let rng = Prng.create (2000 + seed) in
+  let n = 5 + Prng.int rng 8 (* 5..12 graph nodes *) in
+  let h = 1 + Prng.int rng 2 in
+  let g = Gen.random_tree rng n in
+  let g =
+    Hgp_graph.Graph.of_edges n
+      (List.map
+         (fun (u, v, _) -> (u, v, float_of_int (1 + Prng.int rng 2)))
+         (Array.to_list (Hgp_graph.Graph.edges g)))
+  in
+  let t = Tree.of_graph g ~root:0 in
+  let t, job_leaf = Tree.lift_internal_jobs t in
+  let demand_units = Array.make (Tree.n_nodes t) 0 in
+  Array.iter (fun l -> demand_units.(l) <- 1 + Prng.int rng 2) job_leaf;
+  let cm = if h = 1 then [| 2.; 0. |] else [| 3.; 1.; 0. |] in
+  let cp_units = if h = 1 then [| 4 * n; 3 |] else [| 4 * n; 5; 3 |] in
+  (t, demand_units, cm, cp_units)
+
+(* 60 seeded samples x 5 configs, plus 40 tie-heavy ones, kernel == oracle
+   on every field. *)
 let test_differential_seeded () =
-  for seed = 1 to 60 do
-    let t, demand_units, cm, cp_units = mk_diff_instance seed in
+  let run tag (t, demand_units, cm, cp_units) =
     List.iter
       (fun (name, cfg) ->
         let flat = Tree_dp.solve t ~demand_units cfg in
         let reference = Ref_dp.solve t ~demand_units cfg in
-        check_identical (Printf.sprintf "seed %d %s" seed name) flat reference)
+        check_identical (Printf.sprintf "%s %s" tag name) flat reference)
       (diff_configs ~cm ~cp_units)
+  in
+  for seed = 1 to 60 do
+    run (Printf.sprintf "seed %d" seed) (mk_diff_instance seed)
+  done;
+  for seed = 1 to 40 do
+    run (Printf.sprintf "tie seed %d" seed) (mk_tie_instance seed)
   done
 
 (* A tall instance: h = 4 with capacities wide enough that the Pareto
