@@ -1073,10 +1073,10 @@ let e19_multilevel_vcycle () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* E20 — FM gain-bucket refinement with boundary re-solve vs the       *)
-(* greedy pass, on the E19 stream-DAG scale points, over a regular     *)
-(* and a ragged hierarchy.  The FM engine is stacked (warm-started     *)
-(* from the greedy fixed point, docs/MULTILEVEL.md), so its final      *)
+(* E20 — FM gain-bucket refinement vs the greedy pass, on the E19      *)
+(* stream-DAG scale points, over a regular and a ragged hierarchy.    *)
+(* The FM engine is stacked (warm-started from the greedy fixed        *)
+(* point, docs/MULTILEVEL.md), so its final                            *)
 (* cost must never exceed greedy's — the ledger enforces that at       *)
 (* every scale point, re-verifies every level in-band through the      *)
 (* on_level hook, and checks per-level cost monotonicity from the      *)
@@ -1116,48 +1116,34 @@ let e20_fm_refinement () =
                      hname label level);
               incr levels_checked
             in
-            let run refine_algo boundary_resolve =
-              let vopts =
-                { V.default_options with solver; refine_algo; boundary_resolve;
-                  on_level }
-              in
+            let run refine_algo =
+              let vopts = { V.default_options with solver; refine_algo; on_level } in
               time (fun () -> V.solve ~options:vopts inst)
             in
-            (* Greedy cold; the FM runs reuse the cached coarsening chain
+            (* Greedy cold; the FM run reuses the cached coarsening chain
                (its key is independent of the refinement options), so the
-               three runs differ only in how levels are polished. *)
-            let rg, tg = run Refine.Greedy false in
-            let rf, tf = run (Refine.Fm { hill_climb = true }) false in
-            let rb, tb = run (Refine.Fm { hill_climb = true }) true in
+               two runs differ only in how levels are polished. *)
+            let rg, tg = run Refine.Greedy in
+            let rf, tf = run (Refine.Fm { hill_climb = true }) in
             let cost (r : V.result) = r.V.solution.Pipeline.cost in
-            let cg = cost rg and cf = cost rf and cb = cost rb in
-            (* The acceptance bar: stacked FM (+ boundary) never costlier
-               than greedy at any scale point, on either hierarchy. *)
-            List.iter
-              (fun (tag, c) ->
-                if c > cg +. 1e-6 then
-                  failwith
-                    (Printf.sprintf
-                       "E20 %s/%s: %s cost %.3f regressed past greedy %.3f"
-                       hname label tag c cg))
-              [ ("fm", cf); ("fm+boundary", cb) ];
+            let cg = cost rg and cf = cost rf in
+            (* The acceptance bar: stacked FM never costlier than greedy at
+               any scale point, on either hierarchy. *)
+            if cf > cg +. 1e-6 then
+              failwith
+                (Printf.sprintf "E20 %s/%s: fm cost %.3f regressed past greedy %.3f"
+                   hname label cf cg);
             let monotone =
               List.for_all
                 (fun (lr : V.level_report) ->
                   lr.V.cost_after <= lr.V.cost_before +. 1e-9)
-                (rf.V.level_reports @ rb.V.level_reports)
-            in
-            let resolves =
-              List.length
-                (List.filter
-                   (fun (lr : V.level_report) -> lr.V.boundary_resolved)
-                   rb.V.level_reports)
+                rf.V.level_reports
             in
             let delta_pct =
-              if cg > 1e-9 then (cg -. cb) /. cg *. 100. else 0.
+              if cg > 1e-9 then (cg -. cf) /. cg *. 100. else 0.
             in
             let certified =
-              rb.V.coarse_certificate.Hgp_core.Verify.within_theorem_bound
+              rf.V.coarse_certificate.Hgp_core.Verify.within_theorem_bound
             in
             let g sub v =
               Hgp_obs.Obs.gauge
@@ -1165,14 +1151,12 @@ let e20_fm_refinement () =
             in
             g "cost_greedy" cg;
             g "cost_fm" cf;
-            g "cost_fm_boundary" cb;
-            g "fm_boundary_ms" (tb *. 1000.);
+            g "fm_ms" (tf *. 1000.);
             [
               hname; label; string_of_int n;
               Printf.sprintf "%.1f" cg; Printf.sprintf "%.2f" tg;
               Printf.sprintf "%.1f" cf; Printf.sprintf "%.2f" tf;
-              Printf.sprintf "%.1f" cb; Printf.sprintf "%.2f" tb;
-              Printf.sprintf "%.1f%%" delta_pct; string_of_int resolves;
+              Printf.sprintf "%.1f%%" delta_pct;
               string_of_int !levels_checked;
               (if monotone then "YES" else "NO");
               (if certified then "YES" else "NO");
@@ -1185,8 +1169,8 @@ let e20_fm_refinement () =
       "E20  FM refinement (stacked, hill-climb) vs greedy on stream DAGs; \
        every level re-verified in-band"
     ~header:
-      [ "hierarchy"; "size"; "n"; "greedy"; "(s)"; "fm"; "(s)"; "fm+bnd";
-        "(s)"; "delta"; "resolves"; "bands ok"; "monotone"; "certified" ]
+      [ "hierarchy"; "size"; "n"; "greedy"; "(s)"; "fm"; "(s)"; "delta";
+        "bands ok"; "monotone"; "certified" ]
     rows
 
 (* ------------------------------------------------------------------ *)

@@ -221,27 +221,22 @@ let solve_cmd =
           ~docv:"THRESHOLD")
   in
   let multilevel_refine =
-    (* The value is (engine, boundary re-solve); "fm,boundary" is a single
-       enum token — cmdliner only treats commas specially in list converters. *)
     let engine_conv =
       Arg.enum
         [
-          ("greedy", (Hgp_multilevel.Refine.Greedy, false));
-          ("fm", (Hgp_multilevel.Refine.Fm { hill_climb = true }, false));
-          ("fm,boundary", (Hgp_multilevel.Refine.Fm { hill_climb = true }, true));
+          ("greedy", Hgp_multilevel.Refine.Greedy);
+          ("fm", Hgp_multilevel.Refine.Fm { hill_climb = true });
         ]
     in
     Arg.(
       value
-      & opt engine_conv (Hgp_multilevel.Refine.Greedy, false)
+      & opt engine_conv Hgp_multilevel.Refine.Greedy
       & info [ "multilevel-refine" ]
           ~doc:
             "Refinement engine for the --multilevel uncoarsening phase: greedy \
-             (default, single-vertex descent), fm (gain-bucket \
-             Fiduccia-Mattheyses with hill-climbing and best-prefix rollback), \
-             or fm,boundary (fm plus an exact re-solve of each level's \
-             boundary subgraph, spliced back only when it improves cost and \
-             stays inside the certified band).  See docs/MULTILEVEL.md."
+             (default, single-vertex descent) or fm (gain-bucket \
+             Fiduccia-Mattheyses with hill-climbing and best-prefix rollback, \
+             warm-started from the greedy fixed point).  See docs/MULTILEVEL.md."
           ~docv:"ENGINE")
   in
   let delta_arg =
@@ -284,9 +279,8 @@ let solve_cmd =
        (* Incremental multilevel: open a V-cycle session on the base
           instance, stream the delta through the dirty-cone path. *)
        let module V = Hgp_multilevel.Vcycle in
-       let refine_algo, boundary_resolve = multilevel_refine in
        let mopts =
-         { V.default_options with V.threshold; refine_algo; boundary_resolve; solver = options }
+         { V.default_options with V.threshold; refine_algo = multilevel_refine; solver = options }
        in
        let delta = Hgp_core.Delta.load dfile in
        let sess, _ = V.start_session ~options:mopts inst in
@@ -328,9 +322,8 @@ let solve_cmd =
            Array.iteri (fun v leaf -> Printf.printf "%d %d\n" v leaf) sol.assignment))
      | None, Some threshold ->
        let module V = Hgp_multilevel.Vcycle in
-       let refine_algo, boundary_resolve = multilevel_refine in
        let mopts =
-         { V.default_options with V.threshold; refine_algo; boundary_resolve; solver = options }
+         { V.default_options with V.threshold; refine_algo = multilevel_refine; solver = options }
        in
        let solve_once () = V.solve ~options:mopts inst in
        let r = ref (solve_once ()) in
@@ -351,22 +344,15 @@ let solve_cmd =
          cert.Hgp_core.Verify.theorem_bound;
        (* Describe line only in FM modes — the greedy output (and its golden)
           stays byte-identical. *)
-       (match refine_algo with
+       (match multilevel_refine with
         | Hgp_multilevel.Refine.Greedy -> ()
         | Hgp_multilevel.Refine.Fm { hill_climb } ->
           let rollbacks =
             List.fold_left (fun acc (lr : V.level_report) -> acc + lr.V.rollbacks) 0
               r.V.level_reports
           in
-          let resolves =
-            List.fold_left
-              (fun acc (lr : V.level_report) -> if lr.V.boundary_resolved then acc + 1 else acc)
-              0 r.V.level_reports
-          in
-          Printf.printf
-            "# multilevel-refine engine=fm hill-climb=%b boundary=%b rollbacks=%d \
-             boundary-resolves=%d\n"
-            hill_climb boundary_resolve rollbacks resolves);
+          Printf.printf "# multilevel-refine engine=fm hill-climb=%b rollbacks=%d\n" hill_climb
+            rollbacks);
        List.iter
          (fun (lr : V.level_report) ->
            Printf.printf "# refine level=%d n=%d moves=%d gain=%.6g\n" lr.V.level lr.V.n

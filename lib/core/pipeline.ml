@@ -211,12 +211,11 @@ let embed ?supervision (p : prepared) =
 
 type tree_relaxed = { demand_units : int array; dp : Tree_dp.result }
 
-(* DP on one decomposition tree; [None] when the quantized instance does not
-   fit that tree. *)
-let relax_tree ?(deadline = Deadline.none) ?workspace (p : prepared) d =
+(* The DP's inputs on one decomposition tree: the quantized demand units
+   scattered onto the tree's leaves, and the DP config. *)
+let tree_inputs (p : prepared) d =
   let t = Decomposition.tree d in
-  let n_nodes = Tree.n_nodes t in
-  let demand_units = Array.make n_nodes 0 in
+  let demand_units = Array.make (Tree.n_nodes t) 0 in
   Array.iter
     (fun l ->
       demand_units.(l) <- p.quantized.Demand.units.(Decomposition.vertex_of_leaf d l))
@@ -225,6 +224,12 @@ let relax_tree ?(deadline = Deadline.none) ?workspace (p : prepared) d =
     Tree_dp.config_of_hierarchy p.inst.Instance.hierarchy ~resolution:p.resolution
       ?bucketing:p.options.bucketing ?beam_width:p.options.beam_width ()
   in
+  (t, demand_units, cfg)
+
+(* DP on one decomposition tree; [None] when the quantized instance does not
+   fit that tree. *)
+let relax_tree ?(deadline = Deadline.none) ?workspace (p : prepared) d =
+  let t, demand_units, cfg = tree_inputs p d in
   match
     Obs.span "solver.tree_dp" (fun () ->
         Tree_dp.solve ~deadline ?workspace t ~demand_units cfg)
@@ -522,7 +527,8 @@ let packed_add key sol =
 
 (* ---- the full pipeline ---- *)
 
-let run ?supervision inst options =
+(* [prepare] plus the packed-solution key of the result. *)
+let prepare_keyed inst options =
   let p = prepare inst options in
   let key =
     packed_key p
@@ -530,6 +536,22 @@ let run ?supervision inst options =
         (Ensemble_cache.key inst.Instance.graph ~strategy:options.strategy
            ~seed:options.seed ~size:options.ensemble_size)
   in
+  (p, key)
+
+(* Pack and select over the per-tree outcomes, publishing the winner under
+   [key].  Only healthy, complete runs are cacheable: a degraded solution is
+   correct but not bit-identical to what a fresh solve would return. *)
+let pack_and_publish ?supervision key (e : embedded) outcomes =
+  let deadline_seen = ref false in
+  let lost = ref (not e.complete) in
+  let result = pack_and_select ?supervision ~deadline_seen ~lost e outcomes in
+  (match result with
+  | Some sol when (not !lost) && not !deadline_seen -> packed_add key sol
+  | _ -> ());
+  result
+
+let run ?supervision inst options =
+  let p, key = prepare_keyed inst options in
   match packed_find key with
   | Some sol ->
     (* Work counters reflect work actually performed by this solve: zero DP
@@ -541,19 +563,8 @@ let run ?supervision inst options =
     Log.debug (fun m -> m "packed cache hit (%s)" (Fingerprint.to_hex key));
     Some sol
   | None ->
-    let deadline_seen = ref false in
-    let lost = ref false in
     let e = embed ?supervision p in
-    if not e.complete then lost := true;
-    let outcomes = relax ?supervision e in
-    let result = pack_and_select ?supervision ~deadline_seen ~lost e outcomes in
-    (match result with
-    | Some sol when (not !lost) && not !deadline_seen ->
-      (* Only healthy, complete runs are cacheable: a degraded solution is
-         correct but not bit-identical to what a fresh solve would return. *)
-      packed_add key sol
-    | _ -> ());
-    result
+    pack_and_publish ?supervision key e (relax ?supervision e)
 
 let infeasible ~resolution ~retried =
   Hgp_error.error
@@ -620,17 +631,7 @@ let shape_key (p : prepared) d ~tree_index =
    results by {!Tree_dp.solve_snap}'s contract. *)
 let relax_tree_incr ?(deadline = Deadline.none) ?workspace (p : prepared) d
     ~tree_index =
-  let t = Decomposition.tree d in
-  let n_nodes = Tree.n_nodes t in
-  let demand_units = Array.make n_nodes 0 in
-  Array.iter
-    (fun l ->
-      demand_units.(l) <- p.quantized.Demand.units.(Decomposition.vertex_of_leaf d l))
-    (Tree.leaves t);
-  let cfg =
-    Tree_dp.config_of_hierarchy p.inst.Instance.hierarchy ~resolution:p.resolution
-      ?bucketing:p.options.bucketing ?beam_width:p.options.beam_width ()
-  in
+  let t, demand_units, cfg = tree_inputs p d in
   let key = shape_key p d ~tree_index in
   let prev =
     if not (cache_active ()) then None
@@ -662,17 +663,8 @@ let relax_tree_incr ?(deadline = Deadline.none) ?workspace (p : prepared) d
    ensemble.  Sequential by design: one workspace lease threads every
    tree's DP, keeping arena scratch warm across re-solves. *)
 let run_incremental ?supervision inst options =
-  let p = prepare inst options in
-  let key =
-    packed_key p
-      ~e_key:
-        (Ensemble_cache.key inst.Instance.graph ~strategy:options.strategy
-           ~seed:options.seed ~size:options.ensemble_size)
-  in
-  let deadline_seen = ref false in
-  let lost = ref false in
+  let p, key = prepare_keyed inst options in
   let e = embed ?supervision p in
-  if not e.complete then lost := true;
   let resolved = ref 0 and reused = ref 0 in
   let outcomes =
     stage 2 @@ fun () ->
@@ -695,13 +687,8 @@ let run_incremental ?supervision inst options =
                 Ok (solve_one ~deadline:sv.deadline ())
               with exn -> Error exn)))
   in
-  let result = pack_and_select ?supervision ~deadline_seen ~lost e outcomes in
-  (match result with
-  | Some sol when (not !lost) && not !deadline_seen -> packed_add key sol
-  | _ -> ());
-  match result with
-  | None -> None
-  | Some sol -> Some (sol, (!resolved, !reused))
+  pack_and_publish ?supervision key e outcomes
+  |> Option.map (fun sol -> (sol, (!resolved, !reused)))
 
 (* ---- sessions: named solve state for delta streams ---- *)
 

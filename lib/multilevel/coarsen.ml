@@ -52,36 +52,24 @@ let step rng csr ~max_weight =
   let cmap, nc = matching rng csr ~max_weight in
   (cmap, Csr.contract csr cmap ~n_parts:nc)
 
-let build rng csr ~threshold ~max_levels ~max_weight =
-  let rec go csr acc depth =
-    if Csr.n csr <= threshold || depth >= max_levels then List.rev acc
-    else begin
-      let cmap, coarse = step rng csr ~max_weight in
-      if Csr.n coarse >= Csr.n csr then List.rev acc
-      else
-        go coarse
-          ({ fine = csr; cmap; coarse; key = Csr.fingerprint coarse } :: acc)
-          (depth + 1)
-    end
-  in
-  go csr [] 0
-
 let coarsest ~fine chain =
   match List.rev chain with [] -> fine | l :: _ -> l.coarse
 
-(* ---- incremental rebuild ----
+(* ---- the coarsening loop ----
 
-   Replays the cold [build] against a cached chain from a previous run of
-   the SAME seed whose graph differed from [csr] only on the edge weights
-   listed in [delta] (vertex weights unchanged).  Each level recomputes the
-   matching in full — it consumes [Prng.permutation] exactly as [build], so
-   the rng stays in lockstep with the cold path — then compares the fresh
+   [rebuild] is the one loop; [build] is [rebuild] against an empty previous
+   chain.  It replays the cold coarsening against a cached chain from a
+   previous run of the SAME seed whose graph differed from [csr] only on the
+   edge weights listed in [delta] (vertex weights unchanged).  Each level
+   recomputes the matching in full — consuming [Prng.permutation] exactly as
+   a cold run does, so the rng stays in lockstep — then compares the fresh
    cmap with the cached one.  While they agree, the weight delta is mapped
    through the contraction (edges swallowed inside a matched pair drop out);
    the moment the mapped delta becomes empty the remaining cached suffix is
-   bit-identical to what [build] would recompute (same graph, same rng
-   state) and is spliced wholesale.  Any cmap divergence falls back to cold
-   contraction for the rest of the chain. *)
+   bit-identical to what a cold run would recompute (same graph, same rng
+   state) and is spliced wholesale.  A cmap divergence, or running out of
+   cached levels, stops the tracking: the rest of the chain is contracted
+   cold. *)
 
 type rebuild_result = {
   r_chain : chain;
@@ -92,59 +80,51 @@ type rebuild_result = {
 
 let rebuild rng csr ~prev ~delta ~threshold ~max_levels ~max_weight =
   let reused = ref 0 in
-  let mk fine cmap coarse = { fine; cmap; coarse; key = Csr.fingerprint coarse } in
-  (* past any divergence: plain [build] from here on *)
-  let rec cold csr acc clean depth =
-    if Csr.n csr <= threshold || depth >= max_levels then (List.rev acc, List.rev clean, false)
-    else begin
-      let cmap, nc = matching rng csr ~max_weight in
-      let coarse = Csr.contract csr cmap ~n_parts:nc in
-      if Csr.n coarse >= Csr.n csr then (List.rev acc, List.rev clean, false)
-      else cold coarse (mk csr cmap coarse :: acc) (false :: clean) (depth + 1)
-    end
-  in
-  let rec go csr delta prev acc clean depth =
+  (* [track] is [Some (prev, delta)] while every matching so far equals the
+     cached one, [None] once the chains diverged. *)
+  let rec go csr track acc clean depth =
     if Csr.n csr <= threshold || depth >= max_levels then
-      (List.rev acc, List.rev clean, delta = [] && prev = [])
+      (List.rev acc, List.rev clean, track = Some ([], []))
     else begin
       let cmap, nc = matching rng csr ~max_weight in
-      match prev with
-      | (p : level) :: prest when cmap = p.cmap ->
-        let coarse_delta =
-          List.sort_uniq compare
-            (List.filter_map
-               (fun (u, v) ->
-                 let cu = cmap.(u) and cv = cmap.(v) in
-                 if cu = cv then None else Some (min cu cv, max cu cv))
-               delta)
-        in
-        if coarse_delta = [] then begin
-          (* coarse graphs identical from here down: splice the suffix *)
-          reused := 1 + List.length prest;
-          let acc = { p with fine = csr } :: acc in
-          let clean = (delta = []) :: clean in
-          ( List.rev_append acc prest,
-            List.rev_append clean (List.map (fun _ -> true) prest),
-            true )
-        end
-        else begin
-          let coarse = Csr.contract csr cmap ~n_parts:nc in
-          if Csr.n coarse >= Csr.n csr then (List.rev acc, List.rev clean, false)
-          else
-            go coarse coarse_delta prest
-              (mk csr cmap coarse :: acc)
-              (false :: clean) (depth + 1)
-        end
+      let follow =
+        match track with
+        | Some ((p : level) :: prest, delta) when cmap = p.cmap ->
+          let coarse_delta =
+            List.sort_uniq compare
+              (List.filter_map
+                 (fun (u, v) ->
+                   let cu = cmap.(u) and cv = cmap.(v) in
+                   if cu = cv then None else Some (min cu cv, max cu cv))
+                 delta)
+          in
+          Some (p, prest, delta, coarse_delta)
+        | _ -> None
+      in
+      match follow with
+      | Some (p, prest, delta, []) ->
+        (* coarse graphs identical from here down: splice the suffix *)
+        reused := 1 + List.length prest;
+        ( List.rev_append ({ p with fine = csr } :: acc) prest,
+          List.rev_append ((delta = []) :: clean) (List.map (fun _ -> true) prest),
+          true )
       | _ ->
         let coarse = Csr.contract csr cmap ~n_parts:nc in
         if Csr.n coarse >= Csr.n csr then (List.rev acc, List.rev clean, false)
-        else cold coarse (mk csr cmap coarse :: acc) (false :: clean) (depth + 1)
+        else
+          go coarse
+            (Option.map (fun (_, prest, _, coarse_delta) -> (prest, coarse_delta)) follow)
+            ({ fine = csr; cmap; coarse; key = Csr.fingerprint coarse } :: acc)
+            (false :: clean) (depth + 1)
     end
   in
-  let chain, cleans, coarse_clean = go csr delta prev [] [] 0 in
+  let chain, cleans, coarse_clean = go csr (Some (prev, delta)) [] [] 0 in
   {
     r_chain = chain;
     r_fine_clean = Array.of_list cleans;
     r_coarse_clean = coarse_clean;
     r_reused_levels = !reused;
   }
+
+let build rng csr ~threshold ~max_levels ~max_weight =
+  (rebuild rng csr ~prev:[] ~delta:[] ~threshold ~max_levels ~max_weight).r_chain

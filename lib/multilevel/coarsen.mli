@@ -42,7 +42,8 @@ val step :
 
 (** [build rng csr ~threshold ~max_levels ~max_weight] coarsens until the
     vertex count is at most [threshold], a step stops shrinking the graph,
-    or [max_levels] transitions accumulate. *)
+    or [max_levels] transitions accumulate.  It is {!rebuild} with
+    [~prev:[] ~delta:[]]: both run the same loop. *)
 val build :
   Hgp_util.Prng.t ->
   Hgp_graph.Csr.t ->
@@ -72,8 +73,7 @@ type rebuild_result = {
     (vertex weights must be unchanged).  The result chain is bit-identical
     to a cold [build] on [csr] — matchings are recomputed per level so the
     rng stays in lockstep — but once the mapped delta contracts away, the
-    cached suffix is reused wholesale.  [~prev:[] ~delta:[]] degenerates to
-    [build]. *)
+    cached suffix is reused wholesale. *)
 val rebuild :
   Hgp_util.Prng.t ->
   Hgp_graph.Csr.t ->

@@ -62,9 +62,9 @@ val boundary : Hgp_graph.Csr.t -> int array -> bool array
 
 (** [in_band csr hy assignment ~slack] checks the invariant both engines
     maintain: every hierarchy node at levels [1..h] carries load at most
-    [slack * CP(node)] (tolerance 1e-9 for float accumulation).  The V-cycle
-    uses it as the splice guard for boundary re-solves; the test layer and
-    the E20 ledger use it to re-verify every level. *)
+    [slack * CP(node)] (tolerance 1e-9 for float accumulation).  The test
+    layer and the E20 ledger use it to re-verify every level, and the
+    benchmark to check final answers. *)
 val in_band :
   Hgp_graph.Csr.t -> Hgp_hierarchy.Hierarchy.t -> int array -> slack:float -> bool
 

@@ -42,14 +42,6 @@ type options = {
           {e stacked}: it warm-starts from the greedy fixed point, so with
           hill-climbing disabled it is never worse than greedy by
           construction (the ISSUE 9 differential suite pins this). *)
-  boundary_resolve : bool;
-      (** FM only: after refining a level, extract the induced subgraph of
-          its boundary vertices, re-solve it exactly through the staged
-          pipeline (same artifact caches and domain pool), and splice the
-          result back iff it improves cost and stays in-band (default false) *)
-  boundary_max : int;
-      (** skip the boundary re-solve when the boundary has more vertices than
-          this — the exact pipeline's comfort zone (default 128) *)
   on_level : int -> float -> Hgp_graph.Csr.t -> int array -> unit;
       (** test/bench hook, called after each level is refined with
           [level slack fine_csr assignment]; default no-op.  E20 and the
@@ -64,15 +56,12 @@ type level_report = {
   n : int;  (** fine vertices at this transition *)
   m : int;
   moves : int;  (** refinement moves applied after projecting to this level *)
-  gain : float;
-      (** refinement cost decrease at this level, boundary re-solve included *)
+  gain : float;  (** refinement cost decrease at this level *)
   rollbacks : int;  (** FM best-prefix rollback moves (greedy: 0) *)
   cost_before : float;  (** level cost right after projection *)
   cost_after : float;
-      (** level cost after refinement (and boundary re-solve, if any) — the
-          E20 ledger's per-level monotonicity check is
-          [cost_after <= cost_before] *)
-  boundary_resolved : bool;  (** a boundary re-solve was spliced in here *)
+      (** level cost after refinement — the E20 ledger's per-level
+          monotonicity check is [cost_after <= cost_before] *)
 }
 
 type result = {
@@ -97,11 +86,12 @@ type result = {
     ([Infeasible _] after its retry, etc.).
 
     Telemetry: [multilevel.{csr_build,coarsen,coarse_solve,refine}] spans,
-    [multilevel.solves] / [multilevel.refine_moves] counters,
+    [multilevel.solves] / [multilevel.refine_moves] /
+    [multilevel.cache_{hit,miss}] counters,
     [multilevel.levels] / [multilevel.coarsening_ratio] gauges and a
     [multilevel.refine_gain.levelN] gauge per level.  When [refine_algo] is
-    FM, additionally [refine.fm.{passes,moves,rollbacks,boundary_resolves,
-    bytes_allocated}] counters and a [refine.fm.cost_delta.levelN] gauge per
+    FM, additionally [refine.fm.{passes,moves,rollbacks,bytes_allocated}]
+    counters and a [refine.fm.cost_delta.levelN] gauge per
     level — emitted {e only} in FM mode so the greedy path's metrics schema
     (and its goldens) stay byte-identical. *)
 val solve : ?options:options -> Hgp_core.Instance.t -> result
@@ -113,8 +103,11 @@ val solve : ?options:options -> Hgp_core.Instance.t -> result
     contracts away, the coarse exact solve goes through
     {!Hgp_core.Pipeline.run_incremental} (per-subtree DP snapshots) or is
     skipped when the coarsest graph is unchanged, and refinement re-runs
-    only from the first dirty level down.  Every update is bit-identical to
-    a cold {!solve} on the post-delta instance (docs/INCREMENTAL.md). *)
+    only from the first dirty level down.  Sessions and {!solve} share one
+    coarsen → solve → refine driver that differs only in how it gets the
+    chain and how it solves the coarsest graph.  Every update is
+    bit-identical to a cold {!solve} on the post-delta instance
+    (docs/INCREMENTAL.md). *)
 
 type session
 

@@ -67,7 +67,9 @@ let write_file path s =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
-(* [run_cli args] returns (exit code, stdout, stderr). *)
+(* [run_cli args] returns (exit code, stdout, stderr).  The child runs with
+   the fault plan variable unset: the goldens pin fault-free output, so a
+   suite run under a chaos profile must not leak its plan into the CLI. *)
 let run_cli args =
   let out = Filename.temp_file "hgp_golden" ".out" in
   let err = Filename.temp_file "hgp_golden" ".err" in
@@ -77,7 +79,8 @@ let run_cli args =
       Sys.remove err)
     (fun () ->
       let cmd =
-        Printf.sprintf "%s %s > %s 2> %s" (Filename.quote cli)
+        Printf.sprintf "unset %s; %s %s > %s 2> %s" Hgp_resilience.Faults.env_var
+          (Filename.quote cli)
           (String.concat " " (List.map Filename.quote args))
           (Filename.quote out) (Filename.quote err)
       in
@@ -253,7 +256,7 @@ let test_multilevel_schema () =
 
 let test_multilevel_fm_schema () =
   with_fixture_file @@ fun inst ->
-  (* The FM + boundary-re-solve path: stdout gains the "# multilevel-refine"
+  (* The FM path: stdout gains the "# multilevel-refine"
      describe line (emitted ONLY in FM modes — the greedy golden above pins
      that the default output is untouched) and stderr gains the refine.fm.*
      counters and per-level cost-delta gauges. *)
@@ -261,7 +264,7 @@ let test_multilevel_fm_schema () =
     run_cli
       [
         "solve"; inst; "--seed"; "3"; "--trees"; "2"; "--multilevel=8";
-        "--multilevel-refine=fm,boundary"; "--cache-stats"; "--metrics=json";
+        "--multilevel-refine=fm"; "--cache-stats"; "--metrics=json";
       ]
   in
   Alcotest.(check int) "exit 0" 0 code;
@@ -329,7 +332,7 @@ let () =
           Alcotest.test_case "--cache-stats" `Quick test_cache_stats_schema;
           Alcotest.test_case "--metrics=json" `Quick test_metrics_json_schema;
           Alcotest.test_case "--multilevel" `Quick test_multilevel_schema;
-          Alcotest.test_case "--multilevel-refine=fm,boundary" `Quick
+          Alcotest.test_case "--multilevel-refine=fm" `Quick
             test_multilevel_fm_schema;
           Alcotest.test_case "batch responses" `Quick test_batch_response_schema;
         ] );

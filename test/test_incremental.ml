@@ -211,11 +211,29 @@ let cold_vcycle inst opts =
     ~finally:(fun () -> Pipeline.set_caching true)
     (fun () -> Vcycle.solve ~options:opts inst)
 
+(* Level reports finest-first, compared pairwise by [check]. *)
+let check_levels ctx check (a : Vcycle.result) (b : Vcycle.result) =
+  Alcotest.(check int)
+    (ctx ^ ": level reports")
+    (List.length b.Vcycle.level_reports)
+    (List.length a.Vcycle.level_reports);
+  List.iter2
+    (fun (ra : Vcycle.level_report) (rb : Vcycle.level_report) ->
+      check (Printf.sprintf "%s: level %d" ctx rb.Vcycle.level) ra rb)
+    a.Vcycle.level_reports b.Vcycle.level_reports
+
+(* Reused levels report 0 moves by design, so only costs are compared. *)
 let check_same_result ctx (a : Vcycle.result) (b : Vcycle.result) =
   check_same_solution ctx a.Vcycle.solution b.Vcycle.solution;
   Alcotest.(check int) (ctx ^ ": levels") b.Vcycle.levels a.Vcycle.levels;
   Alcotest.(check int) (ctx ^ ": coarse n") (Instance.n b.Vcycle.coarse_instance)
-    (Instance.n a.Vcycle.coarse_instance)
+    (Instance.n a.Vcycle.coarse_instance);
+  check_bits (ctx ^ ": coarse violation")
+    b.Vcycle.coarse_certificate.Verify.max_violation
+    a.Vcycle.coarse_certificate.Verify.max_violation;
+  check_levels ctx
+    (fun lctx ra rb -> check_bits (lctx ^ " cost_after") rb.Vcycle.cost_after ra.Vcycle.cost_after)
+    a b
 
 let ml_differential_case ctx inst opts delta =
   Pipeline.clear_caches ();
@@ -273,6 +291,40 @@ let test_ml_stream () =
       !prev_assignment
       (Vcycle.session_assignment session)
   done
+
+(* A session's opening solve and a cold solve run the same V-cycle driver:
+   from empty caches they must agree on everything, per-level refinement
+   work included. *)
+let test_ml_session_open_is_cold () =
+  List.iter
+    (fun (aname, refine_algo) ->
+      List.iter
+        (fun n ->
+          for seed = 1 to 12 do
+            let opts = { (vc_options Ensemble.Mixed) with refine_algo } in
+            let inst = mk_instance ~n (600 + seed) in
+            let ctx = Printf.sprintf "open %s/n=%d/%d" aname n seed in
+            Pipeline.clear_caches ();
+            let _, opened = Vcycle.start_session ~options:opts inst in
+            Pipeline.clear_caches ();
+            let cold = Vcycle.solve ~options:opts inst in
+            let a = opened.Vcycle.solution and b = cold.Vcycle.solution in
+            Alcotest.(check (array int)) (ctx ^ ": assignment") b.assignment a.assignment;
+            check_bits (ctx ^ ": cost") b.cost a.cost;
+            Alcotest.(check int) (ctx ^ ": dp states") b.dp_states a.dp_states;
+            Alcotest.(check int) (ctx ^ ": tree") b.tree_index a.tree_index;
+            Alcotest.(check int) (ctx ^ ": levels") cold.Vcycle.levels opened.Vcycle.levels;
+            check_levels ctx
+              (fun lctx ra rb ->
+                Alcotest.(check int) (lctx ^ " moves") rb.Vcycle.moves ra.Vcycle.moves;
+                Alcotest.(check int) (lctx ^ " rollbacks") rb.Vcycle.rollbacks
+                  ra.Vcycle.rollbacks;
+                check_bits (lctx ^ " cost_before") rb.Vcycle.cost_before ra.Vcycle.cost_before;
+                check_bits (lctx ^ " cost_after") rb.Vcycle.cost_after ra.Vcycle.cost_after)
+              opened cold
+          done)
+        [ 12; 60; 200 ])
+    [ ("greedy", Hgp_multilevel.Refine.Greedy); ("fm", Hgp_multilevel.Refine.Fm { hill_climb = true }) ]
 
 let test_ml_zero_delta () =
   let opts = vc_options Ensemble.Mixed in
@@ -468,6 +520,8 @@ let () =
         [
           Alcotest.test_case "differential (32 cases)" `Slow test_ml_differential;
           Alcotest.test_case "stream (8 steps)" `Slow test_ml_stream;
+          Alcotest.test_case "session open = cold solve (72 cases)" `Slow
+            test_ml_session_open_is_cold;
           Alcotest.test_case "zero delta" `Quick test_ml_zero_delta;
         ] );
       ( "churn",

@@ -187,12 +187,11 @@ let test_ragged_vcycle () =
 
 module Refine = Hgp_multilevel.Refine
 
-let fm_options ?(hill_climb = true) ?(boundary = false) ?on_level seed =
+let fm_options ?(hill_climb = true) ?on_level seed =
   let base = vcycle_options seed in
   {
     base with
     Vcycle.refine_algo = Refine.Fm { hill_climb };
-    boundary_resolve = boundary;
     on_level = Option.value ~default:base.Vcycle.on_level on_level;
   }
 
@@ -224,7 +223,7 @@ let test_fm_never_worse_than_greedy () =
     (Printf.sprintf "at least 100 differential cases (%d run)" !cases)
     true (!cases >= 100)
 
-(* Full FM (hill-climbing + boundary re-solve): every level's report must be
+(* Full FM (hill-climbing): every level's report must be
    cost-monotone — the E20 ledger sense — and every level's partition must
    re-verify inside the certified band, on regular AND ragged hierarchies.
    The [on_level] hook receives each level's fine CSR and refined assignment,
@@ -246,7 +245,7 @@ let test_fm_monotone_per_level () =
               Alcotest.failf "%s seed=%d level=%d: refined level out of band" hname seed
                 level
           in
-          let r = Vcycle.solve ~options:(fm_options ~boundary:true ~on_level seed) inst in
+          let r = Vcycle.solve ~options:(fm_options ~on_level seed) inst in
           Alcotest.(check int)
             (Printf.sprintf "%s seed=%d: every level verified" hname seed)
             r.Vcycle.levels !checked;
@@ -270,76 +269,6 @@ let test_fm_monotone_per_level () =
       ("ragged_rack", Hierarchy.Presets.ragged_rack);
       ("gpu_cpu_tier", Hierarchy.Presets.gpu_cpu_tier);
     ]
-
-(* Boundary re-solve actually splices on these pinned instances (found by
-   corpus scan: the barbell's clique boundary is small enough for the exact
-   pipeline and greedy+FM leave it in a local minimum the DP escapes). *)
-let test_boundary_resolve_splices () =
-  let fired = ref 0 in
-  List.iter
-    (fun seed ->
-      let name, g = List.nth (preset seed) 4 (* barbell-20+8 *) in
-      let inst = instance_of seed g in
-      let rb = Vcycle.solve ~options:(fm_options ~boundary:true seed) inst in
-      let resolved =
-        List.filter (fun lr -> lr.Vcycle.boundary_resolved) rb.Vcycle.level_reports
-      in
-      fired := !fired + List.length resolved;
-      (* A splice is only accepted when it strictly improves the level... *)
-      List.iter
-        (fun (lr : Vcycle.level_report) ->
-          if lr.Vcycle.cost_after >= lr.Vcycle.cost_before then
-            Alcotest.failf "%s seed=%d level=%d: splice did not improve" name seed
-              lr.Vcycle.level)
-        resolved;
-      (* ...and never at the price of the certificate. *)
-      let cert = rb.Vcycle.coarse_certificate in
-      if rb.Vcycle.solution.Pipeline.max_violation > cert.Verify.theorem_bound +. 1e-9
-      then Alcotest.failf "%s seed=%d: boundary re-solve broke the band" name seed)
-    [ 2107; 2631 ];
-  Alcotest.(check bool)
-    (Printf.sprintf "boundary re-solve spliced at least twice (%d)" !fired)
-    true (!fired >= 2)
-
-(* A structured error inside the boundary re-solve takes the skip path, not
-   the caller's: an injected crash in the exact solve of the first boundary
-   sub-instance (hit 2 of the quantize site; hit 1 is the coarse solve)
-   leaves the V-cycle complete and in-band, with that level unspliced. *)
-let test_boundary_resolve_error_skips () =
-  let module Faults = Hgp_resilience.Faults in
-  let module Obs = Hgp_obs.Obs in
-  let seed = 2107 in
-  let name, g = List.nth (preset seed) 4 (* barbell-20+8 *) in
-  let inst = instance_of seed g in
-  let options = fm_options ~boundary:true seed in
-  let clean = Vcycle.solve ~options inst in
-  let plan =
-    match Faults.parse "seed=1;demand.quantize=crash@2" with
-    | Ok p -> p
-    | Error e -> Alcotest.failf "bad plan: %s" e
-  in
-  Obs.reset ();
-  Obs.enable ();
-  let r, fired =
-    Fun.protect
-      ~finally:(fun () ->
-        Obs.disable ();
-        Obs.reset ())
-      (fun () ->
-        let r = Faults.with_plan plan (fun () -> Vcycle.solve ~options inst) in
-        (r, Obs.counter_value "faults.fired.demand.quantize"))
-  in
-  Alcotest.(check int) (name ^ ": one re-solve crashed") 1 fired;
-  let spliced (r : Vcycle.result) =
-    List.length (List.filter (fun lr -> lr.Vcycle.boundary_resolved) r.Vcycle.level_reports)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "%s: crashed run splices less (%d < %d)" name (spliced r) (spliced clean))
-    true
-    (spliced r < spliced clean);
-  let cert = r.Vcycle.coarse_certificate in
-  if r.Vcycle.solution.Pipeline.max_violation > cert.Verify.theorem_bound +. 1e-9 then
-    Alcotest.failf "%s: skipped re-solve broke the band" name
 
 (* ---- matching determinism and invariants ---- *)
 
@@ -448,10 +377,6 @@ let () =
             test_fm_never_worse_than_greedy;
           Alcotest.test_case "full FM cost-monotone and in-band per level" `Quick
             test_fm_monotone_per_level;
-          Alcotest.test_case "boundary re-solve splices and stays certified" `Quick
-            test_boundary_resolve_splices;
-          Alcotest.test_case "boundary re-solve skips on a structured error" `Quick
-            test_boundary_resolve_error_skips;
         ] );
       ( "matching",
         [
