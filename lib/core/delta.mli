@@ -43,6 +43,14 @@ val apply : Instance.t -> t -> Instance.t
     ({!Pipeline.resolve_delta}). *)
 val apply_mapped : Instance.t -> t -> Instance.t * int array
 
+(** [check_connected inst' delta] raises {!Hgp_resilience.Hgp_error.Error}
+    with an [Invalid_input] payload (context ["delta"]) when [delta] is
+    structural and its result [inst'] has a disconnected graph.  The
+    incremental solve paths call it on the post-delta instance before
+    solving: {!apply} accepts such a graph, but the solver needs a
+    connected one. *)
+val check_connected : Instance.t -> t -> unit
+
 (** [is_reweight_only delta] is true when every edit is [Reweight_edge] —
     the structure-preserving case the multilevel incremental path
     accepts ({!Hgp_multilevel} [Vcycle.resolve_delta]). *)

@@ -747,6 +747,7 @@ let churn_of ~mapping ~old_assignment ~assignment ~n_new =
 
 let resolve_delta ?supervision (s : session) delta =
   let inst', mapping = Delta.apply_mapped s.s_inst delta in
+  Delta.check_connected inst' delta;
   match run_incremental ?supervision inst' s.s_options with
   | None -> None
   | Some (sol, (resolved_subtrees, reused_subtrees)) ->

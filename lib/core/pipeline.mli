@@ -178,7 +178,9 @@ val start_session : Instance.t -> options -> (session * solution) option
     fall back to a cold {!Solver.solve}, which retries at higher
     resolution).
     @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _]) when the
-    delta does not validate against the session's instance. *)
+    delta does not validate against the session's instance or leaves its
+    graph disconnected ({!Delta.check_connected}); the session is left
+    unchanged. *)
 val resolve_delta :
   ?supervision:supervision -> session -> Delta.t -> update_report option
 

@@ -18,13 +18,23 @@
       maintained cross-neighbor count; the move sequence is bit-identical
       to the pre-FM implementation.
     - {!refine_fm} is the FM engine: boundary vertices are ranked in a
-      bucket queue on quantized gains ({!Bucketq}), gains are invalidated
-      lazily on neighbor moves (stale entries die at pop against a
-      per-vertex stamp), each vertex moves at most once per pass, and with
-      [hill_climb] temporarily negative move sequences are allowed and
-      rolled back to the best prefix at the end of the pass — so a pass
-      never increases the level cost, but can escape the single-move local
-      minima the greedy engine gets stuck in. *)
+      flat gain queue on quantized gains ({!Bucketq}), gains are
+      invalidated lazily on neighbor moves (stale entries die at pop
+      against a per-vertex stamp), each vertex moves at most once per
+      pass, and with [hill_climb] temporarily negative move sequences are
+      allowed and rolled back to the best prefix at the end of the pass —
+      so a pass never increases the level cost, but can escape the
+      single-move local minima the greedy engine gets stuck in.
+
+    Both engines allocate almost nothing per move: gains are summed
+    straight over the CSR arrays against a [k × k] matrix of
+    [Hierarchy.edge_cost] values (same floats, same ascending-neighbour
+    order, so every gain is bit-identical to the [edge_cost] sum), the
+    move log is preallocated arrays, and the queue and per-vertex arrays
+    live in a per-domain workspace reused across passes and calls.  The
+    workspace grows to the largest graph refined on its domain.  Both
+    engines are pinned bit for bit against the implementation they
+    replaced ([test/support/refine_reference.ml]). *)
 
 type stats = {
   passes : int;
@@ -49,8 +59,11 @@ type move = {
 }
 
 (** [cost csr hy assignment] is the level objective both engines descend:
-    the sum over edges of [w * edge_cost hy l_u l_v].  (On the finest level
-    this is the Equation-1 instance cost.) *)
+    the sum over edges of [w * edge_cost hy l_u l_v], accumulated in
+    ascending [(u, v)] order.  (On the finest level this is the Equation-1
+    instance cost.)
+    @raise Invalid_argument when an entry of [assignment] is not a leaf of
+    [hy] (so do {!refine}, {!refine_fm} and {!in_band}). *)
 val cost : Hgp_graph.Csr.t -> Hgp_hierarchy.Hierarchy.t -> int array -> float
 
 (** [boundary csr assignment] is the brute-force boundary set — vertex [v]
@@ -68,24 +81,36 @@ val boundary : Hgp_graph.Csr.t -> int array -> bool array
 val in_band :
   Hgp_graph.Csr.t -> Hgp_hierarchy.Hierarchy.t -> int array -> slack:float -> bool
 
-(** The quantized-gain bucket queue behind {!refine_fm}, exposed for the
-    property suite.  [push] files an entry under [floor (gain / quantum)];
-    [pop] returns [(bucket index, entry)] from the highest non-empty bucket,
-    FIFO within a bucket.  Quantization affects only the order entries come
-    out, never the gains the FM engine applies — popped entries are
-    revalidated against exact recomputed gains. *)
+(** The quantized-gain queue behind {!refine_fm}, exposed for the property
+    suite.  An entry is a vertex and its stamp, filed under bucket
+    [floor (gain / quantum)]; [pop] removes the entry from the highest
+    non-empty bucket, FIFO within a bucket.  It is a binary heap over one
+    flat int array ordered by (bucket descending, push order ascending), so
+    steady-state use allocates nothing.  Quantization affects only the
+    order entries come out, never the gains the FM engine applies — popped
+    entries are revalidated against exact recomputed gains. *)
 module Bucketq : sig
-  type 'a t
+  type t
 
-  val create : quantum:float -> 'a t
-  val length : 'a t -> int
+  val create : quantum:float -> t
+  val length : t -> int
 
   (** [index_of t gain] is the bucket [gain] files under. *)
-  val index_of : 'a t -> float -> int
+  val index_of : t -> float -> int
 
-  val push : 'a t -> gain:float -> 'a -> unit
-  val pop : 'a t -> (int * 'a) option
-  val clear : 'a t -> unit
+  (** [push t ~gain v stamp] files entry [(v, stamp)] under
+      [index_of t gain]. *)
+  val push : t -> gain:float -> int -> int -> unit
+
+  (** [pop t] removes the front entry and returns [true], or returns
+      [false] when [t] is empty.  The removed entry is read with {!bucket},
+      {!vertex} and {!stamp} until the next [pop]. *)
+  val pop : t -> bool
+
+  val bucket : t -> int
+  val vertex : t -> int
+  val stamp : t -> int
+  val clear : t -> unit
 end
 
 (** [refine csr hy assignment ~slack ~max_passes] runs the greedy engine and
@@ -108,7 +133,8 @@ val refine :
     [?observe] is a test hook: called after every applied or undone move
     with the exact gain and a snapshot of the incrementally maintained
     boundary flags (so the suite can pin them to {!boundary}).  It is
-    [None] in production and costs nothing there. *)
+    [None] in production, where no event record or snapshot is built: the
+    cost is one test of the option per move. *)
 val refine_fm :
   Hgp_graph.Csr.t ->
   Hgp_hierarchy.Hierarchy.t ->

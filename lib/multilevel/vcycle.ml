@@ -430,6 +430,7 @@ let resolve_delta (s : session) (delta : Delta.t) =
   let inst', mapping =
     Obs.span "multilevel.delta_apply" (fun () -> Delta.apply_mapped s.v_inst delta)
   in
+  Delta.check_connected inst' delta;
   let since =
     if incremental then
       Some

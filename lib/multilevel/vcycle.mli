@@ -141,7 +141,8 @@ val start_session : ?options:options -> Hgp_core.Instance.t -> session * result
     [incremental.churn] gauge.  Sessions are not thread-safe; serialize
     updates per session (the server drains them in submission order).
     @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _]) on a delta
-    that does not validate against the session's instance; raises like
+    that does not validate against the session's instance or leaves its
+    graph disconnected ({!Hgp_core.Delta.check_connected}); raises like
     {!solve} when the post-delta coarse instance is infeasible. *)
 val resolve_delta : session -> Hgp_core.Delta.t -> update_report
 

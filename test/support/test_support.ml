@@ -75,3 +75,7 @@ let gen_assignment n hy =
 (* Differential oracle for the flat DP kernel (see tree_dp_reference.ml);
    re-exported because this module is the library's entry point. *)
 module Tree_dp_reference = Tree_dp_reference
+
+(* Differential oracle for the flat FM and greedy refinement kernel (see
+   refine_reference.ml). *)
+module Refine_reference = Refine_reference

@@ -296,6 +296,32 @@ let test_multilevel_clamp_note () =
       Alcotest.(check bool) "no clamp note" true
         (find_substring err "resolution clamped" = None))
 
+(* A structural delta that disconnects the graph is invalid input: exit 65
+   with the structured message, on the exact and the multilevel delta
+   paths alike.  Removing vertex 7 of this instance cuts a neighbour off. *)
+let test_disconnecting_delta_exit_65 () =
+  let path = Filename.temp_file "hgp_disc" ".graph" in
+  let dpath = Filename.temp_file "hgp_disc" ".delta" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove path;
+      Sys.remove dpath)
+    (fun () ->
+      let code, _, _ =
+        run_cli [ "generate"; "--kind"; "gnp"; "-n"; "300"; "--seed"; "3"; "-o"; path ]
+      in
+      Alcotest.(check int) "generate exit 0" 0 code;
+      write_file dpath "%hgp-delta 1\nremove-vertex 7\n";
+      List.iter
+        (fun extra ->
+          let what = String.concat " " ("solve --delta" :: extra) in
+          let code, out, err = run_cli ([ "solve"; path; "--delta"; dpath ] @ extra) in
+          Alcotest.(check int) (what ^ ": exit 65") 65 code;
+          Alcotest.(check string) (what ^ ": no stdout") "" out;
+          Alcotest.(check bool) (what ^ ": structured message") true
+            (find_substring err "invalid input (delta)" <> None))
+        [ []; [ "--multilevel" ] ])
+
 let test_batch_response_schema () =
   with_fixture_file @@ fun inst ->
   let req ~id ~seed = Protocol.request ~id ~trees:2 ~seed (Protocol.Path inst) in
@@ -340,5 +366,7 @@ let () =
         [
           Alcotest.test_case "--multilevel clamp note follows the coarse solve" `Quick
             test_multilevel_clamp_note;
+          Alcotest.test_case "disconnecting --delta exits 65" `Quick
+            test_disconnecting_delta_exit_65;
         ] );
     ]

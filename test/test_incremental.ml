@@ -340,6 +340,37 @@ let test_ml_zero_delta () =
   Alcotest.(check bool) "levels exist" true (r.Vcycle.u_total_levels > 0);
   Alcotest.(check bool) "certified" true r.Vcycle.u_certified
 
+(* A structural delta that cuts a vertex off: [Delta.apply] accepts the
+   disconnected result, but both session paths must reject it as invalid
+   input (exit class 65) before the decomposition sees it, and leave the
+   session usable. *)
+let isolate_vertex (inst : Instance.t) v =
+  List.map
+    (fun (u, _) -> Delta.Remove_edge (v, u))
+    (Graph.fold_neighbors (fun acc u w -> (u, w) :: acc) [] inst.Instance.graph v)
+
+let expect_disconnected what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: disconnecting delta accepted" what
+  | exception E.Error (E.Invalid_input { context; _ } as e) ->
+    Alcotest.(check string) (what ^ ": context") "delta" context;
+    Alcotest.(check int) (what ^ ": exit code") 65 (E.exit_code e)
+
+let test_disconnecting_delta_rejected () =
+  let inst = mk_instance ~n:60 9 in
+  let cut = isolate_vertex inst 0 in
+  Alcotest.(check bool) "the delta disconnects" false
+    (Hgp_graph.Traversal.is_connected (Delta.apply inst cut).Instance.graph);
+  Pipeline.clear_caches ();
+  let session, _ = Option.get (Pipeline.start_session inst (options Ensemble.Mixed)) in
+  expect_disconnected "pipeline session" (fun () -> Pipeline.resolve_delta session cut);
+  Alcotest.(check bool) "pipeline session still usable" true
+    (Pipeline.resolve_delta session [] <> None);
+  let vsession, _ = Vcycle.start_session ~options:(vc_options Ensemble.Mixed) inst in
+  expect_disconnected "multilevel session" (fun () -> Vcycle.resolve_delta vsession cut);
+  Alcotest.(check bool) "multilevel session still usable" true
+    (Vcycle.resolve_delta vsession []).Vcycle.u_certified
+
 (* ---- zero-delta and churn ---- *)
 
 let test_zero_delta_full_reuse () =
@@ -523,6 +554,8 @@ let () =
           Alcotest.test_case "session open = cold solve (72 cases)" `Slow
             test_ml_session_open_is_cold;
           Alcotest.test_case "zero delta" `Quick test_ml_zero_delta;
+          Alcotest.test_case "disconnecting delta is invalid input" `Quick
+            test_disconnecting_delta_rejected;
         ] );
       ( "churn",
         [

@@ -1,12 +1,14 @@
-(* Refinement test layer (ISSUE 9).
+(* Refinement test layer.
 
-   Uncoarsening refinement is the one solver stage with no differential
-   oracle — there is no "reference refiner" to compare against — so the FM
-   engine is pinned by structural properties on its observable event stream
-   instead:
+   The FM and greedy engines are pinned two ways.  A differential runs them
+   against the reference engines in [Test_support.Refine_reference] (the
+   list-and-Hashtbl implementation the flat kernel replaced) and demands
+   the same moves bit for bit.  Structural properties on the observable
+   event stream pin what the reference itself must satisfy:
 
-   - bucket queue: a model test against the documented contract (highest
-     bucket first, FIFO within a bucket, exact bucket indices);
+   - gain queue: a model test against the documented contract (highest
+     bucket first, FIFO within a bucket, exact bucket indices, negative
+     gains, requeue after a pop);
    - gain exactness: every reported move gain equals the recomputed cost
      delta on a shadow assignment, across arbitrary interleavings of moves,
      lazy updates and rollbacks;
@@ -15,8 +17,7 @@
      regular and ragged trees alike — which is the invariant the certified
      (1+eps)(1+h) argument needs;
    - incremental boundary: the boundary flags the engine maintains in O(deg)
-     per move match the brute O(n + m) recomputation after every event (the
-     ISSUE 9 regression guard for the incremental-boundary fix);
+     per move match the brute O(n + m) recomputation after every event;
    - best-prefix rollback: in a single hill-climbing pass the kept prefix is
      the earliest maximum of the cumulative-gain sequence, undone strictly
      LIFO;
@@ -66,23 +67,40 @@ let slack_for csr hy assignment = (min_slack csr hy assignment *. 1.25) +. 0.01
 
 (* ---- bucket queue model ---- *)
 
+(* A script of queue operations: pushes (negative gains included), pops,
+   and requeues — pop the front entry and push it back at a new gain, the
+   FM engine's move when the band shrank under an entry. *)
+type bq_op = Push of float | Pop | Requeue of float
+
 let gen_bucketq_case =
   let open QCheck2.Gen in
   let* quantum = float_range 0.001 10.0 in
-  let* gains = list_size (int_range 0 40) (float_range (-50.) 50.) in
-  return (quantum, gains)
+  let gain = float_range (-50.) 50. in
+  let* gains = list_size (int_range 0 40) gain in
+  let* script =
+    list_size (int_range 0 60)
+      (frequency
+         [ (3, map (fun g -> Push g) gain); (2, pure Pop); (1, map (fun g -> Requeue g) gain) ])
+  in
+  return (quantum, gains, script)
 
-let prop_bucketq (quantum, gains) =
+let pop_entry bq =
+  if Refine.Bucketq.pop bq then
+    Some (Refine.Bucketq.bucket bq, (Refine.Bucketq.vertex bq, Refine.Bucketq.stamp bq))
+  else None
+
+let prop_bucketq (quantum, gains, script) =
   let bq = Refine.Bucketq.create ~quantum in
-  List.iteri (fun i g -> Refine.Bucketq.push bq ~gain:g i) gains;
+  List.iteri (fun i g -> Refine.Bucketq.push bq ~gain:g i (-i)) gains;
   let n = List.length gains in
   if Refine.Bucketq.length bq <> n then QCheck2.Test.fail_report "length after pushes";
   let gains = Array.of_list gains in
   let pops = ref [] in
   let rec drain () =
-    match Refine.Bucketq.pop bq with
+    match pop_entry bq with
     | None -> ()
-    | Some (bucket, id) ->
+    | Some (bucket, (id, st)) ->
+      if st <> -id then QCheck2.Test.fail_reportf "id %d came back with stamp %d" id st;
       pops := (bucket, id) :: !pops;
       drain ()
   in
@@ -112,10 +130,56 @@ let prop_bucketq (quantum, gains) =
       | _ -> ());
       Hashtbl.replace last_id bucket id)
     pops;
+  (* Interleaved pushes, pops and requeues against a list model: the front
+     is the highest bucket, and within it the earliest push. *)
+  let model = ref [] and seq = ref 0 and next_id = ref 0 in
+  let model_push gain id st =
+    model := (Refine.Bucketq.index_of bq gain, !seq, id, st) :: !model;
+    incr seq;
+    Refine.Bucketq.push bq ~gain id st
+  in
+  let model_pop () =
+    match !model with
+    | [] -> None
+    | e0 :: _ ->
+      let front =
+        List.fold_left
+          (fun ((b, s, _, _) as best) ((b', s', _, _) as e) ->
+            if b' > b || (b' = b && s' < s) then e else best)
+          e0 !model
+      in
+      model := List.filter (fun e -> e != front) !model;
+      let b, _, id, st = front in
+      Some (b, (id, st))
+  in
+  let check_pop what =
+    let got = pop_entry bq and want = model_pop () in
+    if got <> want then QCheck2.Test.fail_reportf "%s: queue and model disagree" what;
+    got
+  in
+  List.iter
+    (function
+      | Push g ->
+        model_push g !next_id (7 * !next_id);
+        incr next_id
+      | Pop -> ignore (check_pop "pop")
+      | Requeue g -> (
+        match check_pop "requeue" with
+        | Some (_, (id, st)) -> model_push g id st
+        | None -> ()))
+    script;
+  if Refine.Bucketq.length bq <> List.length !model then
+    QCheck2.Test.fail_report "length after script";
+  while check_pop "final drain" <> None do
+    ()
+  done;
   (* clear resets to a working empty queue. *)
-  Refine.Bucketq.push bq ~gain:1.0 0;
+  Refine.Bucketq.push bq ~gain:1.0 0 0;
   Refine.Bucketq.clear bq;
-  if Refine.Bucketq.pop bq <> None then QCheck2.Test.fail_report "pop after clear";
+  if Refine.Bucketq.pop bq then QCheck2.Test.fail_report "pop after clear";
+  Refine.Bucketq.push bq ~gain:(-3.0) 5 9;
+  if pop_entry bq <> Some (Refine.Bucketq.index_of bq (-3.0), (5, 9)) then
+    QCheck2.Test.fail_report "push after clear";
   true
 
 (* ---- FM event-stream properties ---- *)
@@ -317,6 +381,145 @@ let test_fm_positive_only_never_worse () =
     (Printf.sprintf "at least 120 seeded cases (%d run)" !cases)
     true (!cases >= 120)
 
+(* ---- kernel = reference, bit for bit ----
+
+   [Test_support.Refine_reference] keeps the list-and-Hashtbl engines the
+   flat kernel replaced.  Both must make the same moves: the same result,
+   the same statistics (gain compared by its bits) and the same [?observe]
+   stream, boundary flags included.  Non-integer edge weights catch any
+   regrouping of a float sum; small integer weights make gains tie, which
+   catches any change to the queue's FIFO order or to the candidate
+   tie-break. *)
+
+module Reference = Test_support.Refine_reference
+
+type event = int * int * int * int64 * bool * bool array
+
+let record events (mv : Refine.move) flags =
+  events :=
+    ( mv.Refine.vertex,
+      mv.Refine.src,
+      mv.Refine.dst,
+      Int64.bits_of_float mv.Refine.move_gain,
+      mv.Refine.undo,
+      flags )
+    :: !events
+
+let same_stats (a : Refine.stats) (b : Refine.stats) =
+  a.Refine.passes = b.Refine.passes
+  && a.Refine.moves = b.Refine.moves
+  && a.Refine.rollbacks = b.Refine.rollbacks
+  && Int64.bits_of_float a.Refine.gain = Int64.bits_of_float b.Refine.gain
+
+(* The level objective in {!Graph.iter_edges} order, through
+   [Hierarchy.edge_cost]: [Refine.cost] must match it bit for bit. *)
+let reference_cost csr hy a =
+  let acc = ref 0. in
+  Graph.iter_edges
+    (fun u v w -> acc := !acc +. (w *. Hierarchy.edge_cost hy a.(u) a.(v)))
+    csr.Csr.graph;
+  !acc
+
+let test_kernel_vs_reference () =
+  let hierarchies =
+    [
+      ("dual_socket", Hierarchy.Presets.dual_socket);
+      ("quad_socket", Hierarchy.Presets.quad_socket);
+      ("ragged_rack", Hierarchy.Presets.ragged_rack);
+    ]
+  in
+  let runs = ref 0 and moves = ref 0 and rollbacks = ref 0 in
+  for seed = 0 to 199 do
+    let integer = seed mod 2 = 1 in
+    List.iter
+      (fun (hname, hy) ->
+        let rng = Prng.create ((seed * 7919) + 13) in
+        let n = 30 + Prng.int rng 60 in
+        let g = Gen.gnp_connected rng n (0.05 +. Prng.float rng 0.1) in
+        let g =
+          if integer then
+            Graph.of_edges n
+              (Array.to_list
+                 (Array.map
+                    (fun (u, v, _) -> (u, v, float_of_int (1 + Prng.int rng 3)))
+                    (Graph.edges g)))
+          else Gen.randomize_weights rng g ~lo:0.3 ~hi:7.7
+        in
+        let csr = csr_of rng g hy in
+        let k = Hierarchy.num_leaves hy in
+        let a0 = Array.init n (fun _ -> Prng.int rng k) in
+        let slack = slack_for csr hy a0 in
+        let where = Printf.sprintf "%s seed=%d integer=%b" hname seed integer in
+        if
+          Int64.bits_of_float (Refine.cost csr hy a0)
+          <> Int64.bits_of_float (reference_cost csr hy a0)
+        then Alcotest.failf "%s: Refine.cost differs from the reference" where;
+        List.iter
+          (fun max_passes ->
+            let got, gst = Refine.refine csr hy a0 ~slack ~max_passes in
+            let want, wst = Reference.refine csr hy a0 ~slack ~max_passes in
+            if got <> want || not (same_stats gst wst) then
+              Alcotest.failf "%s max_passes=%d: greedy differs from the reference" where
+                max_passes;
+            List.iter
+              (fun hill_climb ->
+                incr runs;
+                let ev_got = ref [] and ev_want = ref [] in
+                let got, gst =
+                  Refine.refine_fm csr hy a0 ~slack ~max_passes ~hill_climb
+                    ~observe:(record ev_got) ()
+                in
+                let want, wst =
+                  Reference.refine_fm csr hy a0 ~slack ~max_passes ~hill_climb
+                    ~observe:(record ev_want) ()
+                in
+                let case =
+                  Printf.sprintf "%s max_passes=%d hill_climb=%b" where max_passes hill_climb
+                in
+                if (!ev_got : event list) <> !ev_want then
+                  Alcotest.failf "%s: observe streams differ (%d vs %d events)" case
+                    (List.length !ev_got) (List.length !ev_want);
+                if got <> want then Alcotest.failf "%s: assignments differ" case;
+                if not (same_stats gst wst) then Alcotest.failf "%s: stats differ" case;
+                (* observe = None takes the same path. *)
+                let quiet, qst = Refine.refine_fm csr hy a0 ~slack ~max_passes ~hill_climb () in
+                if quiet <> got || not (same_stats qst gst) then
+                  Alcotest.failf "%s: observe changed the run" case;
+                moves := !moves + gst.Refine.moves;
+                rollbacks := !rollbacks + gst.Refine.rollbacks)
+              [ true; false ])
+          [ 1; 4 ])
+      hierarchies
+  done;
+  (* The grid must exercise the engine, rollbacks included. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "2400 runs with moves and rollbacks (%d runs, %d moves, %d rollbacks)"
+       !runs !moves !rollbacks)
+    true
+    (!runs = 2400 && !moves > 10 * !runs && !rollbacks > !runs)
+
+(* The kernel indexes its tables by leaf, so a leaf outside [0, k) must be
+   rejected, not read from a neighbouring row. *)
+let test_rejects_non_leaf () =
+  let hy = Hierarchy.Presets.dual_socket in
+  let g = Graph.of_edges 3 [ (0, 1, 1.); (1, 2, 2.) ] in
+  let csr = Csr.of_graph g in
+  let k = Hierarchy.num_leaves hy in
+  List.iter
+    (fun bad ->
+      let a = [| 0; bad; 1 |] in
+      let raises what f =
+        match f () with
+        | _ -> Alcotest.failf "%s accepted leaf %d" what bad
+        | exception Invalid_argument _ -> ()
+      in
+      raises "cost" (fun () -> ignore (Refine.cost csr hy a));
+      raises "in_band" (fun () -> ignore (Refine.in_band csr hy a ~slack:2.));
+      raises "refine" (fun () -> ignore (Refine.refine csr hy a ~slack:2. ~max_passes:1));
+      raises "refine_fm" (fun () ->
+          ignore (Refine.refine_fm csr hy a ~slack:2. ~max_passes:1 ~hill_climb:true ())))
+    [ k; -1 ]
+
 let () =
   let qtest = Test_support.qtest in
   Alcotest.run "refine"
@@ -353,5 +556,8 @@ let () =
         [
           Alcotest.test_case "positive-only FM never worse than greedy (120 cases)" `Slow
             test_fm_positive_only_never_worse;
+          Alcotest.test_case "kernel = reference, 200 seeds x 3 hierarchies x configs" `Slow
+            test_kernel_vs_reference;
+          Alcotest.test_case "leaf out of range is rejected" `Quick test_rejects_non_leaf;
         ] );
     ]

@@ -475,6 +475,34 @@ let test_update_unknown_session () =
   | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
   ignore (Server.shutdown server)
 
+(* An update whose delta cuts a vertex off is answered with a structured
+   invalid-input failure (the solver needs a connected graph), and the
+   session keeps serving updates. *)
+let test_update_disconnecting_delta () =
+  Pipeline.clear_caches ();
+  let inst = mk_instance 11 in
+  let g = inst.Instance.graph in
+  let cut =
+    Hgp_graph.Graph.fold_neighbors (fun acc u _ -> Delta.Remove_edge (0, u) :: acc) [] g 0
+  in
+  let server = mk_server () in
+  submit_ok server (Protocol.inline_request ~id:"open" ~trees:2 ~seed:5 ~session:"s1" inst);
+  submit_update_ok server
+    (Protocol.update_request ~id:"cut" ~session:"s1" (Delta.to_string cut));
+  (match Server.drain server with
+  | [ _; r ] -> (
+    match r.Protocol.outcome with
+    | Protocol.Failed (Hgp_error.Invalid_input { context; _ }) ->
+      Alcotest.(check string) "context" "delta" context
+    | _ -> Alcotest.failf "expected invalid-input, got %s" (Protocol.response_to_line r))
+  | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs));
+  submit_update_ok server (Protocol.update_request ~id:"noop" ~session:"s1" "%hgp-delta 1\n");
+  (match Server.drain server with
+  | [ { Protocol.outcome = Protocol.Updated _; _ } ] -> ()
+  | [ r ] -> Alcotest.failf "session broken: %s" (Protocol.response_to_line r)
+  | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
+  ignore (Server.shutdown server)
+
 let test_update_bad_delta_rejected_at_admission () =
   let server = mk_server () in
   (match
@@ -519,5 +547,7 @@ let () =
             test_session_open_error_falls_back;
           Alcotest.test_case "bad delta rejected" `Quick
             test_update_bad_delta_rejected_at_admission;
+          Alcotest.test_case "disconnecting delta is invalid input" `Quick
+            test_update_disconnecting_delta;
         ] );
     ]
