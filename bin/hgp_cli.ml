@@ -728,7 +728,7 @@ let workers_arg =
   Arg.(
     value
     & opt int Server.default_config.Server.workers
-    & info [ "workers" ] ~doc:"Worker domains (= scheduler shards).")
+    & info [ "workers" ] ~doc:"Scheduler shards run at once (one on the draining thread).")
 
 let queue_limit_arg =
   Arg.(

@@ -30,8 +30,8 @@ let parse_error ?line ~context fmt =
     fmt
 
 (* Wrap a section parser so that stringly failures from the underlying
-   parsers (Topology.parse, Io.of_string, float_of_string) surface as
-   [Parse] errors anchored at [line]. *)
+   parsers (Topology.parse, float_of_string) surface as [Parse] errors
+   anchored at [line]. *)
 let in_context ~line ~context f =
   try f () with
   | Hgp_error.Error _ as e -> raise e
@@ -115,7 +115,9 @@ let of_string s =
   let hierarchy, demands, graph_lines, graph_line = parse lines 1 None None in
   let graph =
     in_context ~line:graph_line ~context:"graph" (fun () ->
-        Io.of_string (String.concat "\n" graph_lines))
+        try Io.of_string ~first_line:graph_line (String.concat "\n" graph_lines)
+        with Hgp_error.Error (Hgp_error.Invalid_input { msg; _ }) ->
+          parse_error ~line:graph_line ~context:"graph" "%s" msg)
   in
   match (hierarchy, demands) with
   | Some h, Some d ->

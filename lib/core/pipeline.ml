@@ -25,7 +25,6 @@ type options = {
   bucketing : float option;
   beam_width : int option;
   strategy : Ensemble.strategy;
-  parallel : bool;
   seed : int;
 }
 
@@ -40,7 +39,6 @@ let default_options =
     bucketing = None;
     beam_width = Some 512;
     strategy = Ensemble.Mixed;
-    parallel = false;
     seed = 42;
   }
 
@@ -237,55 +235,45 @@ let relax_tree ?(deadline = Deadline.none) ?workspace (p : prepared) d =
   | None -> None
   | Some r -> Some { demand_units; dp = r }
 
-(* Per-tree DP over the whole ensemble.  Fail-fast without supervision; with
-   it every slot is fenced and an [Error] marks a lost tree.  The parallel
-   path reuses the shared domain pool instead of spawning per solve; a slot
-   whose error escaped the fence means the worker itself died mid-task and is
-   surfaced as [Domain_crash], exactly like a failed [Domain.join] before. *)
-let relax ?supervision (e : embedded) =
-  stage 2 @@ fun () ->
-  let p = e.prepared in
+(* Per-tree DP over the whole ensemble: one task per tree on the shared
+   domain pool, whose fixed lanes put tree [i] on the same domain — and so
+   the same resident workspace — on every run.  [solve_tree ~deadline
+   ~workspace i] solves tree [i].  Unsupervised, the error of the
+   lowest-index failing tree is raised once the batch is done; supervised,
+   every slot is fenced and an [Error] marks a lost tree (a slot whose
+   error escaped the fence is a task that died outside it, surfaced as
+   [Domain_crash]).  The [tree_dp.solve] fault hits are numbered in tree
+   order and spans nest under the caller's, whichever domain runs a
+   tree. *)
+let relax_trees ?supervision (e : embedded) solve_tree =
   let n_trees = Ensemble.size e.ensemble in
-  let solve_one ?workspace i =
+  let hits = Faults.reserve "tree_dp.solve" n_trees in
+  let task i () =
+    Faults.with_hit hits i @@ fun () ->
+    Workspace.with_ws @@ fun workspace ->
     match supervision with
-    | None -> Ok (relax_tree ?workspace p (Ensemble.get e.ensemble i))
+    | None -> Ok (solve_tree ~deadline:Deadline.none ~workspace i)
     | Some sv -> (
       try
         Deadline.check sv.deadline ~stage:"ensemble";
-        Ok (relax_tree ~deadline:sv.deadline ?workspace p (Ensemble.get e.ensemble i))
+        Ok (solve_tree ~deadline:sv.deadline ~workspace i)
       with exn -> Error exn)
   in
-  if p.options.parallel && n_trees > 1 then begin
-    let tasks =
-      Array.init n_trees (fun i () ->
-          (* Pool workers have an empty span stack between tasks, so the
-             per-tree span is a root: per-domain timings stay visible
-             instead of folding into solver.total.  Each task borrows its
-             worker domain's resident workspace: scratch is reused across
-             the tasks a domain executes and never crosses domains. *)
-          Obs.span ("solver.domain." ^ string_of_int i) (fun () ->
-              Workspace.with_ws (fun lease -> solve_one ~workspace:lease i)))
-    in
-    let slots = Domain_pool.run_batch (Domain_pool.shared ()) tasks in
-    Array.mapi
-      (fun i slot ->
-        match slot with
-        | Ok outcome -> outcome
-        | Error exn -> (
-          match supervision with
-          | Some _ ->
-            Error
-              (Hgp_error.Error
-                 (Hgp_error.Domain_crash
-                    { tree_index = i; msg = Hgp_error.message_of_exn exn }))
-          | None -> raise exn))
-      slots
-  end
-  else
-    (* Sequential ensemble: one lease threads the same scratch through
-       every tree's DP. *)
-    Workspace.with_ws (fun lease ->
-        Array.init n_trees (fun i -> solve_one ~workspace:lease i))
+  Domain_pool.run_batch (Domain_pool.shared ()) (Obs.propagate (Array.init n_trees task))
+  |> Array.mapi (fun i slot ->
+         match (slot, supervision) with
+         | Ok outcome, _ -> outcome
+         | Error exn, None -> raise exn
+         | Error exn, Some _ ->
+           Error
+             (Hgp_error.Error
+                (Hgp_error.Domain_crash
+                   { tree_index = i; msg = Hgp_error.message_of_exn exn })))
+
+let relax ?supervision (e : embedded) =
+  stage 2 @@ fun () ->
+  relax_trees ?supervision e (fun ~deadline ~workspace i ->
+      relax_tree ~deadline ~workspace e.prepared (Ensemble.get e.ensemble i))
 
 (* ---- Packed ---- *)
 
@@ -476,9 +464,6 @@ let render_cache_stats () =
     (stage_timings ());
   Buffer.contents b
 
-(* [parallel] is deliberately not digested: the sequential and parallel
-   paths produce bit-identical solutions (same trees, same per-tree DP, same
-   selection order), so they legally share cache entries. *)
 let packed_key (p : prepared) ~e_key =
   Fingerprint.combine p.p_key e_key
   |> Fun.flip (Fingerprint.add_option Fingerprint.add_float) p.options.bucketing
@@ -626,66 +611,56 @@ let shape_key (p : prepared) d ~tree_index =
   |> Fun.flip Fingerprint.add_bool (p.options.rounding = Demand.Ceil)
   |> Fun.flip Fingerprint.add_int tree_index
 
-(* {!relax_tree} with snapshot reuse: consult the subtree cache, run the
-   Merkle-diffing DP, publish the stitched snapshot back.  Bit-identical
-   results by {!Tree_dp.solve_snap}'s contract. *)
-let relax_tree_incr ?(deadline = Deadline.none) ?workspace (p : prepared) d
-    ~tree_index =
-  let t, demand_units, cfg = tree_inputs p d in
-  let key = shape_key p d ~tree_index in
-  let prev =
-    if not (cache_active ()) then None
-    else begin
-      Mutex.lock subtree_lock;
-      let r = Lru.find subtree_cache key in
-      Mutex.unlock subtree_lock;
-      r
-    end
-  in
-  match
-    Obs.span "solver.tree_dp" (fun () ->
-        Tree_dp.solve_snap ~deadline ?workspace ?prev t ~demand_units cfg)
-  with
-  | None -> None
-  | Some (r, snap, st) ->
-    if cache_active () then begin
-      Mutex.lock subtree_lock;
-      Lru.add subtree_cache key snap;
-      Mutex.unlock subtree_lock
-    end;
-    Some ({ demand_units; dp = r }, st)
+let subtree_find key =
+  if not (cache_active ()) then None
+  else begin
+    Mutex.lock subtree_lock;
+    let r = Lru.find subtree_cache key in
+    Mutex.unlock subtree_lock;
+    r
+  end
 
-(* [run] with the relax stage routed through the snapshot cache.  The
-   packed-solution cache is NOT consulted (an incremental solve must report
-   its true per-subtree work), but healthy results are still published to
-   it — they are bit-identical to what a cold run would cache.  Returns the
-   solution plus [(resolved_subtrees, reused_subtrees)] summed over the
-   ensemble.  Sequential by design: one workspace lease threads every
-   tree's DP, keeping arena scratch warm across re-solves. *)
+let subtree_add key snap =
+  if cache_active () then begin
+    Mutex.lock subtree_lock;
+    Lru.add subtree_cache key snap;
+    Mutex.unlock subtree_lock
+  end
+
+(* [run] with the relax stage routed through the snapshot cache: each tree
+   runs the Merkle-diffing DP ({!Tree_dp.solve_snap}, bit-identical to a
+   cold solve) against its cached snapshot.  The caller looks every
+   snapshot up before the batch and publishes the new ones after it, in
+   tree order, so the cache's recency order does not depend on which tree
+   finished first.  The packed-solution cache is NOT consulted (an
+   incremental solve must report its true per-subtree work), but healthy
+   results are still published to it — they are bit-identical to what a
+   cold run would cache.  Returns the solution plus [(resolved_subtrees,
+   reused_subtrees)] summed over the ensemble. *)
 let run_incremental ?supervision inst options =
   let p, key = prepare_keyed inst options in
   let e = embed ?supervision p in
   let resolved = ref 0 and reused = ref 0 in
   let outcomes =
     stage 2 @@ fun () ->
-    Workspace.with_ws (fun lease ->
-        Array.init (Ensemble.size e.ensemble) (fun i ->
-            let d = Ensemble.get e.ensemble i in
-            let solve_one ?deadline () =
-              match relax_tree_incr ?deadline ~workspace:lease p d ~tree_index:i with
-              | None -> None
-              | Some (tr, st) ->
-                resolved := !resolved + st.Tree_dp.resolved_nodes;
-                reused := !reused + st.Tree_dp.reused_nodes;
-                Some tr
-            in
-            match supervision with
-            | None -> Ok (solve_one ())
-            | Some sv -> (
-              try
-                Deadline.check sv.deadline ~stage:"ensemble";
-                Ok (solve_one ~deadline:sv.deadline ())
-              with exn -> Error exn)))
+    let keys =
+      Array.init (Ensemble.size e.ensemble) (fun i ->
+          shape_key p (Ensemble.get e.ensemble i) ~tree_index:i)
+    in
+    let prevs = Array.map subtree_find keys in
+    relax_trees ?supervision e (fun ~deadline ~workspace i ->
+        let t, demand_units, cfg = tree_inputs p (Ensemble.get e.ensemble i) in
+        Obs.span "solver.tree_dp" (fun () ->
+            Tree_dp.solve_snap ~deadline ~workspace ?prev:prevs.(i) t ~demand_units cfg)
+        |> Option.map (fun (dp, snap, st) -> ({ demand_units; dp }, snap, st)))
+    |> Array.mapi (fun i outcome ->
+           Result.map
+             (Option.map (fun (tr, snap, st) ->
+                  subtree_add keys.(i) snap;
+                  resolved := !resolved + st.Tree_dp.resolved_nodes;
+                  reused := !reused + st.Tree_dp.reused_nodes;
+                  tr))
+             outcome)
   in
   pack_and_publish ?supervision key e outcomes
   |> Option.map (fun sol -> (sol, (!resolved, !reused)))

@@ -9,7 +9,7 @@
         │  embed       (sample Räcke ensemble;      resolution ⊕ rounding
         ▼               memoized in Ensemble_cache)
       Embedded ─────────────────────────── key: graph ⊕ strategy ⊕ seed ⊕ size
-        │  relax       (per-tree DP, Theorems 2–4; domain pool when parallel)
+        │  relax       (per-tree DP, Theorems 2–4; one task per tree on the shared domain pool)
         ▼
       Relaxed  (per-tree kappa labelings + work counts)
         │  pack        (Theorem-5 conversion per tree, best by true cost)
@@ -23,9 +23,11 @@
     packed solutions) are cached process-wide: a repeated solve, the 4×
     infeasibility retry (same ensemble key — only the resolution changed),
     every [Portfolio.solve] candidate sweep and every supervised-rung descent
-    reuse them instead of re-sampling.  [parallel] is deliberately absent
-    from every key: the parallel and sequential paths are bit-identical by
-    construction (tested), so they may share artifacts.  The reuse-legality
+    reuse them instead of re-sampling.  The relax stage always runs the
+    trees as one batch on the shared domain pool ({!Hgp_util.Domain_pool}),
+    the caller working its own lane; per-tree work is independent and shares
+    only immutable data, and selection runs in tree order afterwards, so the
+    answer does not depend on the core count.  The reuse-legality
     argument and the full key table live in [docs/ARCHITECTURE.md].
 
     Fault-injection interplay: while a fault plan is armed, {e all} caches
@@ -50,10 +52,6 @@ type options = {
   strategy : Hgp_racke.Ensemble.strategy;
       (** decomposition-tree shapes; [Mixed] (default) round-robins
           low-diameter / BFS-bisection / Gomory–Hu shapes for diversity *)
-  parallel : bool;
-      (** solve ensemble trees on the shared worker-domain pool (per-tree
-          work is independent and shares only immutable data); off by
-          default *)
   seed : int;
 }
 
@@ -111,7 +109,8 @@ type supervision = {
     and returns the best feasible assignment by true graph cost, or [None]
     when every tree is infeasible after quantization.
 
-    Without [supervision] this is the fail-fast path: any error propagates.
+    Without [supervision] this is the fail-fast path: every tree of the
+    batch runs, then the error of the lowest-index failing tree propagates.
     With it, per-tree faults are recorded via the hooks and survivors carry
     the solve.
 
@@ -138,9 +137,10 @@ val solve_on_decomposition :
     stage routed through the per-subtree snapshot cache.  The packed-
     solution cache is not consulted (the report must reflect true
     incremental work) but healthy results are still published to it.
+    Its trees run as one batch on the shared domain pool, like {!run}'s.
     Returns the solution plus [(resolved_subtrees, reused_subtrees)]:
     decomposition-tree nodes recomputed vs spliced, summed over the
-    ensemble.  The solution is bit-identical to a cold {!run} on the same
+    ensemble in tree order after the batch.  The solution is bit-identical to a cold {!run} on the same
     instance. *)
 val run_incremental :
   ?supervision:supervision ->

@@ -22,7 +22,6 @@ type options = Pipeline.options = {
   bucketing : float option;
   beam_width : int option;
   strategy : Ensemble.strategy;
-  parallel : bool;
   seed : int;
 }
 
@@ -71,7 +70,6 @@ let solve ?(options = default_options) inst =
       [
         ("n", string_of_int (Instance.n inst));
         ("strategy", Ensemble.strategy_name options.strategy);
-        ("parallel", string_of_bool options.parallel);
       ]
   @@ fun () ->
   match Pipeline.run inst options with
@@ -137,7 +135,6 @@ let reduced_options options resolution =
     options with
     ensemble_size = 1;
     strategy = Ensemble.Pure Decomposition.Low_diameter;
-    parallel = false;
     beam_width = Some (match options.beam_width with Some b -> min b 64 | None -> 64);
     resolution = Some (max 8 (resolution / 2));
   }

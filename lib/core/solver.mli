@@ -36,10 +36,6 @@ type options = Pipeline.options = {
   strategy : Hgp_racke.Ensemble.strategy;
       (** decomposition-tree shapes; [Mixed] (default) round-robins
           low-diameter / BFS-bisection / Gomory–Hu shapes for diversity *)
-  parallel : bool;
-      (** solve ensemble trees on the shared worker-domain pool (per-tree
-          work is independent and shares only immutable data); off by
-          default *)
   seed : int;
 }
 
@@ -116,8 +112,8 @@ type supervised = {
     resilient entry point:
 
     - {b fault isolation}: each ensemble member's decomposition build, DP
-      and packing run behind a fence; a raising tree (or a crashed pool
-      worker in [parallel] mode) is recorded and skipped, and the solve
+      and packing run behind a fence; a raising tree (or a pool task
+      that died outside its fence) is recorded and skipped, and the solve
       proceeds on the survivors — a Räcke ensemble is a distribution over
       trees, so losing members costs diversity, never correctness;
     - {b deadline}: [deadline_ms] starts a cooperative token checked in the

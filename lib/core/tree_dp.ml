@@ -60,7 +60,7 @@ type snapshot = {
   s_node_len : int array;
   s_node_keys : int array;
   s_node_costs : float array;
-  s_back_off : int array;  (* int offsets into s_back_store; stride-3 blocks *)
+  s_back_off : int array;  (* offsets into s_back_store; one packed word per state *)
   s_back_len : int array;
   s_back_store : int array;
   s_states : int array;  (* states created while processing node v itself *)
@@ -129,8 +129,9 @@ let validate_config cfg =
      ({!Signature.packing}) once, so a dominance check is one
      subtract-and-mask per word instead of a loop over [h] levels;
    - backpointers are positional: a fold records, per survivor and in
-     survivor order, the stride-3 block (accumulator index, child index,
-     merge level), and reconstruction indexes those blocks directly.
+     survivor order, one word packing (accumulator index, child index,
+     merge level) as {!Arena.Table.pack} does — the table's payload itself
+     — and reconstruction indexes those words directly.
 
    All scratch comes from a per-domain {!Hgp_util.Workspace}, so the solve
    allocates only its outputs in steady state.  The default dev profile
@@ -192,8 +193,8 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
     let node_off = Array.make n 0 in
     let node_len = Array.make n 0 in
     (* back_off/back_len.(c): the backpointer segment written when child c
-       was folded into its parent — one stride-3 block (accumulator index,
-       child index, merge level) per survivor, in survivor order, in
+       was folded into its parent — one packed (accumulator index, child
+       index, merge level) word per survivor, in survivor order, in
        ws.back_store. *)
     let back_off = Array.make n 0 in
     let back_len = Array.make n 0 in
@@ -202,6 +203,12 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
     let sig_a = Array.make h 0 in
     let bsig_a = Array.make h 0 in
     let infeasible_leaf = ref false in
+    (* Payload packing, hoisted: the level is the low [c_bits] bits, the
+       child index the next [b_bits], the accumulator index the rest. *)
+    let child_shift = Arena.Table.c_bits in
+    let acc_shift = Arena.Table.b_bits + Arena.Table.c_bits in
+    let level_mask = (1 lsl Arena.Table.c_bits) - 1 in
+    let child_mask = (1 lsl Arena.Table.b_bits) - 1 in
     let tbl = ws.Workspace.tbl in
     let po = Tree.post_order t in
     (* Incremental machinery (all of it is inert — zero allocation, one
@@ -292,6 +299,9 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
                  once, so the fold's table is sized to that bound rather than
                  to the largest fold this workspace has seen. *)
               Arena.Table.clear_bounded tbl (alen * clen * (h + 1));
+              (* The fold's largest payload must pack; then every one
+                 does. *)
+              ignore (Arena.Table.pack (max 0 (alen - 1)) (max 0 (clen - 1)) h : int);
               (* Decode each child state once into the signature matrix. *)
               Arena.Ibuf.clear ws.Workspace.sigs;
               Arena.Ibuf.reserve ws.Workspace.sigs (clen * h);
@@ -305,19 +315,17 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
                  inline form keeps the cost float unboxed — Arena.Table.upsert
                  called cross-module would box it on every one of the merge's
                  millions of calls.  Semantics must stay exactly those of
-                 [Arena.Table.upsert], except that the payload is positional
-                 (accumulator index, child index, level) and the canonical
-                 tie-break compares the keys those indices name; the caches
-                 are re-read whenever [ensure_room] grows the backing
-                 arrays. *)
+                 [Arena.Table.upsert], except that the packed payload is
+                 positional (accumulator index, child index, level) and the
+                 canonical tie-break compares the keys those indices name;
+                 the caches are re-read whenever [ensure_room] grows the
+                 backing arrays. *)
               let t_mask = ref (Arena.Table.mask tbl) in
               let t_epoch = ref (Arena.Table.epoch tbl) in
               let t_marks = ref (Arena.Table.marks tbl) in
               let t_keys = ref (Arena.Table.keys tbl) in
               let t_costs = ref (Arena.Table.costs tbl) in
-              let t_b1 = ref (Arena.Table.b1s tbl) in
-              let t_b2 = ref (Arena.Table.b2s tbl) in
-              let t_b3 = ref (Arena.Table.b3s tbl) in
+              let t_pl = ref (Arena.Table.payloads tbl) in
               for ai = 0 to alen - 1 do
                 let ka = nkeys.(aoff + ai) in
                 let costa = ncosts.(aoff + ai) in
@@ -344,6 +352,7 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
                     let c = cm.(lvl) in
                     (* pay, inlined: inf *. 0. = 0. convention *)
                     let cost = if c = 0. then base else base +. (w *. c) in
+                    let pl = (ai lsl acc_shift) lor (ci lsl child_shift) lor lvl in
                     let k = !key in
                     (* same Fibonacci hash / linear probe as the Table *)
                     let s = ref ((k * 0x2545F4914F6CDD1D) land max_int land !t_mask) in
@@ -356,25 +365,21 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
                       let old = costs.(sl) in
                       if cost < old then begin
                         costs.(sl) <- cost;
-                        !t_b1.(sl) <- ai;
-                        !t_b2.(sl) <- ci;
-                        !t_b3.(sl) <- lvl
+                        !t_pl.(sl) <- pl
                       end
                       else if cost = old then begin
                         (* canonical tie-break: smallest (accumulator key,
                            child key, level); keys are distinct within a
                            segment, so equal indices mean equal keys *)
-                        let b1a = !t_b1 and b2a = !t_b2 and b3a = !t_b3 in
-                        let o1 = b1a.(sl) and o2 = b2a.(sl) in
+                        let pla = !t_pl in
+                        let o = pla.(sl) in
+                        let o1 = o lsr acc_shift
+                        and o2 = (o lsr child_shift) land child_mask in
                         if
                           if ai <> o1 then ka < nkeys.(aoff + o1)
                           else if ci <> o2 then kc < nkeys.(coff + o2)
-                          else lvl < b3a.(sl)
-                        then begin
-                          b1a.(sl) <- ai;
-                          b2a.(sl) <- ci;
-                          b3a.(sl) <- lvl
-                        end
+                          else lvl < o land level_mask
+                        then pla.(sl) <- pl
                       end
                     end
                     else begin
@@ -387,9 +392,7 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
                         t_marks := Arena.Table.marks tbl;
                         t_keys := Arena.Table.keys tbl;
                         t_costs := Arena.Table.costs tbl;
-                        t_b1 := Arena.Table.b1s tbl;
-                        t_b2 := Arena.Table.b2s tbl;
-                        t_b3 := Arena.Table.b3s tbl;
+                        t_pl := Arena.Table.payloads tbl;
                         s := (k * 0x2545F4914F6CDD1D) land max_int land !t_mask;
                         while !t_marks.(!s) = !t_epoch do
                           s := (!s + 1) land !t_mask
@@ -399,9 +402,7 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
                       !t_marks.(sl) <- !t_epoch;
                       !t_keys.(sl) <- k;
                       !t_costs.(sl) <- cost;
-                      !t_b1.(sl) <- ai;
-                      !t_b2.(sl) <- ci;
-                      !t_b3.(sl) <- lvl;
+                      !t_pl.(sl) <- pl;
                       Arena.Table.added tbl;
                       incr states
                     end;
@@ -502,17 +503,14 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
               pareto_dropped := !pareto_dropped + (!scanned - kept_count);
               beam_evictions := !beam_evictions + (raw - !scanned);
               (* Persist the survivors' positional backpointers in survivor
-                 order: block [i] belongs to the new accumulator's state
+                 order: word [i] belongs to the new accumulator's state
                  [i]. *)
               let kdata = Arena.Ibuf.data ws.Workspace.kept in
-              let sb1 = !t_b1 and sb2 = !t_b2 and sb3 = !t_b3 in
-              let bo = Arena.Ibuf.alloc ws.Workspace.back_store (3 * kept_count) in
+              let spl = !t_pl in
+              let bo = Arena.Ibuf.alloc ws.Workspace.back_store kept_count in
               let bdata = Arena.Ibuf.data ws.Workspace.back_store in
               for i = 0 to kept_count - 1 do
-                let slot = kdata.(i) in
-                bdata.(bo + (3 * i)) <- sb1.(slot);
-                bdata.(bo + (3 * i) + 1) <- sb2.(slot);
-                bdata.(bo + (3 * i) + 2) <- sb3.(slot)
+                bdata.(bo + i) <- spl.(kdata.(i))
               done;
               back_off.(c) <- bo;
               back_len.(c) <- kept_count;
@@ -558,7 +556,7 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
         let cost = Arena.Fbuf.get ws.Workspace.node_costs node_off.(r) in
         (* Reconstruct kappa by walking the positional back segments: a
            node's chosen state is an index into its final table (the root's
-           is 0), and the block at that index in its last child's segment
+           is 0), and the word at that index in its last child's segment
            names the child's state and the accumulator state before that
            fold, and so on back to the first child (whose accumulator index
            is always 0, the all-zeros start). *)
@@ -586,12 +584,12 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
                 | None -> assert false
               else (bdata_ws, back_off.(c))
             in
-            let f = off + (3 * !idx) in
-            kappa.(c) <- bdata.(f + 2);
+            let b = bdata.(off + !idx) in
+            kappa.(c) <- b land level_mask;
             sv.(!sp) <- c;
-            si.(!sp) <- bdata.(f + 1);
+            si.(!sp) <- (b lsr child_shift) land child_mask;
             incr sp;
-            idx := bdata.(f)
+            idx := b lsr acc_shift
           done
         done;
         (* Corrupt action: zero one edge label — a plausible-looking but
@@ -638,7 +636,7 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
             let o_keys = Array.make (max 1 !tot_tab) 0 in
             let o_costs = Array.make (max 1 !tot_tab) 0. in
             let o_bo = Array.make n 0 and o_bl = Array.make n 0 in
-            let o_bs = Array.make (max 1 (3 * !tot_back)) 0 in
+            let o_bs = Array.make (max 1 !tot_back) 0 in
             let tpos = ref 0 and bpos = ref 0 in
             for v = 0 to n - 1 do
               (match prev with
@@ -660,16 +658,16 @@ let solve_impl ?(deadline = Deadline.none) ?workspace ?prev ~want_snap t
                 match prev with
                 | Some s when reuse.(parents.(v)) ->
                   let len = s.s_back_len.(v) in
-                  Array.blit s.s_back_store s.s_back_off.(v) o_bs !bpos (3 * len);
+                  Array.blit s.s_back_store s.s_back_off.(v) o_bs !bpos len;
                   o_bo.(v) <- !bpos;
                   o_bl.(v) <- len;
-                  bpos := !bpos + (3 * len)
+                  bpos := !bpos + len
                 | _ ->
                   let len = back_len.(v) in
-                  Array.blit bd back_off.(v) o_bs !bpos (3 * len);
+                  Array.blit bd back_off.(v) o_bs !bpos len;
                   o_bo.(v) <- !bpos;
                   o_bl.(v) <- len;
-                  bpos := !bpos + (3 * len)
+                  bpos := !bpos + len
             done;
             Some
               {

@@ -1,3 +1,5 @@
+module E = Hgp_resilience.Hgp_error
+
 let to_string g =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -21,47 +23,79 @@ let tokens_of_line line =
   |> List.concat_map (String.split_on_char '\r')
   |> List.filter (fun s -> s <> "")
 
-let of_string s =
-  let lines =
-    String.split_on_char '\n' s
-    |> List.filter (fun l ->
-           let l = String.trim l in
-           l <> "" && l.[0] <> '%')
+let invalid ~line fmt =
+  Printf.ksprintf
+    (fun msg ->
+      E.error
+        (E.Invalid_input { context = "io.of_string"; msg = Printf.sprintf "line %d: %s" line msg }))
+    fmt
+
+(* METIS: an "n m [fmt]" header, then exactly n adjacency lines, one per
+   vertex in order; an empty line is an isolated vertex.  Only '%' comment
+   lines are dropped, so line numbers in errors are the file's own. *)
+let of_string ?(first_line = 1) s =
+  (* A final newline ends the last line; it does not start another. *)
+  let raw =
+    String.split_on_char '\n'
+      (if String.ends_with ~suffix:"\n" s then String.sub s 0 (String.length s - 1) else s)
   in
-  match lines with
-  | [] -> failwith "Io.of_string: empty input"
-  | header :: rest ->
+  let lines =
+    raw
+    |> List.mapi (fun i l -> (first_line + i, l))
+    |> List.filter (fun (_, l) ->
+           let l = String.trim l in
+           l = "" || l.[0] <> '%')
+  in
+  let blank (_, l) = String.trim l = "" in
+  let int_at line tok =
+    match int_of_string_opt tok with Some v -> v | None -> invalid ~line "bad integer %S" tok
+  in
+  let rec skip_blank = function l :: rest when blank l -> skip_blank rest | ls -> ls in
+  match skip_blank lines with
+  | [] -> invalid ~line:first_line "empty input: no header"
+  | (hl, header) :: rest ->
     let n, m, weighted =
       match tokens_of_line header with
-      | [ n; m ] -> (int_of_string n, int_of_string m, false)
-      | [ n; m; fmt ] -> (int_of_string n, int_of_string m, fmt = "1" || fmt = "001")
-      | _ -> failwith "Io.of_string: malformed header"
+      | [ n; m ] -> (int_at hl n, int_at hl m, false)
+      | [ n; m; fmt ] -> (int_at hl n, int_at hl m, fmt = "1" || fmt = "001")
+      | _ -> invalid ~line:hl "malformed header (expected \"n m [fmt]\")"
     in
-    if List.length rest <> n then
-      failwith
-        (Printf.sprintf "Io.of_string: expected %d vertex lines, got %d" n
-           (List.length rest));
+    if n < 0 || m < 0 then invalid ~line:hl "negative vertex or edge count";
     let b = Graph.Builder.create n in
-    List.iteri
-      (fun u line ->
-        let toks = tokens_of_line line in
-        let rec consume = function
-          | [] -> ()
-          | v :: w :: tl when weighted ->
-            let v = int_of_string v - 1 in
-            if v > u then Graph.Builder.add_edge b u v (float_of_string w);
-            consume tl
-          | v :: tl ->
-            let v = int_of_string v - 1 in
-            if v > u then Graph.Builder.add_edge b u v 1.0;
-            consume tl
-        in
-        consume toks)
-      rest;
+    let vertex u (line, text) =
+      let edge v w =
+        if v < 1 || v > n then invalid ~line "neighbour %d outside 1..%d" v n;
+        if v - 1 > u then
+          try Graph.Builder.add_edge b u (v - 1) w
+          with Invalid_argument msg -> invalid ~line "%s" msg
+      in
+      let rec consume = function
+        | [] -> ()
+        | [ v ] when weighted -> invalid ~line "neighbour %s has no weight" v
+        | v :: w :: tl when weighted ->
+          (match float_of_string_opt w with
+          | Some w -> edge (int_at line v) w
+          | None -> invalid ~line "bad weight %S" w);
+          consume tl
+        | v :: tl ->
+          edge (int_at line v) 1.0;
+          consume tl
+      in
+      consume (tokens_of_line text)
+    in
+    let rec vertices u = function
+      | rest when u = n -> rest
+      | [] ->
+        invalid ~line:(first_line + List.length raw) "expected %d vertex lines, got %d" n u
+      | l :: rest ->
+        vertex u l;
+        vertices (u + 1) rest
+    in
+    (match List.find_opt (fun l -> not (blank l)) (vertices 0 rest) with
+    | Some (line, _) -> invalid ~line "content after the %d vertex lines" n
+    | None -> ());
     let g = Graph.Builder.build b in
-    if Graph.m g <> m then
-      failwith
-        (Printf.sprintf "Io.of_string: header claims %d edges, parsed %d" m (Graph.m g));
+    if Graph.m g <> m then invalid ~line:hl "header claims %d edges, parsed %d" m (Graph.m g);
     g
 
 let save g path =
@@ -84,8 +118,6 @@ let to_edge_list_string g =
     (fun u v w -> Buffer.add_string buf (Printf.sprintf "%d %d %.17g\n" u v w))
     g;
   Buffer.contents buf
-
-module E = Hgp_resilience.Hgp_error
 
 let normalize_ids ?(vertices = []) edges =
   let module IS = Set.Make (Int) in

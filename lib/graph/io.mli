@@ -8,8 +8,13 @@
 val to_string : Graph.t -> string
 
 (** [of_string s] parses a METIS-format graph (with or without edge weights).
-    @raise Failure on malformed input or header/content mismatch. *)
-val of_string : string -> Graph.t
+    After the header come exactly [n] vertex lines; an empty one is an
+    isolated vertex, so [of_string (to_string g)] is [g] for every graph.
+    Only ['%'] comment lines are skipped.
+    @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _], its message
+    led by the line number, counted from [first_line] (default 1)) on
+    malformed input or a header/content mismatch. *)
+val of_string : ?first_line:int -> string -> Graph.t
 
 (** [save g path] writes [to_string g] to [path]. *)
 val save : Graph.t -> string -> unit

@@ -36,7 +36,8 @@ let now_ns () = Monotonic_clock.now ()
 (* ---- spans ---- *)
 
 (* Per-domain stack of open spans; a spawned domain starts empty, so its
-   spans are roots (desired for per-domain ensemble timings). *)
+   spans are roots unless a submitter carries its open span in
+   ({!propagate}). *)
 type frame = { fr_name : string; mutable fr_child_ns : int64 }
 
 let stack_key : frame list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
@@ -100,6 +101,33 @@ let span name ?(attrs = []) f =
       finish ();
       raise e
   end
+
+(* A task carries its submitter's innermost open frame.  On the submitter's
+   own domain that frame is still on top of the stack, so the task's spans
+   nest under it as usual.  Elsewhere a stand-in frame of the same name is
+   pushed for the task's duration: spans name it as their parent, and the
+   time charged to it is dropped, since another domain's work is not the
+   submitter's child time. *)
+let within parent f =
+  let stack = Domain.DLS.get stack_key in
+  match !stack with
+  | top :: _ when top == parent -> f ()
+  | saved -> (
+    stack := { fr_name = parent.fr_name; fr_child_ns = 0L } :: saved;
+    match f () with
+    | v ->
+      stack := saved;
+      v
+    | exception e ->
+      stack := saved;
+      raise e)
+
+let propagate tasks =
+  if not (Atomic.get enabled_flag) then tasks
+  else
+    match !(Domain.DLS.get stack_key) with
+    | [] -> tasks
+    | parent :: _ -> Array.map (fun task () -> within parent task) tasks
 
 (* ---- counters / gauges ---- *)
 

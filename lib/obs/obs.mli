@@ -8,9 +8,10 @@
     Spans nest: {!span} pushes a frame on a domain-local stack, so a span
     started inside another span records the enclosing span's name as its
     parent, and the parent accumulates the child's wall time to compute its
-    own {e self} time (total minus direct children).  Spans executed on a
-    freshly spawned domain start a new stack and therefore have no parent —
-    per-domain timings of parallel ensemble solves show up as root spans.
+    own {e self} time (total minus direct children).  Spans executed on
+    another domain start from that domain's own stack; a task handed to a
+    worker domain keeps its submitter's span as parent only when wrapped
+    by {!propagate}.
 
     Aggregation is by span name: repeated executions of the same span merge
     into one {!span_stat} (count, total, self, max).  The registry is
@@ -42,6 +43,15 @@ val now_ns : unit -> int64
     The timing is recorded even if [f] raises.  When disabled this is
     [f ()] plus one atomic load. *)
 val span : string -> ?attrs:attrs -> (unit -> 'a) -> 'a
+
+(** [propagate tasks] wraps each task so that the spans it opens, on any
+    domain, take the caller's innermost open span as their parent — the
+    same parent they would have had run inline.  On the caller's own domain
+    the open span also absorbs their time as child time as usual; on
+    another domain it does not (that time was not spent by the caller), so
+    the parent's self time includes its wait for other domains.  Identity
+    when collection is disabled or no span is open. *)
+val propagate : (unit -> 'a) array -> (unit -> 'a) array
 
 (** [count name n] adds [n] to the named counter (created at 0). *)
 val count : string -> int -> unit

@@ -107,6 +107,32 @@ let mix seed site hit =
   z := Int64.mul (Int64.logxor !z (Int64.shift_right_logical !z 27)) 0x94d049bb133111ebL;
   Int64.to_int (Int64.logand (Int64.logxor !z (Int64.shift_right_logical !z 31)) 0x3fffffffL)
 
+(* A block of hit numbers claimed at once, so that tasks running in any
+   order on any domain each see the number a sequential loop would have
+   drawn.  [None] when the site is not armed. *)
+type reservation = (string * int) option
+
+let reserve site n =
+  match Atomic.get state with
+  | Some { hits; _ } when n > 0 -> (
+    match List.assoc_opt site hits with
+    | Some counter -> Some (site, 1 + Atomic.fetch_and_add counter n)
+    | None -> None)
+  | _ -> None
+
+(* The hit number that hits of a site take on this domain while a reserved
+   task runs. *)
+let reserved_hit : (string * int) option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
+let with_hit r i f =
+  match r with
+  | None -> f ()
+  | Some (site, first) ->
+    let saved = Domain.DLS.get reserved_hit in
+    Domain.DLS.set reserved_hit (Some (site, first + i));
+    Fun.protect ~finally:(fun () -> Domain.DLS.set reserved_hit saved) f
+
 (* Returns the 1-based hit number when [site] is armed and this hit is
    selected, restricted to entries whose action satisfies [select]. *)
 let hit_selected site ~select =
@@ -116,8 +142,11 @@ let hit_selected site ~select =
     match List.find_opt (fun sp -> sp.site = site && select sp.action) plan.sites with
     | None -> None
     | Some sp -> (
-      let counter = List.assoc site hits in
-      let hit = 1 + Atomic.fetch_and_add counter 1 in
+      let hit =
+        match Domain.DLS.get reserved_hit with
+        | Some (s, hit) when s = site -> hit
+        | _ -> 1 + Atomic.fetch_and_add (List.assoc site hits) 1
+      in
       match sp.nth with
       | Some n when n <> hit -> None
       | _ -> Some (sp.action, hit)))

@@ -14,7 +14,9 @@
       catch.
 
     Plans are fully deterministic: which hit fires is chosen by the plan
-    ([@N] selects the Nth hit of that site only; default every hit), and
+    ([@N] selects the Nth hit of that site only; default every hit; the
+    per-tree DP hits of one ensemble are numbered in tree order, see
+    {!reserve}), and
     which element gets corrupted is derived from the plan's seed.  Every
     fired action bumps an [Obs] counter [faults.fired.<site>].
 
@@ -62,6 +64,19 @@ val fire : string -> unit
     [corrupt] action fires at [site] ([len > 0]); the caller applies its
     documented corruption to element [i]. *)
 val corrupt_index : string -> len:int -> int option
+
+(** Hit numbers claimed ahead of a batch of tasks. *)
+type reservation
+
+(** [reserve site n] claims the next [n] hit numbers of [site] at once —
+    what [n] sequential tasks that each hit [site] would have drawn. *)
+val reserve : string -> int -> reservation
+
+(** [with_hit r i f] runs [f ()]; while it runs, every hit of the reserved
+    site on this domain takes the [i]-th reserved number ([0]-based) instead
+    of drawing from the site's counter.  So [@N] selects the same task
+    whatever order the tasks run in, and on whichever domain. *)
+val with_hit : reservation -> int -> (unit -> 'a) -> 'a
 
 (** [with_plan plan f] arms, runs [f ()], and restores the previous arming
     state even on exceptions — the test-suite workhorse. *)

@@ -392,7 +392,6 @@ let options_of_request (r : request) =
     seed = r.seed;
     eps = r.eps;
     resolution = r.resolution;
-    parallel = false;
   }
 
 let resolve r =

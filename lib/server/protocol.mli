@@ -143,8 +143,8 @@ type resolved = {
           so equal keys mean interchangeable solves.  [deadline_ms] and
           [priority] are deliberately excluded. *)
   options : Hgp_core.Solver.options;
-      (** derived solver options; [parallel] is forced off — the server
-          parallelizes {e across} requests, not within one *)
+      (** derived solver options: the request's fields over
+          {!Hgp_core.Solver.default_options} *)
 }
 
 (** [resolve r] parses/loads the instance and computes the affinity key.

@@ -97,7 +97,7 @@ let run ~pool ~shards ~shard_of ~priority_of ~f items =
       in
       own ()
     in
-    let slots = Domain_pool.run_batch pool (Array.init shards runner) in
+    let slots = Domain_pool.run_batch pool (Obs.propagate (Array.init shards runner)) in
     (* A runner slot only errors if the runner itself died outside the
        per-item fence — surface that instead of silently losing items. *)
     Array.iter (function Ok () -> () | Error exn -> raise exn) slots;

@@ -15,9 +15,11 @@
     ([server.steals] and {!stats}).
 
     Execution rides the existing {!Hgp_util.Domain_pool}: one runner task per
-    shard is dispatched via [run_batch], inheriting its per-slot crash
-    capture, its inline fallback when domains are unavailable, and its
-    "no task outlives the call" guarantee.  Every item is additionally
+    shard is dispatched via [run_batch] — runner 0 on the calling thread —
+    inheriting its per-slot crash capture, its inline fallback when domains
+    are unavailable, and its "no task outlives the call" guarantee.  The
+    caller's open telemetry span is the parent of every item's spans,
+    whichever runner executes it.  Every item is additionally
     fenced: an item that raises fills its own slot with [Error] and the
     runner moves on — one poisoned request never takes down its shard. *)
 
@@ -34,8 +36,9 @@ val shard_of_fingerprint : Hgp_util.Fingerprint.t -> shards:int -> int
 (** [run ~pool ~shards ~shard_of ~priority_of ~f items] executes [f] on every
     item and returns per-item results in input order, plus scheduling stats.
     The effective shard count is [min shards (Array.length items)], at least
-    1.  Blocks until every item completed; at most [Domain_pool.size pool]
-    items run concurrently. *)
+    1.  Blocks until every item completed; at most
+    [min shards (Domain_pool.size pool + 1)] items run concurrently, the
+    caller running one. *)
 val run :
   pool:Hgp_util.Domain_pool.t ->
   shards:int ->

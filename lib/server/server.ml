@@ -83,7 +83,8 @@ let create ?(config = default_config) () =
   if config.queue_limit < 1 then invalid_arg "Server.create: queue_limit must be >= 1";
   {
     config;
-    pool = Domain_pool.create ~size:config.workers;
+    (* The draining thread runs shard 0 itself. *)
+    pool = Domain_pool.create ~size:(config.workers - 1);
     mutex = Mutex.create ();
     queue = [];
     update_queue = [];

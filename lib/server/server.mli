@@ -31,7 +31,9 @@
     Telemetry: [server.*] counters/spans (see [docs/OBSERVABILITY.md]). *)
 
 type config = {
-  workers : int;  (** worker domains = scheduler shards *)
+  workers : int;
+      (** scheduler shards, run concurrently: shard 0 on the draining
+          thread, the others on [workers - 1] worker domains *)
   queue_limit : int;  (** bounded admission queue *)
   slack : float;  (** capacity slack for the heuristic fallback rungs *)
 }

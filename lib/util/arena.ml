@@ -90,7 +90,7 @@ module Fbuf = struct
   let data t = t.data
 end
 
-(* ---- open-addressed flat table: int key -> cost + 3-int payload ---- *)
+(* ---- open-addressed flat table: int key -> cost + packed payload ---- *)
 
 (* Slots live in parallel arrays; a slot is occupied iff its [marks] entry
    equals the current [epoch], so [clear] is one increment.  Linear probing
@@ -101,14 +101,30 @@ module Table = struct
     mutable mask : int;  (* capacity - 1, capacity a power of two *)
     mutable keys : int array;
     mutable costs : float array;
-    mutable b1 : int array;  (* payload; the DP's accumulator index *)
-    mutable b2 : int array;  (* payload; the DP's child index *)
-    mutable b3 : int array;  (* payload; the DP's merge level *)
+    mutable payloads : int array;  (* packed (a, b, c); the DP's back payload *)
     mutable marks : int array;  (* occupied iff marks.(i) = epoch *)
     mutable epoch : int;
     mutable size : int;
     mutable grows : int;
   }
+
+  (* Payload (a, b, c) = a lsl (b_bits + c_bits) lor b lsl c_bits lor c,
+     with a and b below 2^b_bits and c below 2^c_bits: 62 bits, so a packed
+     value is a non-negative int and integer order on packed values is the
+     lexicographic order on triples. *)
+  let c_bits = 6
+  let b_bits = 28
+  let field_ok v bits = v >= 0 && v < 1 lsl bits
+
+  let pack a b c =
+    if not (field_ok a b_bits && field_ok b b_bits && field_ok c c_bits) then
+      invalid_arg
+        (Printf.sprintf "Arena.Table.pack: (%d, %d, %d) out of range" a b c);
+    (a lsl (b_bits + c_bits)) lor (b lsl c_bits) lor c
+
+  let unpack p =
+    let mask bits = (1 lsl bits) - 1 in
+    (p lsr (b_bits + c_bits), (p lsr c_bits) land mask b_bits, p land mask c_bits)
 
   let min_capacity = 16
 
@@ -120,9 +136,7 @@ module Table = struct
       mask = cap - 1;
       keys = Array.make cap 0;
       costs = Array.make cap 0.;
-      b1 = Array.make cap 0;
-      b2 = Array.make cap 0;
-      b3 = Array.make cap 0;
+      payloads = Array.make cap 0;
       marks = Array.make cap (-1);
       epoch = 0;
       size = 0;
@@ -172,9 +186,7 @@ module Table = struct
     let old_cap = t.mask + 1 in
     let old_keys = t.keys
     and old_costs = t.costs
-    and old_b1 = t.b1
-    and old_b2 = t.b2
-    and old_b3 = t.b3
+    and old_payloads = t.payloads
     and old_marks = t.marks
     and old_epoch = t.epoch in
     let phys = Array.length old_marks in
@@ -182,9 +194,7 @@ module Table = struct
     t.mask <- cap - 1;
     t.keys <- Array.make cap 0;
     t.costs <- Array.make cap 0.;
-    t.b1 <- Array.make cap 0;
-    t.b2 <- Array.make cap 0;
-    t.b3 <- Array.make cap 0;
+    t.payloads <- Array.make cap 0;
     t.marks <- Array.make cap (-1);
     t.epoch <- 0;
     t.grows <- t.grows + 1;
@@ -193,48 +203,34 @@ module Table = struct
         let s = find_slot t old_keys.(i) in
         t.keys.(s) <- old_keys.(i);
         t.costs.(s) <- old_costs.(i);
-        t.b1.(s) <- old_b1.(i);
-        t.b2.(s) <- old_b2.(i);
-        t.b3.(s) <- old_b3.(i);
+        t.payloads.(s) <- old_payloads.(i);
         t.marks.(s) <- 0
       end
     done
 
   (* [upsert t key cost b1 b2 b3] keeps, per key, the smallest cost; on an
      exact cost tie the lexicographically smallest [(b1, b2, b3)] payload
-     wins.  This rule is canonical — independent of insertion order — which
-     is what makes the DP's backpointers deterministic regardless of how
-     the merge loop enumerates states.  Returns [true] when [key] was not
-     yet present. *)
+     wins — the smallest packed value.  This rule is canonical — independent
+     of insertion order — which is what makes the DP's backpointers
+     deterministic regardless of how the merge loop enumerates states.
+     Returns [true] when [key] was not yet present. *)
   let upsert t key cost b1 b2 b3 =
+    let p = pack b1 b2 b3 in
     if 2 * (t.size + 1) > t.mask + 1 then grow t;
     let s = find_slot t key in
     if t.marks.(s) <> t.epoch then begin
       t.marks.(s) <- t.epoch;
       t.keys.(s) <- key;
       t.costs.(s) <- cost;
-      t.b1.(s) <- b1;
-      t.b2.(s) <- b2;
-      t.b3.(s) <- b3;
+      t.payloads.(s) <- p;
       t.size <- t.size + 1;
       true
     end
     else begin
       let old = t.costs.(s) in
-      if cost < old then begin
+      if cost < old || (cost = old && p < t.payloads.(s)) then begin
         t.costs.(s) <- cost;
-        t.b1.(s) <- b1;
-        t.b2.(s) <- b2;
-        t.b3.(s) <- b3
-      end
-      else if
-        cost = old
-        && (b1 < t.b1.(s)
-           || (b1 = t.b1.(s) && (b2 < t.b2.(s) || (b2 = t.b2.(s) && b3 < t.b3.(s)))))
-      then begin
-        t.b1.(s) <- b1;
-        t.b2.(s) <- b2;
-        t.b3.(s) <- b3
+        t.payloads.(s) <- p
       end;
       false
     end
@@ -243,16 +239,14 @@ module Table = struct
      crossing a module boundary is boxed; a DP merge performs millions of
      upserts, so [Tree_dp] inlines the upsert against these arrays instead
      (same minimum-cost rule; its tie-break reads keys through a positional
-     payload).  All of these invalidate on
+     payload, packed as {!pack} does).  All of these invalidate on
      {!grow} — callers re-read them when [ensure_room] returns [true]. *)
   let mask t = t.mask
   let epoch t = t.epoch
   let marks t = t.marks
   let keys t = t.keys
   let costs t = t.costs
-  let b1s t = t.b1
-  let b2s t = t.b2
-  let b3s t = t.b3
+  let payloads t = t.payloads
 
   (* Grow if one more insertion would exceed the load factor; [true] means
      the backing arrays were replaced (and the epoch reset). *)
@@ -280,13 +274,19 @@ module Table = struct
   let fold_slots t f acc =
     let r = ref acc in
     for i = 0 to t.mask do
-      if t.marks.(i) = t.epoch then r := f !r t.keys.(i) t.costs.(i) t.b1.(i) t.b2.(i) t.b3.(i)
+      if t.marks.(i) = t.epoch then begin
+        let b1, b2, b3 = unpack t.payloads.(i) in
+        r := f !r t.keys.(i) t.costs.(i) b1 b2 b3
+      end
     done;
     !r
 
   let iter t f =
     for i = 0 to t.mask do
-      if t.marks.(i) = t.epoch then f t.keys.(i) t.costs.(i) t.b1.(i) t.b2.(i) t.b3.(i)
+      if t.marks.(i) = t.epoch then begin
+        let b1, b2, b3 = unpack t.payloads.(i) in
+        f t.keys.(i) t.costs.(i) b1 b2 b3
+      end
     done
 end
 

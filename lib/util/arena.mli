@@ -53,7 +53,8 @@ module Fbuf : sig
 end
 
 (** Open-addressed hash table from non-negative [int] keys to a float cost
-    plus a 3-int payload, stored as parallel arrays (struct-of-arrays).
+    plus a 3-int payload packed into one int ({!Table.pack}), stored as
+    parallel arrays (struct-of-arrays).
 
     - power-of-two capacity, linear probing, Fibonacci hashing;
     - load factor capped at 1/2;
@@ -83,7 +84,20 @@ module Table : sig
       already at full width), so it never shrinks the arrays. *)
   val clear_bounded : t -> int -> unit
 
-  (** [upsert t key cost b1 b2 b3] returns [true] iff [key] was new. *)
+  (** [pack a b c] is the payload [(a, b, c)] as one non-negative int:
+      [a] and [b] take 28 bits each, [c] 6 bits, and integer order on
+      packed values is the lexicographic order on triples.
+      @raise Invalid_argument when a field is negative or too wide. *)
+  val pack : int -> int -> int -> int
+
+  (** Field widths of {!pack}: [c] is the low [c_bits] bits, [b] the next
+      [b_bits], [a] the rest. *)
+  val c_bits : int
+
+  val b_bits : int
+
+  (** [upsert t key cost b1 b2 b3] returns [true] iff [key] was new.
+      @raise Invalid_argument when the payload does not {!pack}. *)
   val upsert : t -> int -> float -> int -> int -> int -> bool
 
   (** {2 Raw-slot access}
@@ -102,9 +116,7 @@ module Table : sig
   val marks : t -> int array
   val keys : t -> int array
   val costs : t -> float array
-  val b1s : t -> int array
-  val b2s : t -> int array
-  val b3s : t -> int array
+  val payloads : t -> int array
 
   (** Grow if one more insertion would exceed the load factor; [true] means
       the backing arrays were replaced (and the epoch reset). *)

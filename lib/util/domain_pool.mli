@@ -3,50 +3,59 @@
     [Domain.spawn] costs hundreds of microseconds (thread + minor heap + GC
     registration); paying it for every ensemble member of every solve is
     wasteful once solves repeat.  A pool spawns its workers once — lazily, on
-    the first batch — and reuses them for the life of the process.
+    the first batch that has work for them — and reuses them for the life of
+    the process.
 
     Semantics are tailored to the solver's needs:
 
+    - {b fixed lanes}: a pool of [size] workers has [size + 1] lanes.  Task
+      [i] of a batch runs on lane [i mod (size + 1)], in index order within
+      its lane; lane 0 is the submitting domain itself, lane [j >= 1] is
+      worker [j].  Which domain (and so which domain-local workspace) runs
+      which task therefore never depends on timing.
     - {b per-slot fault capture}: a task that raises fills its slot with
       [Error exn]; other slots are unaffected — the per-tree isolation
       contract of the supervised solve.
-    - {b caller blocks}: [run_batch] returns only when every slot is filled,
-      so no task of a batch ever outlives the call (the "never leaves a
-      domain unjoined" guarantee moves here).
-    - {b re-entrancy}: a task that itself calls [run_batch] (any pool) runs
-      that inner batch inline on its own domain instead of deadlocking on
-      the queue.
-    - {b span isolation}: tasks run on worker domains whose telemetry span
-      stack (domain-local) is empty between tasks, so a task's outermost
-      span is a root — the same visibility as a freshly spawned domain.
+    - {b the caller works}: [run_batch] runs lane 0 on the caller, then
+      waits for the other lanes; it returns only when every slot is filled,
+      so no task of a batch ever outlives the call.
+    - {b re-entrancy is per pool}: a worker of pool [P] that calls
+      [run_batch P] runs that inner batch inline on its own domain instead
+      of deadlocking on its own mailbox.  A worker of another pool fans the
+      batch out like any other caller.  Pools must not submit to each other
+      in a cycle.
 
-    Workers never hold results or task closures between batches, so nothing
-    is retained after [run_batch] returns. *)
+    Tasks see the domain-local state of the domain they run on: telemetry
+    spans opened by a task on a worker have no parent unless the submitter
+    carries one in ({!Hgp_obs.Obs.propagate}).  Workers never hold results
+    or task closures between batches, so nothing is retained after
+    [run_batch] returns. *)
 
 type t
 
 (** [create ~size] makes an independent pool of at most [size] workers
-    ([size >= 0]; a pool of size 0 runs every batch inline). Workers are
-    spawned on demand, never eagerly. *)
+    ([size >= 0]; a pool of size 0 runs every batch inline on the caller).
+    Workers are spawned on demand, never eagerly. *)
 val create : size:int -> t
 
-(** The process-wide pool sized [max 1 (recommended_domain_count () - 1)] —
-    the same concurrency budget the solver previously applied per solve.
-    Created on first use; joined automatically at process exit. *)
+(** The process-wide pool of [recommended_domain_count () - 1] workers, so
+    that a batch keeps every core busy with the caller on lane 0.  On a
+    one-core host it has no worker and runs every batch inline.  Created on
+    first use; joined automatically at process exit. *)
 val shared : unit -> t
 
-(** Maximum number of workers (the [size] given to {!create}). *)
+(** Number of worker lanes (the [size] given to {!create}). *)
 val size : t -> int
 
 (** Workers actually spawned so far. *)
 val spawned : t -> int
 
 (** [run_batch t tasks] runs every task to completion and returns one
-    [Ok result] or [Error exn] per slot, in order.  At most [size t] tasks
-    run concurrently; the caller blocks (it does not steal work, so its own
-    domain-local state never leaks into task telemetry).  Falls back to
-    inline sequential execution when called from inside a pool worker, when
-    the pool has size 0, or when domain spawning fails. *)
+    [Ok result] or [Error exn] per slot, in order.  At most [size t + 1]
+    tasks run at once, one per lane.  Runs inline, in index order, when
+    the batch has one task, when the pool has size 0 or is shut down, or
+    when called from one of [t]'s own workers; a lane whose worker cannot
+    be spawned runs on the caller after lane 0. *)
 val run_batch : t -> (unit -> 'a) array -> ('a, exn) result array
 
 (** [shutdown t] stops and joins all workers; the pool runs inline

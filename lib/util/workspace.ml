@@ -11,7 +11,7 @@ type t = {
   tbl : Arena.Table.t;  (* merge accumulator: key -> cost + back payload *)
   node_keys : Arena.Ibuf.t;  (* packed per-node state tables: keys *)
   node_costs : Arena.Fbuf.t;  (* packed per-node state tables: costs *)
-  back_store : Arena.Ibuf.t;  (* packed positional backpointer segments, stride 3 *)
+  back_store : Arena.Ibuf.t;  (* positional backpointer segments, one packed word per state *)
   perm : Arena.Ibuf.t;  (* heap of occupied table slots for the prune scan *)
   sigs : Arena.Ibuf.t;  (* child signatures (entries x h), then packed survivor words *)
   kept : Arena.Ibuf.t;  (* surviving table slots after pruning *)

@@ -72,6 +72,34 @@ let gen_ragged_hierarchy =
 let gen_assignment n hy =
   QCheck2.Gen.(array_size (return n) (int_bound (Hgp_hierarchy.Hierarchy.num_leaves hy - 1)))
 
+(* The relax stage written as a plain loop: each tree of [ensemble] solved
+   on its own, in tree order, the cheapest by graph cost kept (ties to the
+   lower index) and the DP work of the packed trees summed — the answer the
+   pooled relax must reproduce bit for bit.  [None] when no tree fits. *)
+let per_tree_solve inst ensemble ~options =
+  let module Solver = Hgp_core.Solver in
+  let module Ensemble = Hgp_racke.Ensemble in
+  let best = ref None and states = ref 0 in
+  for i = 0 to Ensemble.size ensemble - 1 do
+    match Solver.solve_on_decomposition inst (Ensemble.get ensemble i) ~options with
+    | sol -> (
+      states := !states + sol.Solver.dp_states;
+      match !best with
+      | Some (b, _) when b.Solver.cost <= sol.Solver.cost -> ()
+      | _ -> best := Some (sol, i))
+    | exception Hgp_resilience.Hgp_error.Error (Hgp_resilience.Hgp_error.Infeasible _) -> ()
+  done;
+  Option.map
+    (fun (sol, i) -> { sol with Solver.tree_index = i; dp_states = !states })
+    !best
+
+(* The ensemble a solve with [options] samples (cache bypassed when the
+   caches are off). *)
+let ensemble_of inst ~(options : Hgp_core.Solver.options) =
+  fst
+    (Hgp_racke.Ensemble_cache.sample ~strategy:options.strategy ~seed:options.seed
+       inst.Hgp_core.Instance.graph ~size:options.ensemble_size)
+
 (* Differential oracle for the flat DP kernel (see tree_dp_reference.ml);
    re-exported because this module is the library's entry point. *)
 module Tree_dp_reference = Tree_dp_reference

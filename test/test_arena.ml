@@ -114,6 +114,33 @@ let test_table_upsert_canonical_ties () =
   Alcotest.(check (option (triple int int int)))
     "canonical payload" (Some (2, 9, 8)) !found
 
+(* The packed payload orders exactly as the triple does, field widths are
+   enforced, and the extreme fields survive the round trip. *)
+let test_table_pack_order_and_ranges () =
+  let rng = Prng.create 99 in
+  let a_max = (1 lsl Arena.Table.b_bits) - 1 and c_max = (1 lsl Arena.Table.c_bits) - 1 in
+  let pick hi = if Prng.int rng 4 = 0 then hi - Prng.int rng 2 else Prng.int rng 5 in
+  let pack (a, b, c) = Arena.Table.pack a b c in
+  for _ = 1 to 5_000 do
+    let x = (pick a_max, pick a_max, pick c_max) and y = (pick a_max, pick a_max, pick c_max) in
+    let px = pack x and py = pack y in
+    Alcotest.(check bool) "non-negative" true (px >= 0 && py >= 0);
+    Alcotest.(check int) "int order = lexicographic order" (compare x y) (compare px py)
+  done;
+  let t = Arena.Table.create () in
+  ignore (Arena.Table.upsert t 1 0. a_max a_max c_max);
+  Arena.Table.iter t (fun _ _ a b c ->
+      Alcotest.(check (triple int int int)) "extremes round-trip" (a_max, a_max, c_max) (a, b, c));
+  List.iter
+    (fun ((a, b, c) as x) ->
+      match pack x with
+      | _ -> Alcotest.failf "(%d, %d, %d) packed" a b c
+      | exception Invalid_argument _ -> ())
+    [ (a_max + 1, 0, 0); (0, a_max + 1, 0); (0, 0, c_max + 1); (-1, 0, 0); (0, -1, 0); (0, 0, -1) ];
+  match Arena.Table.upsert t 2 0. 0 0 (c_max + 1) with
+  | _ -> Alcotest.fail "upsert accepted an unpackable payload"
+  | exception Invalid_argument _ -> ()
+
 (* Canonical upsert rule as a Hashtbl model: minimum cost per key, exact
    cost ties won by the lexicographically smallest (b1, b2, b3) payload. *)
 let model_upsert model k c b =
@@ -286,6 +313,8 @@ let () =
           Alcotest.test_case "growth preserves entries" `Quick
             test_table_growth_preserves_entries;
           Alcotest.test_case "canonical tie-break" `Quick test_table_upsert_canonical_ties;
+          Alcotest.test_case "packed payload order and ranges" `Quick
+            test_table_pack_order_and_ranges;
           Alcotest.test_case "grow under a bounded mask" `Quick
             test_table_grow_under_bounded_mask;
           Alcotest.test_case "bounded rounds match model" `Quick

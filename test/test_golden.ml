@@ -322,6 +322,31 @@ let test_disconnecting_delta_exit_65 () =
             (find_substring err "invalid input (delta)" <> None))
         [ []; [ "--multilevel" ] ])
 
+(* METIS input: an empty adjacency line is an isolated vertex (vertices 3
+   and 4 below), and a file short of its vertex lines is invalid input —
+   exit 65 naming the line, not an uncaught exception.  The small hierarchy
+   keeps four uniform demands within a leaf. *)
+let test_metis_isolated_and_truncated () =
+  let path = Filename.temp_file "hgp_metis" ".graph" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let solve () = run_cli [ "solve"; path; "-H"; "[10,[3,1,1],[3,1,1]]" ] in
+      write_file path "4 1 001\n2 1\n1 1\n\n\n";
+      let code, out, _ = solve () in
+      Alcotest.(check int) "isolated vertices: exit 0" 0 code;
+      Alcotest.(check int) "one assignment line per vertex" 4
+        (List.length
+           (List.filter
+              (fun l -> l <> "" && l.[0] <> '#')
+              (String.split_on_char '\n' out)));
+      write_file path "4 1 001\n2 1\n1 1\n";
+      let code, out, err = solve () in
+      Alcotest.(check int) "truncated: exit 65" 65 code;
+      Alcotest.(check string) "truncated: no stdout" "" out;
+      Alcotest.(check bool) "truncated: names the line" true
+        (find_substring err "(io.of_string): line 4:" <> None))
+
 let test_batch_response_schema () =
   with_fixture_file @@ fun inst ->
   let req ~id ~seed = Protocol.request ~id ~trees:2 ~seed (Protocol.Path inst) in
@@ -368,5 +393,7 @@ let () =
             test_multilevel_clamp_note;
           Alcotest.test_case "disconnecting --delta exits 65" `Quick
             test_disconnecting_delta_exit_65;
+          Alcotest.test_case "METIS isolated vertices; truncated file exits 65" `Quick
+            test_metis_isolated_and_truncated;
         ] );
     ]

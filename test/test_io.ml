@@ -25,22 +25,34 @@ let test_comments_ignored () =
   let g = Io.of_string s in
   Alcotest.(check int) "m" 1 (Graph.m g)
 
+let invalid_input_at line f =
+  match f () with
+  | _ -> Alcotest.failf "accepted; expected an error at line %d" line
+  | exception
+      Hgp_resilience.Hgp_error.Error (Hgp_resilience.Hgp_error.Invalid_input { msg; _ }) ->
+    let prefix = Printf.sprintf "line %d:" line in
+    Alcotest.(check string) "error names the line" prefix
+      (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+
 let test_malformed () =
-  Alcotest.(check bool) "bad header raises" true
-    (try
-       ignore (Io.of_string "not a header\n");
-       false
-     with Failure _ -> true);
-  Alcotest.(check bool) "wrong line count raises" true
-    (try
-       ignore (Io.of_string "3 1\n2\n1\n");
-       false
-     with Failure _ -> true);
-  Alcotest.(check bool) "wrong edge count raises" true
-    (try
-       ignore (Io.of_string "2 5\n2\n1\n");
-       false
-     with Failure _ -> true)
+  invalid_input_at 1 (fun () -> Io.of_string "not a header\n");
+  invalid_input_at 4 (fun () -> Io.of_string "3 1\n2\n1\n");
+  invalid_input_at 1 (fun () -> Io.of_string "2 5\n2\n1\n");
+  invalid_input_at 3 (fun () -> Io.of_string "% c\n2 1\n3\n1\n");
+  invalid_input_at 2 (fun () -> Io.of_string "2 1 001\n2\n1 1\n");
+  invalid_input_at 3 (fun () -> Io.of_string "2 1\n2\nx\n");
+  invalid_input_at 4 (fun () -> Io.of_string "2 1\n2\n1\n9\n");
+  invalid_input_at 2 (fun () -> Io.of_string "2 1 001\n2 -1\n1 -1\n")
+
+(* An isolated vertex is an empty adjacency line, which must count as a
+   vertex line: the file below has vertices 3 and 4 isolated. *)
+let test_isolated_vertex () =
+  let g = Io.of_string "4 1 001\n2 1\n1 1\n\n\n" in
+  Alcotest.(check int) "n" 4 (Graph.n g);
+  Alcotest.(check int) "m" 1 (Graph.m g);
+  let g = Graph.of_edges 5 [ (0, 1, 1.5); (3, 1, 2.) ] in
+  Alcotest.(check bool) "roundtrip with isolated vertices" true
+    (graphs_equal g (Io.of_string (Io.to_string g)))
 
 let test_file_roundtrip () =
   let g = Gen.grid2d ~rows:3 ~cols:3 in
@@ -129,6 +141,7 @@ let () =
           Alcotest.test_case "unweighted parse" `Quick test_unweighted_parse;
           Alcotest.test_case "comments" `Quick test_comments_ignored;
           Alcotest.test_case "malformed" `Quick test_malformed;
+          Alcotest.test_case "isolated vertex" `Quick test_isolated_vertex;
           Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
           Alcotest.test_case "crlf parse" `Quick test_crlf_parse;
           Alcotest.test_case "edge list roundtrip" `Quick test_edge_list_roundtrip;

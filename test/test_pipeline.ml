@@ -5,9 +5,9 @@
    field that can change the answer must change the cache key (one
    perturbed field => one miss); fault injection bypasses the caches
    entirely, so every site still fires even when the caches are hot and no
-   faulted artifact is ever retained; and the shared domain pool preserves
+   faulted artifact is ever retained; and the pooled relax preserves
    per-tree isolation — survivors of a crashed sibling are bit-identical
-   to a sequential run. *)
+   to a per-tree loop. *)
 
 module E = Hgp_resilience.Hgp_error
 module Faults = Hgp_resilience.Faults
@@ -119,54 +119,53 @@ let test_warm_equals_cold_matrix () =
     (fun (sname, strategy) ->
       List.iter
         (fun rounding ->
-          List.iter
-            (fun parallel ->
-              let tag =
-                Printf.sprintf "%s/%s/%s" sname
-                  (match rounding with Demand.Floor -> "floor" | Demand.Ceil -> "ceil")
-                  (if parallel then "par" else "seq")
-              in
-              Pipeline.clear_caches ();
-              let options =
-                { Solver.default_options with
-                  ensemble_size = 2; seed = 5; strategy; rounding; parallel }
-              in
-              let cold = Solver.solve ~options inst in
-              let hits0 = (packed_stats ()).Lru.hits in
-              let warm = Solver.solve ~options inst in
-              Alcotest.(check (array int))
-                (tag ^ ": assignment") cold.assignment warm.assignment;
-              check_bits (tag ^ ": cost") cold.cost warm.cost;
-              check_bits (tag ^ ": violation") cold.max_violation warm.max_violation;
-              check_bits (tag ^ ": relaxed cost") cold.relaxed_tree_cost
-                warm.relaxed_tree_cost;
-              Alcotest.(check int) (tag ^ ": tree index") cold.tree_index warm.tree_index;
-              Alcotest.(check int) (tag ^ ": warm did no DP work") 0 warm.dp_states;
-              Alcotest.(check int)
-                (tag ^ ": cached work accounted") cold.dp_states warm.cached_dp_states;
-              Alcotest.(check bool)
-                (tag ^ ": served from packed cache") true
-                ((packed_stats ()).Lru.hits > hits0))
-            [ false; true ])
+          let tag =
+            Printf.sprintf "%s/%s" sname
+              (match rounding with Demand.Floor -> "floor" | Demand.Ceil -> "ceil")
+          in
+          Pipeline.clear_caches ();
+          let options =
+            { Solver.default_options with
+              ensemble_size = 2; seed = 5; strategy; rounding }
+          in
+          let cold = Solver.solve ~options inst in
+          let hits0 = (packed_stats ()).Lru.hits in
+          let warm = Solver.solve ~options inst in
+          Alcotest.(check (array int))
+            (tag ^ ": assignment") cold.assignment warm.assignment;
+          check_bits (tag ^ ": cost") cold.cost warm.cost;
+          check_bits (tag ^ ": violation") cold.max_violation warm.max_violation;
+          check_bits (tag ^ ": relaxed cost") cold.relaxed_tree_cost
+            warm.relaxed_tree_cost;
+          Alcotest.(check int) (tag ^ ": tree index") cold.tree_index warm.tree_index;
+          Alcotest.(check int) (tag ^ ": warm did no DP work") 0 warm.dp_states;
+          Alcotest.(check int)
+            (tag ^ ": cached work accounted") cold.dp_states warm.cached_dp_states;
+          Alcotest.(check bool)
+            (tag ^ ": served from packed cache") true
+            ((packed_stats ()).Lru.hits > hits0))
         [ Demand.Floor; Demand.Ceil ])
     strategies
 
 let test_parallel_sequential_identical_without_caches () =
-  (* [parallel] is deliberately absent from every cache key; that is only
-     legal because the two paths are bit-identical by construction.  Check
-     with caching off so both runs really compute. *)
+  (* The pooled relax solves the trees on whichever lanes the pool has;
+     with caching off, a per-tree loop over the same ensemble must give the
+     same solution, field for field. *)
   let inst = mk_instance 6 ~n:28 in
   Pipeline.set_caching false;
   Fun.protect ~finally:(fun () -> Pipeline.set_caching true) @@ fun () ->
-  let solve parallel =
-    Solver.solve
-      ~options:{ Solver.default_options with ensemble_size = 3; seed = 8; parallel }
-      inst
-  in
-  let seq = solve false and par = solve true in
-  Alcotest.(check (array int)) "assignments" seq.assignment par.assignment;
-  check_bits "cost" seq.cost par.cost;
-  Alcotest.(check int) "same dp work" seq.dp_states par.dp_states
+  let options = { Solver.default_options with ensemble_size = 3; seed = 8 } in
+  let pooled = Solver.solve ~options inst in
+  match
+    Test_support.per_tree_solve inst (Test_support.ensemble_of inst ~options) ~options
+  with
+  | None -> Alcotest.fail "per-tree loop found no feasible tree"
+  | Some looped ->
+    Alcotest.(check (array int)) "assignments" looped.assignment pooled.assignment;
+    check_bits "cost" looped.cost pooled.cost;
+    check_bits "relaxed cost" looped.relaxed_tree_cost pooled.relaxed_tree_cost;
+    Alcotest.(check int) "tree index" looped.tree_index pooled.tree_index;
+    Alcotest.(check int) "same dp work" looped.dp_states pooled.dp_states
 
 (* ---- one perturbed field => one miss ---- *)
 
@@ -334,31 +333,33 @@ let test_sites_fire_despite_warm_caches () =
   check_bits "cost uncorrupted" clean.cost after.cost
 
 let test_pool_crash_survivors_bit_identical () =
-  (* Lose the same ensemble member (the 2nd decomposition build) in
-     sequential and in pooled mode: isolation must leave the survivors'
-     answer bit-identical, crash or no crash in a sibling slot. *)
+  (* Lose one ensemble member (the 2nd decomposition build) under the
+     pooled relax: isolation must leave the survivors' answer bit-identical
+     to a per-tree loop over the same survivors, crash or no crash in a
+     sibling slot. *)
   let inst = mk_instance 43 ~n:32 in
-  let run parallel =
-    let options =
-      { Solver.default_options with ensemble_size = 4; seed = 11; parallel }
-    in
-    match
-      Faults.with_plan
-        (plan "seed=3;decomposition.build=crash@2")
-        (fun () -> Solver.solve_supervised ~options inst)
-    with
+  let options = { Solver.default_options with ensemble_size = 4; seed = 11 } in
+  let crash = plan "seed=3;decomposition.build=crash@2" in
+  let pooled =
+    match Faults.with_plan crash (fun () -> Solver.solve_supervised ~options inst) with
     | Ok s -> s
-    | Error e -> Alcotest.failf "supervised (parallel=%b): %s" parallel (E.to_string e)
+    | Error e -> Alcotest.failf "supervised: %s" (E.to_string e)
   in
-  let seq = run false in
-  let par = run true in
-  Alcotest.(check string) "seq: survivors win" "ensemble" seq.Solver.rung;
-  Alcotest.(check string) "par: survivors win" "ensemble" par.Solver.rung;
-  Alcotest.(check int) "seq: one lost" 1 (List.length seq.Solver.tree_failures);
-  Alcotest.(check int) "par: one lost" 1 (List.length par.Solver.tree_failures);
-  Alcotest.(check (array int)) "survivors bit-identical"
-    seq.Solver.solution.assignment par.Solver.solution.assignment;
-  check_bits "cost bit-identical" seq.Solver.solution.cost par.Solver.solution.cost
+  let survivors, lost =
+    fst
+      (Faults.with_plan crash (fun () ->
+           Hgp_racke.Ensemble_cache.sample_isolated ~strategy:options.strategy
+             ~seed:options.seed inst.Instance.graph ~size:options.ensemble_size))
+  in
+  Alcotest.(check string) "survivors win" "ensemble" pooled.Solver.rung;
+  Alcotest.(check int) "one lost" 1 (List.length pooled.Solver.tree_failures);
+  Alcotest.(check int) "the loop's ensemble lost the same one" 1 (List.length lost);
+  match Test_support.per_tree_solve inst survivors ~options with
+  | None -> Alcotest.fail "per-tree loop found no feasible survivor"
+  | Some looped ->
+    Alcotest.(check (array int)) "survivors bit-identical" looped.Solver.assignment
+      pooled.Solver.solution.assignment;
+    check_bits "cost bit-identical" looped.Solver.cost pooled.Solver.solution.cost
 
 let test_degraded_results_not_cached () =
   (* A solve that lost a tree must not populate the packed cache: the next

@@ -146,13 +146,31 @@ let test_key_excludes_deadline_and_priority () =
   Alcotest.(check bool) "resolution included" true
     (k <> key_of_request { base with Protocol.resolution = Some 3 })
 
-let test_options_force_sequential () =
+let test_options_from_request () =
+  (* A request's solve options are the solver defaults with the request's
+     own fields laid over them, and nothing else. *)
   let inst = mk_instance 5 in
-  match Protocol.resolve (Protocol.inline_request ~id:"a" inst) with
+  let r =
+    {
+      (Protocol.inline_request ~id:"a" inst) with
+      Protocol.trees = 3;
+      seed = 17;
+      eps = 0.5;
+      resolution = Some 40;
+    }
+  in
+  match Protocol.resolve r with
   | Error e -> Alcotest.failf "resolve: %s" (Hgp_error.to_string e)
   | Ok res ->
-    Alcotest.(check bool) "parallel off" false
-      res.Protocol.options.Hgp_core.Solver.parallel
+    Alcotest.(check bool) "defaults under the request's fields" true
+      (res.Protocol.options
+      = {
+          Hgp_core.Solver.default_options with
+          ensemble_size = 3;
+          seed = 17;
+          eps = 0.5;
+          resolution = Some 40;
+        })
 
 (* ---- response rendering ---- *)
 
@@ -337,7 +355,7 @@ let () =
           Alcotest.test_case "request rejects" `Quick test_request_rejects;
           Alcotest.test_case "resolve errors" `Quick test_resolve_errors_are_structured;
           Alcotest.test_case "key excludes qos fields" `Quick test_key_excludes_deadline_and_priority;
-          Alcotest.test_case "options sequential" `Quick test_options_force_sequential;
+          Alcotest.test_case "options from request" `Quick test_options_from_request;
           Alcotest.test_case "response lines" `Quick test_response_lines;
           Alcotest.test_case "update roundtrip / parse_any" `Quick
             test_update_roundtrip_and_parse_any;

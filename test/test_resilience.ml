@@ -282,7 +282,7 @@ let test_per_tree_isolation () =
 let test_parallel_domain_crash_is_isolated () =
   let inst = mk_instance 43 in
   let options =
-    { Solver.default_options with ensemble_size = 3; parallel = true; seed = 9 }
+    { Solver.default_options with ensemble_size = 3; seed = 9 }
   in
   match
     Faults.with_plan

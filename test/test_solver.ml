@@ -257,15 +257,20 @@ let test_resolution_adapts_to_tiny_demands () =
   Alcotest.(check bool) "violation stays bounded" true (sol.max_violation <= 1.3)
 
 let test_parallel_matches_sequential () =
+  (* The pooled relax runs the trees on every core; a plain per-tree loop
+     must give the same answer. *)
   let rng = Prng.create 25 in
   let g = Gen.gnp_connected rng 20 0.3 in
   let inst = Instance.uniform_demands g (small_hierarchy ()) ~load_factor:0.7 in
-  let seq = Solver.solve ~options:{ default with ensemble_size = 3 } inst in
-  let par =
-    Solver.solve ~options:{ default with ensemble_size = 3; parallel = true } inst
-  in
-  Alcotest.(check (array int)) "same assignment" seq.assignment par.assignment;
-  Test_support.check_close "same cost" seq.cost par.cost
+  let options = { default with ensemble_size = 3 } in
+  let pooled = Solver.solve ~options inst in
+  match
+    Test_support.per_tree_solve inst (Test_support.ensemble_of inst ~options) ~options
+  with
+  | None -> Alcotest.fail "per-tree loop found no feasible tree"
+  | Some looped ->
+    Alcotest.(check (array int)) "same assignment" looped.assignment pooled.assignment;
+    Test_support.check_close "same cost" looped.cost pooled.cost
 
 let test_bucketing_end_to_end () =
   let rng = Prng.create 24 in
