@@ -13,6 +13,7 @@ module Instance = Hgp_core.Instance
 module Cost = Hgp_core.Cost
 module Solver = Hgp_core.Solver
 module Pipeline = Hgp_core.Pipeline
+module Artifact_cache = Hgp_resilience.Artifact_cache
 module Tree_dp = Hgp_core.Tree_dp
 module Feasible = Hgp_core.Feasible
 module Demand = Hgp_core.Demand
@@ -1226,12 +1227,10 @@ let e21_incremental () =
         (* the oracle: a cold solve of the drifted instance with every
            cache bypassed must be bit-identical to the session's state *)
         let cold, t_cold =
-          Pipeline.set_caching false;
+          Artifact_cache.set_enabled false;
           Fun.protect
-            ~finally:(fun () -> Pipeline.set_caching true)
-            (fun () ->
-              Pipeline.clear_caches ();
-              time (fun () -> V.solve ~options:vopts (V.session_instance sess)))
+            ~finally:(fun () -> Artifact_cache.set_enabled true)
+            (fun () -> time (fun () -> V.solve ~options:vopts (V.session_instance sess)))
         in
         let identical =
           cold.V.solution.Pipeline.assignment = V.session_assignment sess

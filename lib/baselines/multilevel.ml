@@ -1,26 +1,13 @@
 module Graph = Hgp_graph.Graph
 module Prng = Hgp_util.Prng
+module Csr = Hgp_graph.Csr
+module Coarsen = Hgp_multilevel.Coarsen
 
 type result = {
   parts : int array;
   cut : float;
   levels : int;
 }
-
-(* One coarsening step: heavy-edge matching.  Returns the coarse graph, the
-   coarse demands, and the fine->coarse vertex map.  Delegates to the shared
-   CSR matching kernel (the multilevel V-cycle's coarsener) with no weight
-   cap — [Hgp_multilevel.Coarsen] reproduces this module's historical
-   traversal, tie-breaking and id-assignment bit-for-bit, so fixed-seed
-   baselines results are unchanged. *)
-let coarsen rng g demands =
-  let csr = Hgp_graph.Csr.of_graph ~vwgt:demands g in
-  let coarse_id, coarse_csr =
-    Hgp_multilevel.Coarsen.step rng csr ~max_weight:infinity
-  in
-  let nc = Hgp_graph.Csr.n coarse_csr in
-  let coarse_demands = Array.init nc (Hgp_graph.Csr.vertex_weight coarse_csr) in
-  (Hgp_graph.Csr.to_graph coarse_csr, coarse_demands, coarse_id)
 
 (* Initial partition on the coarsest graph: chunk a BFS ordering into k
    contiguous groups of roughly equal demand — or, with heterogeneous part
@@ -136,32 +123,28 @@ let partition rng ?capacities g ~demands ~k ~capacity =
   in
   if k = 1 then { parts = Array.make (Graph.n g) 0; cut = 0.; levels = 0 }
   else begin
-    (* Coarsening phase: keep (fine graph, fine demands, fine->coarse map)
-       per level, head = deepest transition. *)
-    let stop_at = max (3 * k) 24 in
-    let rec shrink g demands acc =
-      if Graph.n g <= stop_at || List.length acc > 40 then (g, demands, acc)
-      else begin
-        let cg, cd, cmap = coarsen rng g demands in
-        if Graph.n cg >= Graph.n g then (g, demands, acc)
-        else shrink cg cd ((g, demands, cmap) :: acc)
-      end
+    (* Coarsening phase: the V-cycle's heavy-edge chain with no weight cap,
+       finest transition first. *)
+    let fine = Csr.of_graph ~vwgt:demands g in
+    let chain =
+      Coarsen.build rng fine ~threshold:(max (3 * k) 24) ~max_levels:41 ~max_weight:infinity
     in
-    let cg, cd, chain = shrink g demands [] in
-    let coarse_parts = initial_partition rng cg cd k caps in
-    let coarse_parts, _ =
-      flat_refine rng cg ~demands:cd ~k ~caps coarse_parts ~max_passes:8
+    let refine (c : Csr.t) parts ~max_passes =
+      fst (flat_refine rng c.Csr.graph ~demands:c.Csr.vwgt ~k ~caps parts ~max_passes)
     in
-    (* Uncoarsening: project through each stored level and refine there. *)
+    let coarsest = Coarsen.coarsest ~fine chain in
+    let coarse_parts =
+      refine coarsest
+        (initial_partition rng coarsest.Csr.graph coarsest.Csr.vwgt k caps)
+        ~max_passes:8
+    in
+    (* Uncoarsening: project through each level, deepest first, and refine
+       there. *)
     let parts =
-      List.fold_left
-        (fun parts (fine_g, fine_d, cmap) ->
-          let fine_parts = Array.map (fun c -> parts.(c)) cmap in
-          let refined, _ =
-            flat_refine rng fine_g ~demands:fine_d ~k ~caps fine_parts ~max_passes:4
-          in
-          refined)
-        coarse_parts chain
+      List.fold_right
+        (fun (lv : Coarsen.level) parts ->
+          refine lv.Coarsen.fine (Array.map (fun c -> parts.(c)) lv.Coarsen.cmap) ~max_passes:4)
+        chain coarse_parts
     in
     { parts; cut = flat_cut g parts; levels = List.length chain }
   end

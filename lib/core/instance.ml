@@ -1,5 +1,6 @@
 module Graph = Hgp_graph.Graph
 module Hierarchy = Hgp_hierarchy.Hierarchy
+module Hgp_error = Hgp_resilience.Hgp_error
 
 type t = {
   graph : Graph.t;
@@ -21,20 +22,35 @@ let create graph ~demands hierarchy =
     demands;
   { graph; demands = Array.copy demands; hierarchy }
 
-let uniform_demands g h ~load_factor =
+(* [uniform_demands] and [random_demands] take their load from user input
+   (the CLI's --load), so a load they cannot honour is invalid input, not a
+   programming error. *)
+let invalid context fmt =
+  Printf.ksprintf
+    (fun msg -> Hgp_error.error (Hgp_error.Invalid_input { context; msg }))
+    fmt
+
+let check_load context g ~load_factor =
   if not (load_factor > 0. && load_factor <= 1.) then
-    invalid_arg "Instance.uniform_demands: load_factor out of range";
+    invalid context "load factor %g is outside (0, 1]" load_factor;
+  if Graph.n g = 0 then invalid context "empty graph"
+
+let uniform_demands g h ~load_factor =
+  let context = "instance.uniform_demands" in
+  check_load context g ~load_factor;
   let n = Graph.n g in
-  if n = 0 then invalid_arg "Instance.uniform_demands: empty graph";
-  let total_cap = Hierarchy.total_capacity h in
-  let d = load_factor *. total_cap /. float_of_int n in
+  let d = load_factor *. Hierarchy.total_capacity h /. float_of_int n in
+  let cap = Hierarchy.leaf_capacity h in
+  if d > cap +. 1e-9 then
+    invalid context
+      "per-vertex demand %g (load %g x total capacity %g over %d vertices) exceeds the \
+       leaf capacity %g"
+      d load_factor (Hierarchy.total_capacity h) n cap;
   create g ~demands:(Array.make n d) h
 
 let random_demands rng g h ~load_factor =
-  if not (load_factor > 0. && load_factor <= 1.) then
-    invalid_arg "Instance.random_demands: load_factor out of range";
+  check_load "instance.random_demands" g ~load_factor;
   let n = Graph.n g in
-  if n = 0 then invalid_arg "Instance.random_demands: empty graph";
   let raw = Array.init n (fun _ -> 0.1 +. Hgp_util.Prng.float rng 0.9) in
   let total_cap = Hierarchy.total_capacity h in
   let target = load_factor *. total_cap in

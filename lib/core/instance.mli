@@ -20,13 +20,18 @@ val create :
 
 (** [uniform_demands g h ~load_factor] builds demands giving every vertex the
     same demand, scaled so total demand equals [load_factor] times the total
-    capacity of [h].  Requires [0 < load_factor <= 1.] and that the resulting
-    per-vertex demand does not exceed a leaf capacity. *)
+    capacity of [h].
+    @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _], naming the
+    demand and the capacity) unless [0 < load_factor <= 1.], the graph is
+    non-empty and the resulting per-vertex demand fits a leaf. *)
 val uniform_demands :
   Hgp_graph.Graph.t -> Hgp_hierarchy.Hierarchy.t -> load_factor:float -> t
 
 (** [random_demands rng g h ~load_factor] like {!uniform_demands} but with
-    demands drawn uniformly and rescaled to the target load. *)
+    demands drawn uniformly, rescaled to the target load and clamped to the
+    leaf capacity.
+    @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _]) unless
+    [0 < load_factor <= 1.] and the graph is non-empty. *)
 val random_demands :
   Hgp_util.Prng.t ->
   Hgp_graph.Graph.t ->

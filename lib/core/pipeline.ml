@@ -6,6 +6,7 @@ module Ensemble = Hgp_racke.Ensemble
 module Ensemble_cache = Hgp_racke.Ensemble_cache
 module Fingerprint = Hgp_util.Fingerprint
 module Lru = Hgp_util.Lru
+module Artifact_cache = Hgp_resilience.Artifact_cache
 module Domain_pool = Hgp_util.Domain_pool
 module Workspace = Hgp_util.Workspace
 module Obs = Hgp_obs.Obs
@@ -17,16 +18,30 @@ let log_src = Logs.Src.create "hgp.pipeline" ~doc:"HGP staged solve pipeline"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type options = {
-  ensemble_size : int;
-  eps : float;
-  resolution : int option;
-  rounding : Demand.mode;
-  bucketing : float option;
-  beam_width : int option;
-  strategy : Ensemble.strategy;
-  seed : int;
-}
+module Types = struct
+  type options = {
+    ensemble_size : int;
+    eps : float;
+    resolution : int option;
+    rounding : Demand.mode;
+    bucketing : float option;
+    beam_width : int option;
+    strategy : Ensemble.strategy;
+    seed : int;
+  }
+
+  type solution = {
+    assignment : int array;
+    cost : float;
+    max_violation : float;
+    relaxed_tree_cost : float;
+    tree_index : int;
+    dp_states : int;
+    cached_dp_states : int;
+  }
+end
+
+include Types
 
 let default_max_resolution = 24
 
@@ -41,16 +56,6 @@ let default_options =
     strategy = Ensemble.Mixed;
     seed = 42;
   }
-
-type solution = {
-  assignment : int array;
-  cost : float;
-  max_violation : float;
-  relaxed_tree_cost : float;
-  tree_index : int;
-  dp_states : int;
-  cached_dp_states : int;
-}
 
 type supervision = {
   deadline : Deadline.t;
@@ -392,63 +397,12 @@ let pack_and_select ?supervision ~deadline_seen ~lost (e : embedded) outcomes =
 
 (* Packed solutions are small (one int per vertex); a larger capacity than
    the ensemble cache covers whole eps/strategy sweeps. *)
-let packed_capacity = 64
+let packed_cache : (Fingerprint.t, solution) Artifact_cache.t =
+  Artifact_cache.create ~name:"packed" ~capacity:64
 
-let packed_cache : (Fingerprint.t, solution) Lru.t = Lru.create ~capacity:packed_capacity
-let packed_lock = Mutex.create ()
-let caching = Atomic.make true
-
-let set_caching b =
-  Atomic.set caching b;
-  Ensemble_cache.set_enabled b
-
-(* Caches owned by layers above this library (the multilevel front-end's
-   hierarchy cache) register themselves here so [--cache-stats] covers them
-   without core depending on those layers.  Registration happens at module
-   init of the owning library, so the set is fixed before any solve. *)
-type external_cache = {
-  ec_name : string;
-  ec_stats : unit -> Lru.stats;
-  ec_clear : unit -> unit;
-  ec_reset_stats : unit -> unit;
-}
-
-let external_caches : external_cache list ref = ref []
-let external_lock = Mutex.create ()
-
-let register_external_cache ~name ~stats ~clear ~reset_stats =
-  Mutex.lock external_lock;
-  external_caches :=
-    { ec_name = name; ec_stats = stats; ec_clear = clear; ec_reset_stats = reset_stats }
-    :: List.filter (fun ec -> ec.ec_name <> name) !external_caches;
-  Mutex.unlock external_lock
-
-let external_snapshot () =
-  Mutex.lock external_lock;
-  let ecs = !external_caches in
-  Mutex.unlock external_lock;
-  List.rev ecs
-
-let clear_caches () =
-  Mutex.lock packed_lock;
-  Lru.clear packed_cache;
-  Mutex.unlock packed_lock;
-  Ensemble_cache.clear ();
-  List.iter (fun ec -> ec.ec_clear ()) (external_snapshot ())
-
-let cache_stats () =
-  Mutex.lock packed_lock;
-  let p = Lru.stats packed_cache in
-  Mutex.unlock packed_lock;
-  [ ("ensemble", Ensemble_cache.stats ()); ("packed", p) ]
-  @ List.map (fun ec -> (ec.ec_name, ec.ec_stats ())) (external_snapshot ())
-
-let reset_cache_stats () =
-  Mutex.lock packed_lock;
-  Lru.reset_stats packed_cache;
-  Mutex.unlock packed_lock;
-  Ensemble_cache.reset_stats ();
-  List.iter (fun ec -> ec.ec_reset_stats ()) (external_snapshot ())
+let clear_caches = Artifact_cache.clear_all
+let cache_stats = Artifact_cache.stats_all
+let reset_cache_stats = Artifact_cache.reset_all
 
 let render_cache_stats () =
   let b = Buffer.create 256 in
@@ -469,46 +423,20 @@ let packed_key (p : prepared) ~e_key =
   |> Fun.flip (Fingerprint.add_option Fingerprint.add_float) p.options.bucketing
   |> Fun.flip (Fingerprint.add_option Fingerprint.add_int) p.options.beam_width
 
-let cache_active () = Atomic.get caching && Faults.armed () = None
-
+(* Both ends deep-copy the assignment: cached arrays must never alias
+   caller-visible ones (Local_search.repair mutates in place). *)
 let packed_find key =
-  if not (cache_active ()) then None
-  else begin
-    Mutex.lock packed_lock;
-    let r = Lru.find packed_cache key in
-    Mutex.unlock packed_lock;
-    (match r with
-    | Some _ ->
-      Obs.count "cache.hit" 1;
-      Obs.count "cache.packed.hit" 1
-    | None ->
-      Obs.count "cache.miss" 1;
-      Obs.count "cache.packed.miss" 1);
-    (* Both ends deep-copy the assignment: cached arrays must never alias
-       caller-visible ones (Local_search.repair mutates in place). *)
-    Option.map
-      (fun sol ->
-        {
-          sol with
-          assignment = Array.copy sol.assignment;
-          dp_states = 0;
-          cached_dp_states = sol.dp_states + sol.cached_dp_states;
-        })
-      r
-  end
+  Artifact_cache.find packed_cache key
+  |> Option.map (fun sol ->
+         {
+           sol with
+           assignment = Array.copy sol.assignment;
+           dp_states = 0;
+           cached_dp_states = sol.dp_states + sol.cached_dp_states;
+         })
 
 let packed_add key sol =
-  if cache_active () then begin
-    Mutex.lock packed_lock;
-    let before = (Lru.stats packed_cache).Lru.evictions in
-    Lru.add packed_cache key { sol with assignment = Array.copy sol.assignment };
-    let evicted = (Lru.stats packed_cache).Lru.evictions - before in
-    Mutex.unlock packed_lock;
-    if evicted > 0 then begin
-      Obs.count "cache.evict" evicted;
-      Obs.count "cache.packed.evict" evicted
-    end
-  end
+  Artifact_cache.add packed_cache key { sol with assignment = Array.copy sol.assignment }
 
 (* ---- the full pipeline ---- *)
 
@@ -576,26 +504,8 @@ let solve_on_decomposition inst d ~options =
    subtree whose inputs are unchanged and recomputes only the dirty cone
    (docs/INCREMENTAL.md). *)
 
-let subtree_cache : (Fingerprint.t, Tree_dp.snapshot) Lru.t =
-  Lru.create ~capacity:16
-
-let subtree_lock = Mutex.create ()
-
-let () =
-  register_external_cache ~name:"subtree_dp"
-    ~stats:(fun () ->
-      Mutex.lock subtree_lock;
-      let s = Lru.stats subtree_cache in
-      Mutex.unlock subtree_lock;
-      s)
-    ~clear:(fun () ->
-      Mutex.lock subtree_lock;
-      Lru.clear subtree_cache;
-      Mutex.unlock subtree_lock)
-    ~reset_stats:(fun () ->
-      Mutex.lock subtree_lock;
-      Lru.reset_stats subtree_cache;
-      Mutex.unlock subtree_lock)
+let subtree_cache : (Fingerprint.t, Tree_dp.snapshot) Artifact_cache.t =
+  Artifact_cache.create ~name:"subtree_dp" ~capacity:16
 
 (* Only shape and slot identity: the snapshot's Merkle keys already digest
    demands, edge weights, and the DP config, so the cache key needs just
@@ -610,22 +520,6 @@ let shape_key (p : prepared) d ~tree_index =
   |> Fun.flip Fingerprint.add_int p.resolution
   |> Fun.flip Fingerprint.add_bool (p.options.rounding = Demand.Ceil)
   |> Fun.flip Fingerprint.add_int tree_index
-
-let subtree_find key =
-  if not (cache_active ()) then None
-  else begin
-    Mutex.lock subtree_lock;
-    let r = Lru.find subtree_cache key in
-    Mutex.unlock subtree_lock;
-    r
-  end
-
-let subtree_add key snap =
-  if cache_active () then begin
-    Mutex.lock subtree_lock;
-    Lru.add subtree_cache key snap;
-    Mutex.unlock subtree_lock
-  end
 
 (* [run] with the relax stage routed through the snapshot cache: each tree
    runs the Merkle-diffing DP ({!Tree_dp.solve_snap}, bit-identical to a
@@ -647,7 +541,7 @@ let run_incremental ?supervision inst options =
       Array.init (Ensemble.size e.ensemble) (fun i ->
           shape_key p (Ensemble.get e.ensemble i) ~tree_index:i)
     in
-    let prevs = Array.map subtree_find keys in
+    let prevs = Array.map (Artifact_cache.find subtree_cache) keys in
     relax_trees ?supervision e (fun ~deadline ~workspace i ->
         let t, demand_units, cfg = tree_inputs p (Ensemble.get e.ensemble i) in
         Obs.span "solver.tree_dp" (fun () ->
@@ -656,7 +550,7 @@ let run_incremental ?supervision inst options =
     |> Array.mapi (fun i outcome ->
            Result.map
              (Option.map (fun (tr, snap, st) ->
-                  subtree_add keys.(i) snap;
+                  Artifact_cache.add subtree_cache keys.(i) snap;
                   resolved := !resolved + st.Tree_dp.resolved_nodes;
                   reused := !reused + st.Tree_dp.reused_nodes;
                   tr))

@@ -30,52 +30,64 @@
     answer does not depend on the core count.  The reuse-legality
     argument and the full key table live in [docs/ARCHITECTURE.md].
 
-    Fault-injection interplay: while a fault plan is armed, {e all} caches
-    are bypassed (reads and writes), so every [HGP_FAULT_PLAN] site still
-    fires at its stage boundary and no faulted artifact is ever retained.
+    Fault-injection interplay: every cache is an
+    {!Hgp_resilience.Artifact_cache} — the ensemble, packed-solution and
+    per-subtree snapshot caches here and the multilevel front-end's
+    coarsening-chain cache — so while a fault plan is armed {e all} of them
+    are bypassed (reads and writes): every [HGP_FAULT_PLAN] site still fires
+    at its stage boundary and no faulted artifact is ever retained.
 
-    This module owns {!options} / {!solution}; {!Solver} re-exports them, so
-    existing code and tests compile unchanged against [Solver.*]. *)
+    This module owns {!options} / {!solution} (declared once, in {!Types});
+    {!Solver} re-exports them, so existing code and tests compile unchanged
+    against [Solver.*]. *)
 
-type options = {
-  ensemble_size : int;  (** number of decomposition trees sampled *)
-  eps : float;  (** rounding accuracy; drives resolution unless set *)
-  resolution : int option;
-      (** demand units per leaf capacity; default caps the paper's
-          [n / eps] at {!default_max_resolution} to keep the DP practical
-          (the cap is a documented substitution) *)
-  rounding : Demand.mode;
-  bucketing : float option;
-  beam_width : int option;
-      (** DP state budget per table (see {!Tree_dp.config}); [Some 512] by
-          default — exact on small frontiers, graceful on large ones *)
-  strategy : Hgp_racke.Ensemble.strategy;
-      (** decomposition-tree shapes; [Mixed] (default) round-robins
-          low-diameter / BFS-bisection / Gomory–Hu shapes for diversity *)
-  seed : int;
-}
+(** The solve's option and result records, declared once: this module and
+    {!Solver} both include them. *)
+module Types : sig
+  type options = {
+    ensemble_size : int;  (** number of decomposition trees sampled *)
+    eps : float;  (** rounding accuracy; drives resolution unless set *)
+    resolution : int option;
+        (** demand units per leaf capacity; default caps the paper's
+            [n / eps] at {!default_max_resolution} to keep the DP practical
+            (the cap is a documented substitution) *)
+    rounding : Demand.mode;
+    bucketing : float option;
+    beam_width : int option;
+        (** DP state budget per table (see {!Tree_dp.config}); [Some 512] by
+            default — exact on small frontiers, graceful on large ones *)
+    strategy : Hgp_racke.Ensemble.strategy;
+        (** decomposition-tree shapes; [Mixed] (default) round-robins
+            low-diameter / BFS-bisection / Gomory–Hu shapes for diversity *)
+    seed : int;
+  }
+
+  type solution = {
+    assignment : int array;  (** vertex -> hierarchy leaf *)
+    cost : float;  (** Equation-1 cost of [assignment] on the graph *)
+    max_violation : float;  (** true-demand violation factor (1.0 = feasible) *)
+    relaxed_tree_cost : float;
+        (** DP optimum on the winning tree; [nan] when the winning rung of a
+            supervised solve was a fallback with no tree relaxation *)
+    tree_index : int;  (** which ensemble member won; [-1] for fallback rungs *)
+    dp_states : int;
+        (** DP table entries explored by {e this} solve (0 when the whole
+            solution came from the packed cache) *)
+    cached_dp_states : int;
+        (** DP work inherited from the packed-solution cache — the states the
+            producing solve explored; [dp_states + cached_dp_states] is the
+            total work the answer embodies, without double-counting *)
+  }
+end
+
+include module type of struct
+  include Types
+end
 
 val default_options : options
 
 (** The resolution cap applied when [resolution = None]. *)
 val default_max_resolution : int
-
-type solution = {
-  assignment : int array;  (** vertex -> hierarchy leaf *)
-  cost : float;  (** Equation-1 cost of [assignment] on the graph *)
-  max_violation : float;  (** true-demand violation factor (1.0 = feasible) *)
-  relaxed_tree_cost : float;
-      (** DP optimum on the winning tree; [nan] when the winning rung of a
-          supervised solve was a fallback with no tree relaxation *)
-  tree_index : int;  (** which ensemble member won; [-1] for fallback rungs *)
-  dp_states : int;
-      (** DP table entries explored by {e this} solve (0 when the whole
-          solution came from the packed cache) *)
-  cached_dp_states : int;
-      (** DP work inherited from the packed-solution cache — the states the
-          producing solve explored; [dp_states + cached_dp_states] is the
-          total work the answer embodies, without double-counting *)
-}
 
 (** [resolution_of inst options] is the effective resolution the prepare
     stage will use. *)
@@ -115,7 +127,7 @@ type supervision = {
     the solve.
 
     Telemetry: [pipeline.stage.*] spans, [cache.{hit,miss,evict}] counters
-    (plus [cache.{ensemble,packed}.*] breakdowns), and the pre-existing
+    (plus [cache.NAME.*] breakdowns per cache), and the pre-existing
     [solver.*] span/counter names, unchanged. *)
 val run : ?supervision:supervision -> Instance.t -> options -> solution option
 
@@ -204,35 +216,20 @@ val session_assignment : session -> int array
 
 val session_cost : session -> float
 
-(** {1 Cache control and introspection} *)
+(** {1 Cache control and introspection}
 
-(** Packed-solution caching is on by default; [set_caching false] disables
-    the packed cache {e and} the ensemble cache (tests use this to force
-    cold solves). *)
-val set_caching : bool -> unit
+    The switch is {!Hgp_resilience.Artifact_cache.set_enabled}; these walk
+    every registered artifact cache. *)
 
-(** Drop all cached artifacts (both caches, plus registered external
-    caches); stats histories survive. *)
+(** Drop every cached artifact; stats histories survive. *)
 val clear_caches : unit -> unit
 
-(** [register_external_cache ~name ~stats ~clear ~reset_stats] enrolls a
-    cache owned by a higher layer (e.g. the multilevel front-end's coarse
-    hierarchy cache) into {!cache_stats}, {!clear_caches},
-    {!reset_cache_stats} and the [--cache-stats] rendering — core cannot
-    depend on those layers, so they push their introspection hooks down.
-    Call once at module init; re-registering a name replaces its hooks. *)
-val register_external_cache :
-  name:string ->
-  stats:(unit -> Hgp_util.Lru.stats) ->
-  clear:(unit -> unit) ->
-  reset_stats:(unit -> unit) ->
-  unit
-
-(** [("ensemble", stats); ("packed", stats)], then one entry per registered
-    external cache in registration order. *)
+(** [(name, stats)] per cache in creation order: [ensemble], [packed],
+    [subtree_dp], then [hierarchy] when the multilevel front-end is
+    linked. *)
 val cache_stats : unit -> (string * Hgp_util.Lru.stats) list
 
-(** Zero both caches' hit/miss/eviction counters. *)
+(** Zero every cache's hit/miss/eviction counters. *)
 val reset_cache_stats : unit -> unit
 
 (** The [--cache-stats] rendering: one ["cache NAME hits=…"] line per cache,

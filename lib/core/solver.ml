@@ -14,29 +14,10 @@ module Log = (val Logs.src_log log_src : Logs.LOG)
    types and the caches; this module keeps the public entry points: retry
    policy, the supervised degradation ladder, and the HGPT special case. *)
 
-type options = Pipeline.options = {
-  ensemble_size : int;
-  eps : float;
-  resolution : int option;
-  rounding : Demand.mode;
-  bucketing : float option;
-  beam_width : int option;
-  strategy : Ensemble.strategy;
-  seed : int;
-}
+include Pipeline.Types
 
 let default_max_resolution = Pipeline.default_max_resolution
 let default_options = Pipeline.default_options
-
-type solution = Pipeline.solution = {
-  assignment : int array;
-  cost : float;
-  max_violation : float;
-  relaxed_tree_cost : float;
-  tree_index : int;
-  dp_states : int;
-  cached_dp_states : int;
-}
 
 let resolution_of = Pipeline.resolution_of
 let resolution_clamped = Pipeline.resolution_clamped

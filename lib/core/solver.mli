@@ -21,44 +21,16 @@
     cooperative deadline, and a certified degradation ladder — the
     production entry point (see [docs/ROBUSTNESS.md]). *)
 
-type options = Pipeline.options = {
-  ensemble_size : int;  (** number of decomposition trees sampled *)
-  eps : float;  (** rounding accuracy; drives resolution unless set *)
-  resolution : int option;
-      (** demand units per leaf capacity; default caps the paper's
-          [n / eps] at {!default_max_resolution} to keep the DP practical
-          (the cap is a documented substitution) *)
-  rounding : Demand.mode;
-  bucketing : float option;
-  beam_width : int option;
-      (** DP state budget per table (see {!Tree_dp.config}); [Some 512] by
-          default — exact on small frontiers, graceful on large ones *)
-  strategy : Hgp_racke.Ensemble.strategy;
-      (** decomposition-tree shapes; [Mixed] (default) round-robins
-          low-diameter / BFS-bisection / Gomory–Hu shapes for diversity *)
-  seed : int;
-}
+(** {!options} and {!solution} are {!Pipeline.Types}' records, documented
+    there. *)
+include module type of struct
+  include Pipeline.Types
+end
 
 val default_options : options
 
 (** The resolution cap applied when [resolution = None]. *)
 val default_max_resolution : int
-
-type solution = Pipeline.solution = {
-  assignment : int array;  (** vertex -> hierarchy leaf *)
-  cost : float;  (** Equation-1 cost of [assignment] on the graph *)
-  max_violation : float;  (** true-demand violation factor (1.0 = feasible) *)
-  relaxed_tree_cost : float;
-      (** DP optimum on the winning tree; [nan] when the winning rung of a
-          supervised solve was a fallback with no tree relaxation *)
-  tree_index : int;  (** which ensemble member won; [-1] for fallback rungs *)
-  dp_states : int;
-      (** DP table entries explored by {e this} solve over all trees
-          (0 when the whole solution was served from the packed cache) *)
-  cached_dp_states : int;
-      (** DP work inherited from the packed-solution cache (the producing
-          solve's states); totals never double-count *)
-}
 
 (** [resolution_of inst options] is the effective demand resolution the
     prepare stage will use (either [options.resolution] or the capped

@@ -6,7 +6,7 @@ module Solver = Hgp_core.Solver
 module Verify = Hgp_core.Verify
 module Cost = Hgp_core.Cost
 module Obs = Hgp_obs.Obs
-module Lru = Hgp_util.Lru
+module Artifact_cache = Hgp_resilience.Artifact_cache
 module Fingerprint = Hgp_util.Fingerprint
 module Prng = Hgp_util.Prng
 
@@ -56,18 +56,8 @@ type result = {
    Chains hold the full per-level CSR arrays, so a handful of entries is
    plenty; the win is the batch server re-solving the same graph under
    different demands/options. *)
-let cache : (Fingerprint.t, Coarsen.chain) Lru.t = Lru.create ~capacity:4
-let cache_lock = Mutex.create ()
-
-let with_cache f =
-  Mutex.lock cache_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cache_lock) f
-
-let () =
-  Pipeline.register_external_cache ~name:"hierarchy"
-    ~stats:(fun () -> with_cache (fun () -> Lru.stats cache))
-    ~clear:(fun () -> with_cache (fun () -> Lru.clear cache))
-    ~reset_stats:(fun () -> with_cache (fun () -> Lru.reset_stats cache))
+let cache : (Fingerprint.t, Coarsen.chain) Artifact_cache.t =
+  Artifact_cache.create ~name:"hierarchy" ~capacity:4
 
 let chain_key fine ~threshold ~max_levels ~seed ~max_weight =
   Csr.fingerprint fine
@@ -214,11 +204,11 @@ let vcycle mode ~options (inst : Instance.t) =
     | Cold when Csr.n fine <= options.threshold -> ([], false, None)
     | Cold -> (
       let key = key () in
-      match with_cache (fun () -> Lru.find cache key) with
+      match Artifact_cache.find cache key with
       | Some c -> (c, true, None)
       | None ->
         let c = (coarsen ~prev:[] ~delta:[]).Coarsen.r_chain in
-        with_cache (fun () -> Lru.add cache key c);
+        Artifact_cache.add cache key c;
         (c, false, None))
     | Session None ->
       let rb = coarsen ~prev:[] ~delta:[] in
@@ -231,7 +221,7 @@ let vcycle mode ~options (inst : Instance.t) =
          session reads. *)
       if Csr.n fine > options.threshold then begin
         let key = Obs.span "multilevel.chain_key" key in
-        with_cache (fun () -> Lru.add cache key rb.Coarsen.r_chain)
+        Artifact_cache.add cache key rb.Coarsen.r_chain
       end;
       (rb.Coarsen.r_chain, false, None)
     | Session (Some (p, delta)) ->
@@ -387,7 +377,6 @@ let solve ?(options = default_options) (inst : Instance.t) =
   Obs.span "multilevel.solve" @@ fun () ->
   let r = (vcycle Cold ~options inst).result in
   Obs.count "multilevel.solves" 1;
-  Obs.count (if r.hierarchy_cached then "multilevel.cache_hit" else "multilevel.cache_miss") 1;
   r
 
 type session = {

@@ -21,10 +21,10 @@
 
     Coarsening chains are content-addressed ({!Coarsen.level.key} per level,
     the fine graph's fingerprint ⊕ threshold ⊕ seed as the chain key) and
-    cached in a process-wide LRU registered with
-    {!Hgp_core.Pipeline.register_external_cache} under the name
-    ["hierarchy"], so repeated solves of the same graph — the batch server's
-    favorite access pattern — skip coarsening entirely.
+    cached in the ["hierarchy"] {!Hgp_resilience.Artifact_cache}, so
+    repeated solves of the same graph — the batch server's favorite access
+    pattern — skip coarsening entirely.  Like every artifact cache it obeys
+    the one caching switch and is bypassed while a fault plan is armed.
 
     See [docs/MULTILEVEL.md] for the design discussion and when the exact
     path still wins. *)
@@ -86,8 +86,10 @@ type result = {
     ([Infeasible _] after its retry, etc.).
 
     Telemetry: [multilevel.{csr_build,coarsen,coarse_solve,refine}] spans,
-    [multilevel.solves] / [multilevel.refine_moves] /
-    [multilevel.cache_{hit,miss}] counters,
+    [multilevel.solves] / [multilevel.refine_moves] counters,
+    [cache.hierarchy.{hit,miss,evict}] (with [cache.*]) for the chain
+    lookup, which runs only above [threshold] and only while caching is
+    active,
     [multilevel.levels] / [multilevel.coarsening_ratio] gauges and a
     [multilevel.refine_gain.levelN] gauge per level.  When [refine_algo] is
     FM, additionally [refine.fm.{passes,moves,rollbacks,bytes_allocated}]

@@ -1,28 +1,13 @@
 module Fingerprint = Hgp_util.Fingerprint
-module Lru = Hgp_util.Lru
-module Obs = Hgp_obs.Obs
 module Faults = Hgp_resilience.Faults
 module Deadline = Hgp_resilience.Deadline
+module Artifact_cache = Hgp_resilience.Artifact_cache
 
 (* Ensembles are the largest artifacts we retain (O(size * n) tree nodes
    plus leaf maps); a small capacity bounds residency while still covering a
    portfolio run + retry + bench sweep over a handful of graphs. *)
-let capacity = 16
-
-let cache : (Fingerprint.t, Ensemble.t) Lru.t = Lru.create ~capacity
-let lock = Mutex.create ()
-let enabled_flag = Atomic.make true
-
-let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
-
-let with_lock f =
-  Mutex.lock lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock lock) f
-
-let clear () = with_lock (fun () -> Lru.clear cache)
-let stats () = with_lock (fun () -> Lru.stats cache)
-let reset_stats () = with_lock (fun () -> Lru.reset_stats cache)
+let cache : (Fingerprint.t, Ensemble.t) Artifact_cache.t =
+  Artifact_cache.create ~name:"ensemble" ~capacity:16
 
 let key g ~strategy ~seed ~size =
   Hgp_graph.Graph.fingerprint g
@@ -35,32 +20,7 @@ let key g ~strategy ~seed ~size =
    skip the cache entirely. *)
 let lookup k =
   Faults.fire "ensemble_cache.lookup";
-  if (not (Atomic.get enabled_flag)) || Faults.armed () <> None then None
-  else begin
-    let r = with_lock (fun () -> Lru.find cache k) in
-    (match r with
-    | Some _ ->
-      Obs.count "cache.hit" 1;
-      Obs.count "cache.ensemble.hit" 1
-    | None ->
-      Obs.count "cache.miss" 1;
-      Obs.count "cache.ensemble.miss" 1);
-    r
-  end
-
-let store k e =
-  if Atomic.get enabled_flag && Faults.armed () = None then begin
-    let evicted =
-      with_lock (fun () ->
-          let before = (Lru.stats cache).Lru.evictions in
-          Lru.add cache k e;
-          (Lru.stats cache).Lru.evictions - before)
-    in
-    if evicted > 0 then begin
-      Obs.count "cache.evict" evicted;
-      Obs.count "cache.ensemble.evict" evicted
-    end
-  end
+  Artifact_cache.find cache k
 
 let sample ~strategy ~seed g ~size =
   let k = key g ~strategy ~seed ~size in
@@ -68,7 +28,7 @@ let sample ~strategy ~seed g ~size =
   | Some e -> (e, true)
   | None ->
     let e = Ensemble.sample ~strategy (Hgp_util.Prng.create seed) g ~size in
-    store k e;
+    Artifact_cache.add cache k e;
     (e, false)
 
 let sample_isolated ~strategy ?(deadline = Deadline.none) ~seed g ~size =
@@ -83,5 +43,5 @@ let sample_isolated ~strategy ?(deadline = Deadline.none) ~seed g ~size =
        an expired deadline) is correct for this solve but not bit-identical
        to what a healthy solve would produce. *)
     if failures = [] && Ensemble.size e = size && not (Deadline.expired deadline) then
-      store k e;
+      Artifact_cache.add cache k e;
     (r, false)

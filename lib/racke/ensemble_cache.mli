@@ -9,15 +9,13 @@
     makes this cache legal (see [docs/ARCHITECTURE.md] for the argument).
 
     The cache holds {!Ensemble.t} values, which are immutable after
-    sampling; callers share entries freely across domains.  Lookups from
-    different domains are serialized by an internal lock.
-
-    {b Fault-injection interplay}: whenever a fault plan is armed
-    ({!Hgp_resilience.Faults.armed}), the cache is bypassed — reads and
-    writes — so every [decomposition.build] fault site still fires exactly
-    as in an uncached build, and no faulted artifact is ever retained.  The
-    lookup itself is the [ensemble_cache.lookup] fault site, fired before
-    the bypass decision. *)
+    sampling; callers share entries freely across domains.  It is the
+    [ensemble] {!Hgp_resilience.Artifact_cache}, so it obeys the one caching
+    switch and is bypassed (reads and writes) while a fault plan is armed:
+    every [decomposition.build] fault site still fires exactly as in an
+    uncached build, and no faulted artifact is ever retained.  The lookup
+    itself is the [ensemble_cache.lookup] fault site, fired before the
+    bypass decision. *)
 
 (** [key g ~strategy ~seed ~size] is the content-addressed cache key — the
     ensemble component of downstream (packed-solution) cache keys. *)
@@ -46,19 +44,3 @@ val sample_isolated :
   Hgp_graph.Graph.t ->
   size:int ->
   (Ensemble.t * (int * exn) list) * bool
-
-(** Caching is on by default; [set_enabled false] makes both [sample]
-    functions delegate straight to {!Ensemble} (used by tests and by
-    [--no-cache] style tooling). *)
-val set_enabled : bool -> unit
-
-val enabled : unit -> bool
-
-(** Drop all entries (hit/miss history is preserved; see
-    {!Hgp_util.Lru.stats}). *)
-val clear : unit -> unit
-
-val stats : unit -> Hgp_util.Lru.stats
-
-(** Zero the hit/miss/eviction counters. *)
-val reset_stats : unit -> unit

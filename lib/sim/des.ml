@@ -219,6 +219,7 @@ module Instance = Hgp_core.Instance
 module Delta = Hgp_core.Delta
 module Pipeline = Hgp_core.Pipeline
 module Vcycle = Hgp_multilevel.Vcycle
+module Artifact_cache = Hgp_resilience.Artifact_cache
 
 type drift_params = {
   steps : int;
@@ -352,14 +353,13 @@ let run_drift ?(params = default_drift_params) rng inst backend =
     | S_exact s -> Pipeline.session_assignment s
     | S_ml s -> Vcycle.session_assignment s
   in
-  (* Cache-independent cold oracle: [set_caching false] bypasses the
-     pipeline caches outright; the multilevel chain LRU ignores that flag,
-     so it is dropped explicitly — sessions keep their own chain, only the
-     next coarse re-solve pays a re-warm. *)
+  (* Cache-independent cold oracle: switching caching off bypasses every
+     artifact cache, the coarsening-chain cache included, while leaving
+     the session's subtree snapshots in place. *)
   let cold_solve inst' =
-    Pipeline.set_caching false;
+    Artifact_cache.set_enabled false;
     Fun.protect
-      ~finally:(fun () -> Pipeline.set_caching true)
+      ~finally:(fun () -> Artifact_cache.set_enabled true)
       (fun () ->
         match backend with
         | Exact options -> (
@@ -367,7 +367,6 @@ let run_drift ?(params = default_drift_params) rng inst backend =
           | Some sol -> sol.Pipeline.assignment
           | None -> invalid_arg "Des.run_drift: cold re-solve infeasible")
         | Multilevel options ->
-          Pipeline.clear_caches ();
           (Vcycle.solve ~options inst').Vcycle.solution.Pipeline.assignment)
   in
   let steps = ref [] in

@@ -8,7 +8,8 @@
     this is cheaper and simpler than an intrusive list.
 
     Not thread-safe — callers that share a cache across domains must hold
-    their own lock around every call (the solver's caches do). *)
+    their own lock around every call ([Hgp_resilience.Artifact_cache], the
+    home of every process-wide cache, does). *)
 
 type ('k, 'v) t
 

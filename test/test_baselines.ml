@@ -5,6 +5,7 @@ module Instance = Hgp_core.Instance
 module Cost = Hgp_core.Cost
 module B = Hgp_baselines
 module Prng = Hgp_util.Prng
+module Fp = Hgp_util.Fingerprint
 
 let hy () = H.create ~degs:[| 2; 2 |] ~cm:[| 10.; 3.; 0. |] ~leaf_capacity:1.0
 
@@ -59,6 +60,40 @@ let test_multilevel_partition () =
   (* All four parts used on a balanced instance. *)
   let used = List.sort_uniq compare (Array.to_list r.parts) in
   Alcotest.(check int) "all parts used" 4 (List.length used)
+
+(* Fixed-seed answers pinned at the commit before the partitioner moved onto
+   [Coarsen.build]: the parts fingerprint, cut, level count and the next
+   draw of the rng, on weighted gnp graphs and a mesh, uniform and
+   heterogeneous part capacities. *)
+let multilevel_pins =
+  [
+    (1, "gnp", "125eefdde138db3b", 0x1.c8d1a64e2b0d1p+7, 3, 185666);
+    (2, "gnp", "8df9fd4c0a68d45b", 0x1.0d95687f131a8p+8, 3, 688466);
+    (3, "mesh", "4a507984fc44bfc4", 0x1.38p+5, 3, 473901);
+    (4, "mesh-ragged", "b959aad6ea307464", 0x1.ep+4, 3, 130691);
+  ]
+
+let test_multilevel_pinned () =
+  List.iter
+    (fun (seed, kind, parts_hex, cut, levels, next_draw) ->
+      let rng = Prng.create seed in
+      let g, capacities =
+        match kind with
+        | "gnp" ->
+          (Gen.randomize_weights rng (Gen.gnp_connected rng 90 0.06) ~lo:1.0 ~hi:5.0, None)
+        | "mesh" -> (Gen.grid2d ~rows:10 ~cols:10, None)
+        | _ -> (Gen.grid2d ~rows:10 ~cols:10, Some [| 40.; 30.; 20.; 20. |])
+      in
+      let demands = Array.init (Graph.n g) (fun v -> 1.0 +. float_of_int (v mod 3) *. 0.25) in
+      let r = B.Multilevel.partition rng ?capacities g ~demands ~k:4 ~capacity:36.0 in
+      let hex = Fp.to_hex (Fp.add_int_array Fp.seed r.parts) in
+      let draw = Prng.int rng 1_000_000 in
+      let what = Printf.sprintf "%s seed %d" kind seed in
+      Alcotest.(check string) (what ^ ": parts") parts_hex hex;
+      Alcotest.(check (float 0.)) (what ^ ": cut") cut r.cut;
+      Alcotest.(check int) (what ^ ": levels") levels r.levels;
+      Alcotest.(check int) (what ^ ": rng afterwards") next_draw draw)
+    multilevel_pins
 
 let test_multilevel_k1 () =
   let rng = Prng.create 5 in
@@ -215,6 +250,7 @@ let () =
           Alcotest.test_case "greedy beats random" `Quick test_greedy_beats_random_usually;
           Alcotest.test_case "local search improves" `Quick test_local_search_improves;
           Alcotest.test_case "multilevel partition" `Quick test_multilevel_partition;
+          Alcotest.test_case "multilevel pinned answers" `Quick test_multilevel_pinned;
           Alcotest.test_case "multilevel k=1" `Quick test_multilevel_k1;
           Alcotest.test_case "flat refine" `Quick test_flat_refine_never_worse;
           Alcotest.test_case "mapping optimize" `Quick test_mapping_optimize_beats_identity;

@@ -324,8 +324,9 @@ let test_disconnecting_delta_exit_65 () =
 
 (* METIS input: an empty adjacency line is an isolated vertex (vertices 3
    and 4 below), and a file short of its vertex lines is invalid input —
-   exit 65 naming the line, not an uncaught exception.  The small hierarchy
-   keeps four uniform demands within a leaf. *)
+   exit 65 naming the line, not an uncaught exception; so are demands the
+   hierarchy cannot hold.  The small hierarchy keeps four uniform demands
+   within a leaf. *)
 let test_metis_isolated_and_truncated () =
   let path = Filename.temp_file "hgp_metis" ".graph" in
   Fun.protect
@@ -345,7 +346,23 @@ let test_metis_isolated_and_truncated () =
       Alcotest.(check int) "truncated: exit 65" 65 code;
       Alcotest.(check string) "truncated: no stdout" "" out;
       Alcotest.(check bool) "truncated: names the line" true
-        (find_substring err "(io.of_string): line 4:" <> None))
+        (find_substring err "(io.of_string): line 4:" <> None);
+      (* under the default hierarchy four uniform demands overflow a leaf *)
+      write_file path "4 1 001\n2 1\n1 1\n\n\n";
+      List.iter
+        (fun (what, args, needle) ->
+          let code, out, err = run_cli ([ "solve"; path ] @ args) in
+          Alcotest.(check int) (what ^ ": exit 65") 65 code;
+          Alcotest.(check string) (what ^ ": no stdout") "" out;
+          Alcotest.(check bool) (what ^ ": structured message") true
+            (find_substring err needle <> None))
+        [
+          ( "oversized demand",
+            [],
+            "per-vertex demand 2.8 (load 0.7 x total capacity 16 over 4 vertices) "
+            ^ "exceeds the leaf capacity 1" );
+          ("--load 1.5", [ "--load"; "1.5" ], "load factor 1.5 is outside (0, 1]");
+        ])
 
 let test_batch_response_schema () =
   with_fixture_file @@ fun inst ->

@@ -16,6 +16,7 @@ module E = Hgp_resilience.Hgp_error
 module Instance = Hgp_core.Instance
 module Delta = Hgp_core.Delta
 module Pipeline = Hgp_core.Pipeline
+module Artifact_cache = Hgp_resilience.Artifact_cache
 module Solver = Hgp_core.Solver
 module Verify = Hgp_core.Verify
 module Vcycle = Hgp_multilevel.Vcycle
@@ -102,9 +103,9 @@ let random_delta ?(structural = false) rng (inst : Instance.t) =
 (* ---- the oracle: a cold solve with every cache disabled ---- *)
 
 let cold_solve inst opts =
-  Pipeline.set_caching false;
+  Artifact_cache.set_enabled false;
   Fun.protect
-    ~finally:(fun () -> Pipeline.set_caching true)
+    ~finally:(fun () -> Artifact_cache.set_enabled true)
     (fun () -> Pipeline.run inst opts)
 
 let check_bits name a b =
@@ -206,9 +207,9 @@ let cold_vcycle inst opts =
   (* fresh chain + cold coarse solve: clear every cache so the oracle cannot
      be served by artifacts the incremental path just published *)
   Pipeline.clear_caches ();
-  Pipeline.set_caching false;
+  Artifact_cache.set_enabled false;
   Fun.protect
-    ~finally:(fun () -> Pipeline.set_caching true)
+    ~finally:(fun () -> Artifact_cache.set_enabled true)
     (fun () -> Vcycle.solve ~options:opts inst)
 
 (* Level reports finest-first, compared pairwise by [check]. *)

@@ -17,6 +17,7 @@ module Instance = Hgp_core.Instance
 module Demand = Hgp_core.Demand
 module Solver = Hgp_core.Solver
 module Pipeline = Hgp_core.Pipeline
+module Artifact_cache = Hgp_resilience.Artifact_cache
 module Verify = Hgp_core.Verify
 module Ensemble = Hgp_racke.Ensemble
 module Decomposition = Hgp_racke.Decomposition
@@ -152,8 +153,8 @@ let test_parallel_sequential_identical_without_caches () =
      with caching off, a per-tree loop over the same ensemble must give the
      same solution, field for field. *)
   let inst = mk_instance 6 ~n:28 in
-  Pipeline.set_caching false;
-  Fun.protect ~finally:(fun () -> Pipeline.set_caching true) @@ fun () ->
+  Artifact_cache.set_enabled false;
+  Fun.protect ~finally:(fun () -> Artifact_cache.set_enabled true) @@ fun () ->
   let options = { Solver.default_options with ensemble_size = 3; seed = 8 } in
   let pooled = Solver.solve ~options inst in
   match
@@ -380,6 +381,53 @@ let test_degraded_results_not_cached () =
     ((packed_stats ()).Lru.misses > misses0);
   Alcotest.(check bool) "healthy solve did DP work" true (healthy.dp_states > 0)
 
+(* Every artifact cache obeys the one switch and the fault-plan bypass.
+   The caches are warmed first, so a lookup that slipped through would
+   count a hit; then, with caching off and separately under an armed plan
+   that never fires, a cold solve, a V-cycle solve above its threshold and
+   a session update must leave every cache's entries, hits and misses
+   where they were. *)
+let test_all_caches_bypassed () =
+  let inst = mk_instance 45 ~n:40 in
+  let options = { Solver.default_options with ensemble_size = 2; seed = 19 } in
+  let vopts = { Hgp_multilevel.Vcycle.default_options with threshold = 8; solver = options } in
+  let u, v, w = (Hgp_graph.Graph.edges inst.Instance.graph).(0) in
+  let delta = [ Hgp_core.Delta.Reweight_edge (u, v, 2. *. w) ] in
+  let workload () =
+    ignore (Pipeline.run inst options);
+    ignore (Hgp_multilevel.Vcycle.solve ~options:vopts inst);
+    let session, _ = Option.get (Pipeline.start_session inst options) in
+    ignore (Pipeline.resolve_delta session delta)
+  in
+  let snapshot () =
+    List.map
+      (fun (name, (s : Lru.stats)) -> (name, (s.Lru.entries, s.Lru.hits, s.Lru.misses)))
+      (Pipeline.cache_stats ())
+  in
+  let check_still what bypass =
+    let before = snapshot () in
+    bypass workload;
+    List.iter2
+      (fun (name, b) (_, a) ->
+        Alcotest.(check (triple int int int))
+          (Printf.sprintf "%s: %s entries/hits/misses" what name)
+          b a)
+      before (snapshot ())
+  in
+  Pipeline.clear_caches ();
+  workload ();
+  Alcotest.(check (list string)) "every cache registered"
+    [ "ensemble"; "packed"; "subtree_dp"; "hierarchy" ]
+    (List.map fst (snapshot ()));
+  List.iter
+    (fun (name, (entries, _, _)) ->
+      Alcotest.(check bool) (name ^ " warmed") true (entries > 0))
+    (snapshot ());
+  check_still "caching off" (fun f ->
+      Artifact_cache.set_enabled false;
+      Fun.protect ~finally:(fun () -> Artifact_cache.set_enabled true) f);
+  check_still "armed plan" (Faults.with_plan (plan "seed=1;feasible.pack=crash@1000000"))
+
 (* ---- stage timings ---- *)
 
 let test_stage_timings_cover_pipeline () =
@@ -430,6 +478,8 @@ let () =
             test_pool_crash_survivors_bit_identical;
           Alcotest.test_case "degraded results not cached" `Quick
             test_degraded_results_not_cached;
+          Alcotest.test_case "every cache obeys the switch and the plan" `Quick
+            test_all_caches_bypassed;
         ] );
       ( "timings",
         [ Alcotest.test_case "stages covered" `Quick test_stage_timings_cover_pipeline ]

@@ -12,6 +12,7 @@ module Gen = Hgp_graph.Generators
 module H = Hgp_hierarchy.Hierarchy
 module Instance = Hgp_core.Instance
 module Pipeline = Hgp_core.Pipeline
+module Artifact_cache = Hgp_resilience.Artifact_cache
 module Prng = Hgp_util.Prng
 module Fingerprint = Hgp_util.Fingerprint
 module Domain_pool = Hgp_util.Domain_pool
@@ -409,10 +410,10 @@ let test_session_update_bit_identical () =
       in
       let inst' = Delta.apply inst delta in
       Pipeline.clear_caches ();
-      Pipeline.set_caching false;
+      Artifact_cache.set_enabled false;
       let cold =
         Fun.protect
-          ~finally:(fun () -> Pipeline.set_caching true)
+          ~finally:(fun () -> Artifact_cache.set_enabled true)
           (fun () -> Pipeline.run inst' options)
       in
       (match cold with
