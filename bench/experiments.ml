@@ -17,6 +17,7 @@ module Artifact_cache = Hgp_resilience.Artifact_cache
 module Tree_dp = Hgp_core.Tree_dp
 module Feasible = Hgp_core.Feasible
 module Demand = Hgp_core.Demand
+module Delta = Hgp_core.Delta
 module B = Hgp_baselines
 module Prng = Hgp_util.Prng
 module Stats = Hgp_util.Stats
@@ -607,37 +608,90 @@ let e13_pipeline_scaling () =
 (* ------------------------------------------------------------------ *)
 (* E14 — online HGP under churn: greedy-only vs periodic rebalance.    *)
 
+(* Greedy arrival rule: the cheapest leaf against the placed neighbours
+   whose load stays within [slack] times its capacity (ties to the less
+   loaded leaf); the least-loaded leaf when no leaf has room. *)
+let place_greedy hy ~slack ~loads ~placed demand edges =
+  let best_leaf = ref (-1) and best = ref infinity in
+  for l = 0 to H.num_leaves hy - 1 do
+    if loads.(l) +. demand <= (slack *. H.leaf_cap hy l) +. 1e-9 then begin
+      let c =
+        List.fold_left (fun acc (u, w) -> acc +. (w *. H.edge_cost hy l placed.(u))) 0. edges
+      in
+      if
+        c < !best -. 1e-12
+        || (c < !best +. 1e-12 && (!best_leaf < 0 || loads.(l) < loads.(!best_leaf)))
+      then begin
+        best := c;
+        best_leaf := l
+      end
+    end
+  done;
+  if !best_leaf >= 0 then !best_leaf
+  else begin
+    let least = ref 0 in
+    Array.iteri (fun l load -> if load < loads.(!least) then least := l) loads;
+    !least
+  end
+
 let e14_dynamic_churn () =
   let hy = H.Presets.dual_socket in
   let run_policy ~resolve_period seed =
     let rng = Prng.create seed in
-    let cfg =
-      {
-        Hgp_core.Dynamic.slack = 1.25;
-        resolve_period;
-        solver_options = { Solver.default_options with ensemble_size = 2; seed };
-      }
+    let options = { Solver.default_options with ensemble_size = 2; seed } in
+    (* The live tasks are the instance's vertices with their leaves; [None]
+       once the last one departs, since a delta never empties an instance.
+       Ids follow arrival order (a removal keeps it), so [n - 1 - i] is the
+       i-th newest task. *)
+    let state = ref None in
+    let migrations = ref 0 and cost_samples = ref [] in
+    let cost () = match !state with Some (inst, p) -> Cost.assignment_cost inst p | None -> 0. in
+    (* A rebalance solves the live tasks cold (patched connected) and keeps
+       the incumbent unless the answer is no dearer on the real edges. *)
+    let rebalance () =
+      match !state with
+      | Some ((inst : Instance.t), p) when Instance.n inst >= 2 ->
+        let g = Hgp_graph.Traversal.ensure_connected inst.graph (Prng.create seed) in
+        let q = (Solver.solve ~options (Instance.create g ~demands:inst.demands hy)).assignment in
+        if Cost.assignment_cost inst q <= Cost.assignment_cost inst p +. 1e-9 then begin
+          Array.iteri (fun v l -> if l <> p.(v) then incr migrations) q;
+          state := Some (inst, q)
+        end
+      | _ -> ()
     in
-    let t = Hgp_core.Dynamic.create hy cfg in
-    let live = ref [] in
-    let cost_samples = ref [] in
     (* 150 churn events: 70% arrivals with locality-biased edges. *)
-    for _ = 1 to 150 do
-      if !live <> [] && Prng.float rng 1.0 < 0.3 then begin
-        let victim = Prng.choose rng (Array.of_list !live) in
-        Hgp_core.Dynamic.remove_task t victim;
-        live := List.filter (fun x -> x <> victim) !live
+    for event = 1 to 150 do
+      let n = match !state with Some (inst, _) -> Instance.n inst | None -> 0 in
+      if n > 0 && Prng.float rng 1.0 < 0.3 then begin
+        let victim = n - 1 - Prng.int rng n in
+        state :=
+          match !state with
+          | Some (inst, p) when n > 1 ->
+            let inst, map = Delta.apply_mapped inst [ Delta.Remove_vertex victim ] in
+            let q = Array.make (n - 1) 0 in
+            Array.iteri (fun v l -> if map.(v) >= 0 then q.(map.(v)) <- l) p;
+            Some (inst, q)
+          | _ -> None
       end
       else begin
-        let recent = List.filteri (fun i _ -> i < 4) !live in
-        let edges = List.map (fun id -> (id, 1. +. Prng.float rng 9.)) recent in
-        let id = Hgp_core.Dynamic.add_task t ~demand:(0.05 +. Prng.float rng 0.25) ~edges in
-        live := id :: !live
+        let edges = List.init (min n 4) (fun i -> (n - 1 - i, 1. +. Prng.float rng 9.)) in
+        let demand = 0.05 +. Prng.float rng 0.25 in
+        let inst', p, loads =
+          match !state with
+          | Some (inst, p) ->
+            (Delta.apply inst [ Delta.Add_vertex (demand, edges) ], p, Cost.leaf_loads inst p)
+          | None ->
+            ( Instance.create (Graph.of_edges 1 []) ~demands:[| demand |] hy,
+              [||],
+              Array.make (H.num_leaves hy) 0. )
+        in
+        let leaf = place_greedy hy ~slack:1.25 ~loads ~placed:p demand edges in
+        state := Some (inst', Array.append p [| leaf |])
       end;
-      cost_samples := Hgp_core.Dynamic.current_cost t :: !cost_samples
+      if resolve_period > 0 && event mod resolve_period = 0 then rebalance ();
+      cost_samples := cost () :: !cost_samples
     done;
-    let s = Hgp_core.Dynamic.stats t in
-    (Stats.mean (Array.of_list !cost_samples), Hgp_core.Dynamic.current_cost t, s.migrations)
+    (Stats.mean (Array.of_list !cost_samples), cost (), !migrations)
   in
   let rows =
     List.map
@@ -1186,7 +1240,6 @@ let e20_fm_refinement () =
 (* here only a conservative 5x tripwire guards the 1e5 speedup claim    *)
 (* against wholesale regressions of the fast path.                      *)
 
-module Delta = Hgp_core.Delta
 module Des = Hgp_sim.Des
 
 let e21_incremental () =

@@ -71,13 +71,12 @@ let leaf_loads (inst : Instance.t) p =
     p;
   loads
 
-let level_violation (inst : Instance.t) p j =
-  let hy = inst.hierarchy in
+let level_violation_of hy ~demands p j =
   let loads = Array.make (Hierarchy.nodes_at_level hy j) 0. in
   Array.iteri
     (fun v leaf ->
       let a = Hierarchy.ancestor hy ~level:j leaf in
-      loads.(a) <- loads.(a) +. inst.demands.(v))
+      loads.(a) <- loads.(a) +. demands.(v))
     p;
   let worst = ref 0. in
   Array.iteri
@@ -85,13 +84,18 @@ let level_violation (inst : Instance.t) p j =
     loads;
   !worst
 
-let max_violation (inst : Instance.t) p =
-  let h = Hierarchy.height inst.hierarchy in
+let level_violation (inst : Instance.t) p j =
+  level_violation_of inst.hierarchy ~demands:inst.demands p j
+
+let max_violation_of hy ~demands p =
   let worst = ref 0. in
-  for j = 1 to h do
-    worst := Float.max !worst (level_violation inst p j)
+  for j = 1 to Hierarchy.height hy do
+    worst := Float.max !worst (level_violation_of hy ~demands p j)
   done;
   !worst
+
+let max_violation (inst : Instance.t) p =
+  max_violation_of inst.hierarchy ~demands:inst.demands p
 
 let is_valid (inst : Instance.t) p ~slack =
   Array.length p = Instance.n inst

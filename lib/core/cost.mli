@@ -28,6 +28,11 @@ val level_violation : Instance.t -> int array -> int -> float
     solution, [<= 1.] for any feasible one. *)
 val max_violation : Instance.t -> int array -> float
 
+(** [max_violation_of hy ~demands p] is {!max_violation} over a bare
+    hierarchy and demand vector, for answers that have no graph instance
+    (the tree solve of {!Solver.solve_tree}). *)
+val max_violation_of : Hgp_hierarchy.Hierarchy.t -> demands:float array -> int array -> float
+
 (** [is_valid inst p ~slack] checks that every vertex is assigned to a real
     leaf and no leaf [l] exceeds [slack] times its own capacity
     ([leaf_cap hy l] — uniform on regular hierarchies). *)

@@ -18,23 +18,3 @@ let components t ~kappa ~level =
     comp.(v) <- comp.(r)
   done;
   (comp, !next)
-
-let laminar_family t ~kappa ~h =
-  Array.init (h + 1) (fun j ->
-      let comp, n_comps = components t ~kappa ~level:j in
-      let buckets = Array.make n_comps [] in
-      Array.iter (fun l -> buckets.(comp.(l)) <- l :: buckets.(comp.(l))) (Tree.leaves t);
-      Array.of_list
-        (List.filter_map
-           (fun members ->
-             if members = [] then None else Some (Array.of_list (List.rev members)))
-           (Array.to_list buckets)))
-
-let component_tree t ~kappa ~h =
-  let per_level = Array.init (h + 1) (fun j -> components t ~kappa ~level:j) in
-  Array.init h (fun j ->
-      let comp_j, _ = per_level.(j) in
-      let comp_j1, n_j1 = per_level.(j + 1) in
-      let parent = Array.make n_j1 (-1) in
-      Array.iteri (fun v cj1 -> parent.(cj1) <- comp_j.(v)) comp_j1;
-      parent)

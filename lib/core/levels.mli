@@ -7,12 +7,3 @@
     dense component id of node [v] at the given level (level [0] puts every
     node in component [0]). *)
 val components : Hgp_tree.Tree.t -> kappa:int array -> level:int -> int array * int
-
-(** [laminar_family t ~kappa ~h] is the per-level family of leaf sets —
-    [family.(j)] lists the Level-(j) sets (only components containing at
-    least one leaf appear).  Suitable for {!Hgp_tree.Laminar.is_laminar}. *)
-val laminar_family : Hgp_tree.Tree.t -> kappa:int array -> h:int -> Hgp_tree.Laminar.family
-
-(** [component_tree t ~kappa ~h] returns, for each level [j in 0..h-1], the
-    parent map from Level-(j+1) component ids to Level-(j) component ids. *)
-val component_tree : Hgp_tree.Tree.t -> kappa:int array -> h:int -> int array array

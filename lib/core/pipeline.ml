@@ -423,8 +423,9 @@ let packed_key (p : prepared) ~e_key =
   |> Fun.flip (Fingerprint.add_option Fingerprint.add_float) p.options.bucketing
   |> Fun.flip (Fingerprint.add_option Fingerprint.add_int) p.options.beam_width
 
-(* Both ends deep-copy the assignment: cached arrays must never alias
-   caller-visible ones (Local_search.repair mutates in place). *)
+(* Both ends deep-copy the assignment: an array in the cache must never
+   alias an array handed to a caller, who owns what it receives and may
+   write to it. *)
 let packed_find key =
   Artifact_cache.find packed_cache key
   |> Option.map (fun sol ->
@@ -565,7 +566,6 @@ type session = {
   mutable s_inst : Instance.t;
   s_options : options;
   mutable s_assignment : int array;
-  mutable s_cost : float;
 }
 
 type update_report = {
@@ -587,14 +587,12 @@ let start_session inst options =
           s_inst = inst;
           s_options = options;
           s_assignment = Array.copy sol.assignment;
-          s_cost = sol.cost;
         },
         sol )
 
 let session_instance s = s.s_inst
 let session_options s = s.s_options
 let session_assignment s = Array.copy s.s_assignment
-let session_cost s = s.s_cost
 
 (* Churn = exact fraction of the NEW instance's vertices whose leaf differs
    from the session's previous assignment; vertices that did not exist
@@ -627,7 +625,6 @@ let resolve_delta ?supervision (s : session) delta =
     let cert = Verify.certify inst' sol.assignment ~eps:s.s_options.eps in
     s.s_inst <- inst';
     s.s_assignment <- Array.copy sol.assignment;
-    s.s_cost <- sol.cost;
     Obs.count "incremental.updates" 1;
     Obs.count "incremental.dirty_subtrees" resolved_subtrees;
     Obs.count "incremental.reused_subtrees" reused_subtrees;

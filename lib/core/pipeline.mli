@@ -211,10 +211,8 @@ val churn_of :
 val session_instance : session -> Instance.t
 val session_options : session -> options
 
-(** The session's current assignment (a fresh copy) and its cost. *)
+(** The session's current assignment (a fresh copy). *)
 val session_assignment : session -> int array
-
-val session_cost : session -> float
 
 (** {1 Cache control and introspection}
 

@@ -285,18 +285,4 @@ let solve_tree tree ~demands hierarchy ~options =
       end
     done;
     (* True-demand violation factor. *)
-    let worst = ref 0. in
-    let h = Hierarchy.height hierarchy in
-    for j = 1 to h do
-      let loads = Array.make (Hierarchy.nodes_at_level hierarchy j) 0. in
-      Array.iteri
-        (fun v leaf ->
-          let a = Hierarchy.ancestor hierarchy ~level:j leaf in
-          loads.(a) <- loads.(a) +. demands.(v))
-        assignment;
-      Array.iteri
-        (fun idx l ->
-          worst := Float.max !worst (l /. Hierarchy.capacity_of hierarchy ~level:j idx))
-        loads
-    done;
-    (assignment, !cost, r.cost, !worst)
+    (assignment, !cost, r.cost, Cost.max_violation_of hierarchy ~demands assignment)

@@ -64,7 +64,6 @@ let leaves_under t j =
   t.lvl_leaves.(j)
 
 let leaf_capacity t = t.leaf_cap_max
-let max_leaf_capacity t = t.leaf_cap_max
 let min_leaf_capacity t = t.leaf_cap_min
 
 let leaf_cap t l =
@@ -154,10 +153,6 @@ let lca_level t a b =
     in
     go (h - 1)
   end
-
-let lca_node t a b =
-  let j = lca_level t a b in
-  (j, t.anc.((j * num_leaves t) + a))
 
 let edge_cost t a b =
   let j = lca_level t a b in

@@ -89,9 +89,6 @@ val leaves_under_of : t -> level:int -> int -> int
     instance's per-vertex demand never exceeds it). *)
 val leaf_capacity : t -> float
 
-(** [max_leaf_capacity t] = [leaf_capacity t], under its honest name. *)
-val max_leaf_capacity : t -> float
-
 (** [min_leaf_capacity t] is the smallest leaf capacity — the safe cap for
     coarsening merges (a merged vertex of this weight still fits on any
     leaf; see [docs/MULTILEVEL.md]). *)
@@ -137,9 +134,6 @@ val parent_of : t -> level:int -> int -> int
 (** [lca_level t a b] is the level of the lowest common ancestor of leaves
     [a] and [b] ([height t] when [a = b]). *)
 val lca_level : t -> int -> int -> int
-
-(** [lca_node t a b] is [(level, idx)] of the lowest common ancestor. *)
-val lca_node : t -> int -> int -> int * int
 
 (** [edge_cost t a b] is the multiplier of the lowest-common-ancestor
     {e node} of leaves [a] and [b] — the per-unit-weight cost of placing

@@ -384,7 +384,6 @@ type session = {
   mutable v_inst : Instance.t;
   mutable v_assignment : int array;
   mutable v_state : prev_state;
-  mutable v_result : result;
 }
 
 type update_report = {
@@ -409,7 +408,6 @@ let start_session ?(options = default_options) inst =
       v_inst = inst;
       v_assignment = Array.copy run.result.solution.Pipeline.assignment;
       v_state = run.state;
-      v_result = run.result;
     },
     run.result )
 
@@ -446,7 +444,6 @@ let resolve_delta (s : session) (delta : Delta.t) =
   s.v_inst <- inst';
   s.v_assignment <- Array.copy sol.Pipeline.assignment;
   s.v_state <- run.state;
-  s.v_result <- run.result;
   let cert = run.result.coarse_certificate in
   Obs.count "incremental.updates" 1;
   Obs.count "incremental.dirty_subtrees" run.resolved;
@@ -469,4 +466,3 @@ let resolve_delta (s : session) (delta : Delta.t) =
 let session_instance s = s.v_inst
 let session_options s = s.v_options
 let session_assignment s = Array.copy s.v_assignment
-let session_result s = s.v_result

@@ -153,6 +153,3 @@ val session_options : session -> options
 
 (** The session's current fine assignment (a fresh copy). *)
 val session_assignment : session -> int array
-
-(** The full result of the session's last solve or update. *)
-val session_result : session -> result

@@ -150,60 +150,6 @@ let lift_internal_jobs t =
     internals;
   (of_parents ~root:t.root ~parents ~weights, job_leaf)
 
-let binarize t =
-  let n = n_nodes t in
-  (* Collect new nodes: originals keep their ids; dummies are appended. *)
-  let next_id = ref n in
-  let dummy_parents = Hashtbl.create 16 in
-  let new_parent = Array.make n (-1) in
-  let new_weight = Array.make n 0. in
-  Array.iter
-    (fun v ->
-      let cs = t.children.(v) in
-      let deg = Array.length cs in
-      if deg <= 2 then
-        Array.iter
-          (fun c ->
-            new_parent.(c) <- v;
-            new_weight.(c) <- t.weights.(c))
-          cs
-      else begin
-        (* Chain of deg-1 dummies under v; each dummy takes one real child,
-           the last takes two. *)
-        let rec chain parent_node remaining =
-          match remaining with
-          | [ c1; c2 ] ->
-            new_parent.(c1) <- parent_node;
-            new_weight.(c1) <- t.weights.(c1);
-            new_parent.(c2) <- parent_node;
-            new_weight.(c2) <- t.weights.(c2)
-          | c :: rest ->
-            new_parent.(c) <- parent_node;
-            new_weight.(c) <- t.weights.(c);
-            let d = !next_id in
-            incr next_id;
-            Hashtbl.add dummy_parents d (parent_node, infinity);
-            chain d rest
-          | [] -> ()
-        in
-        chain v (Array.to_list cs)
-      end)
-    t.post;
-  let total = !next_id in
-  let parents_arr = Array.make total (-1) in
-  let weights_arr = Array.make total 0. in
-  for v = 0 to n - 1 do
-    parents_arr.(v) <- (if v = t.root then -1 else new_parent.(v));
-    weights_arr.(v) <- new_weight.(v)
-  done;
-  Hashtbl.iter
-    (fun d (p, w) ->
-      parents_arr.(d) <- p;
-      weights_arr.(d) <- w)
-    dummy_parents;
-  let mapping = Array.init n (fun v -> v) in
-  (of_parents ~root:t.root ~parents:parents_arr ~weights:weights_arr, mapping)
-
 let total_edge_weight t =
   let acc = ref 0. in
   for v = 0 to n_nodes t - 1 do

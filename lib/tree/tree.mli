@@ -61,15 +61,6 @@ val subtree_leaves : t -> int -> int array
     job (the node itself if it was already a leaf). *)
 val lift_internal_jobs : t -> t * int array
 
-(** [binarize t] implements the paper's binarization: each node with more
-    than two children is replaced by a chain of dummy nodes joined by
-    [infinity]-weight edges, the original child edges keeping their weights.
-    Returns the new tree and the (injective) map from old node ids to new
-    ones.  Solutions and costs over the leaves are preserved.  (The DP folds
-    children incrementally so it does not require this; it is kept for
-    cross-checking the equivalence.) *)
-val binarize : t -> t * int array
-
 (** [total_edge_weight t] sums all finite edge weights. *)
 val total_edge_weight : t -> float
 

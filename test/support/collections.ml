@@ -1,12 +1,32 @@
 module Tree = Hgp_tree.Tree
-module Laminar = Hgp_tree.Laminar
+module Levels = Hgp_core.Levels
 
 type t = {
   family : Laminar.family;
   h : int;
 }
 
-let of_kappa tree ~kappa ~h = { family = Levels.laminar_family tree ~kappa ~h; h }
+let laminar_family t ~kappa ~h =
+  Array.init (h + 1) (fun j ->
+      let comp, n_comps = Levels.components t ~kappa ~level:j in
+      let buckets = Array.make n_comps [] in
+      Array.iter (fun l -> buckets.(comp.(l)) <- l :: buckets.(comp.(l))) (Tree.leaves t);
+      Array.of_list
+        (List.filter_map
+           (fun members ->
+             if members = [] then None else Some (Array.of_list (List.rev members)))
+           (Array.to_list buckets)))
+
+let component_tree t ~kappa ~h =
+  let per_level = Array.init (h + 1) (fun j -> Levels.components t ~kappa ~level:j) in
+  Array.init h (fun j ->
+      let comp_j, _ = per_level.(j) in
+      let comp_j1, n_j1 = per_level.(j + 1) in
+      let parent = Array.make n_j1 (-1) in
+      Array.iteri (fun v cj1 -> parent.(cj1) <- comp_j.(v)) comp_j1;
+      parent)
+
+let of_kappa tree ~kappa ~h = { family = laminar_family tree ~kappa ~h; h }
 
 let is_valid_relaxed c tree =
   let universe = Array.copy (Tree.leaves tree) in

@@ -3,13 +3,25 @@
     expressed through minimum tree cuts — bridging the [kappa] edge-labeling
     the solver works with and the formalism of the paper.
 
-    Used by tests and experiments to check structural theorems (laminarity,
-    refinement-width, Definition-3 cost relations) on real solver output. *)
+    A test oracle: the suites check structural theorems (laminarity,
+    refinement-width, Definition-3 cost relations) on real solver output
+    through it.  For level [j], the Level-(j) sets are the leaf contents of
+    the components of the subforest [{e | kappa e >= j}]
+    ({!Hgp_core.Levels.components}). *)
 
 type t = {
-  family : Hgp_tree.Laminar.family;  (** [family.(j)] = the Level-(j) sets *)
+  family : Laminar.family;  (** [family.(j)] = the Level-(j) sets *)
   h : int;
 }
+
+(** [laminar_family t ~kappa ~h] is the per-level family of leaf sets —
+    [family.(j)] lists the Level-(j) sets (only components containing at
+    least one leaf appear).  Suitable for {!Laminar.is_laminar}. *)
+val laminar_family : Hgp_tree.Tree.t -> kappa:int array -> h:int -> Laminar.family
+
+(** [component_tree t ~kappa ~h] returns, for each level [j in 0..h-1], the
+    parent map from Level-(j+1) component ids to Level-(j) component ids. *)
+val component_tree : Hgp_tree.Tree.t -> kappa:int array -> h:int -> int array array
 
 (** [of_kappa t ~kappa ~h] materializes the collections of an edge labeling:
     Level-(j) sets are the leaf contents of the [kappa >= j] components. *)

@@ -1,5 +1,5 @@
-(** Laminar-family utilities over integer sets, used to validate HGPT
-    solutions (Definitions 3 and 4 of the paper). *)
+(** Laminar-family utilities over integer sets: the test oracle that
+    validates HGPT solutions against Definitions 3 and 4 of the paper. *)
 
 (** A level structure: [collections.(j)] lists the Level-(j) sets, each an
     integer array of leaf ids. *)

@@ -1,4 +1,5 @@
-(** Global minimum cut of an undirected weighted graph (Stoer–Wagner). *)
+(** Global minimum cut of an undirected weighted graph (Stoer–Wagner): a
+    test oracle for the flow and generator suites. *)
 
 (** [stoer_wagner g] returns [(value, side)] where [value] is the weight of a
     global minimum cut and [side] is the membership array of one side.

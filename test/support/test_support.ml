@@ -107,3 +107,9 @@ module Tree_dp_reference = Tree_dp_reference
 (* Differential oracle for the flat FM and greedy refinement kernel (see
    refine_reference.ml). *)
 module Refine_reference = Refine_reference
+
+(* The paper's Definition 3/4 level structures (laminar families and the
+   collections a kappa labeling induces) and the global min-cut oracle. *)
+module Laminar = Laminar
+module Collections = Collections
+module Mincut = Mincut

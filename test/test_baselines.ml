@@ -160,17 +160,6 @@ let test_brute_force_infeasible () =
   Alcotest.(check bool) "infeasible" true (B.Brute_force.exact inst ~slack:1.0 = None);
   Alcotest.(check bool) "slack helps" true (B.Brute_force.exact inst ~slack:2.0 <> None)
 
-let test_spectral_bisect_balanced () =
-  let g = Gen.grid2d ~rows:4 ~cols:4 in
-  let demands = Array.make 16 1.0 in
-  let side = B.Spectral.bisect g ~demands in
-  let count = Array.fold_left (fun a s -> if s then a + 1 else a) 0 side in
-  Alcotest.(check bool) "roughly balanced" true (count >= 6 && count <= 10);
-  (* On a grid, spectral bisection should find a near-minimal balanced cut
-     (4 for a 4x4 grid; allow a little noise). *)
-  let cut = Hgp_graph.Cuts.cut_weight g (fun v -> side.(v)) in
-  Alcotest.(check bool) "good cut" true (cut <= 8.)
-
 let test_repair_restores_feasibility () =
   let inst, _ = mk_instance 12 16 in
   (* Pile everything on leaf 0: grossly overloaded. *)
@@ -257,7 +246,6 @@ let () =
           Alcotest.test_case "recursive bisection" `Quick test_recursive_bisection;
           Alcotest.test_case "brute force optimal" `Quick test_brute_force_optimal;
           Alcotest.test_case "brute force infeasible" `Quick test_brute_force_infeasible;
-          Alcotest.test_case "spectral bisect" `Quick test_spectral_bisect_balanced;
           Alcotest.test_case "repair restores feasibility" `Quick test_repair_restores_feasibility;
           Alcotest.test_case "repair impossible" `Quick test_repair_impossible;
           Alcotest.test_case "portfolio" `Quick test_portfolio;

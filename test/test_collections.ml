@@ -1,6 +1,6 @@
 module Tree = Hgp_tree.Tree
 module Tree_dp = Hgp_core.Tree_dp
-module Collections = Hgp_core.Collections
+module Collections = Test_support.Collections
 module Gen = Hgp_graph.Generators
 module Prng = Hgp_util.Prng
 

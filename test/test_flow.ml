@@ -1,7 +1,7 @@
 module Graph = Hgp_graph.Graph
 module Gen = Hgp_graph.Generators
 module Maxflow = Hgp_flow.Maxflow
-module Mincut = Hgp_flow.Mincut
+module Mincut = Test_support.Mincut
 module Cuts = Hgp_graph.Cuts
 
 (* Brute-force minimum s-t cut by enumerating vertex bipartitions. *)

@@ -122,7 +122,7 @@ let test_barbell () =
   Alcotest.(check int) "m" 15 (Graph.m g);
   Alcotest.(check bool) "connected" true (Traversal.is_connected g);
   (* The global min cut is a single bridge edge. *)
-  let value, _ = Hgp_flow.Mincut.stoer_wagner g in
+  let value, _ = Test_support.Mincut.stoer_wagner g in
   Test_support.check_close "bottleneck" 1. value;
   let g0 = Gen.barbell ~clique:3 ~bridge:0 in
   Alcotest.(check int) "direct bridge" 7 (Graph.m g0)

@@ -74,30 +74,6 @@ let test_full_toolchain () =
   in
   Alcotest.(check bool) "tuples delivered" true (m.completed > 0)
 
-let test_dynamic_then_static_agree () =
-  (* Build a graph through the dynamic manager, then check that a static
-     instance constructed from the same tasks yields the same cost for the
-     manager's placement. *)
-  let hy = H.Presets.dual_socket in
-  let rng = Prng.create 31 in
-  let mgr = Hgp_core.Dynamic.create hy (Hgp_core.Dynamic.default_config hy) in
-  let ids = ref [] in
-  let edges = ref [] in
-  for _ = 1 to 15 do
-    let peers = List.filteri (fun i _ -> i < 2) !ids in
-    let es = List.map (fun id -> (id, 1. +. Prng.float rng 4.)) peers in
-    let id = Hgp_core.Dynamic.add_task mgr ~demand:0.3 ~edges:es in
-    List.iter (fun (u, w) -> edges := (id, u, w) :: !edges) es;
-    ids := id :: !ids
-  done;
-  let n = List.length !ids in
-  let g = Hgp_graph.Graph.of_edges n !edges in
-  let inst = Instance.create g ~demands:(Array.make n 0.3) hy in
-  let p = Array.init n (fun id -> Hgp_core.Dynamic.leaf_of mgr id) in
-  Test_support.check_close "costs agree"
-    (Hgp_core.Cost.assignment_cost inst p)
-    (Hgp_core.Dynamic.current_cost mgr)
-
 let () =
   Alcotest.run "integration"
     [
@@ -105,6 +81,5 @@ let () =
       ( "toolchain",
         [
           Alcotest.test_case "full toolchain" `Slow test_full_toolchain;
-          Alcotest.test_case "dynamic vs static cost" `Quick test_dynamic_then_static_agree;
         ] );
     ]

@@ -1,4 +1,4 @@
-module Laminar = Hgp_tree.Laminar
+module Laminar = Test_support.Laminar
 
 let universe = [| 0; 1; 2; 3; 4; 5 |]
 

@@ -1,6 +1,7 @@
 module Tree = Hgp_tree.Tree
 module Levels = Hgp_core.Levels
-module Laminar = Hgp_tree.Laminar
+module Laminar = Test_support.Laminar
+module Collections = Test_support.Collections
 module Tree_dp = Hgp_core.Tree_dp
 module Gen = Hgp_graph.Generators
 module Prng = Hgp_util.Prng
@@ -43,7 +44,7 @@ let test_components_level2 () =
 
 let test_laminar_family_valid () =
   let t, kappa = sample () in
-  let fam = Levels.laminar_family t ~kappa ~h:2 in
+  let fam = Collections.laminar_family t ~kappa ~h:2 in
   let universe = Array.copy (Tree.leaves t) in
   Array.sort compare universe;
   Alcotest.(check bool) "Definition 4 structure" true (Laminar.is_laminar fam ~universe)
@@ -64,7 +65,7 @@ let prop_family_is_laminar =
   Test_support.qtest ~count:150 "any kappa labeling induces a laminar family"
     gen_labeled_tree
     (fun (t, kappa, h) ->
-      let fam = Levels.laminar_family t ~kappa ~h in
+      let fam = Collections.laminar_family t ~kappa ~h in
       let universe = Array.copy (Tree.leaves t) in
       Array.sort compare universe;
       Laminar.is_laminar fam ~universe)
@@ -73,7 +74,7 @@ let prop_component_tree_consistent =
   Test_support.qtest ~count:150 "component parents nest correctly"
     gen_labeled_tree
     (fun (t, kappa, h) ->
-      let parents = Levels.component_tree t ~kappa ~h in
+      let parents = Collections.component_tree t ~kappa ~h in
       let ok = ref true in
       for j = 0 to h - 1 do
         let comp_j, nj = Levels.components t ~kappa ~level:j in
@@ -94,7 +95,7 @@ let prop_check_kappa_matches_family =
       let demand_units = Array.init n (fun v -> if Tree.is_leaf t v then 1 else 0) in
       let cp_units = Array.init (h + 1) (fun j -> (2 * (h + 1 - j)) + 1) in
       let viol = Tree_dp.check_kappa t ~demand_units ~kappa ~cp_units in
-      let fam = Levels.laminar_family t ~kappa ~h in
+      let fam = Collections.laminar_family t ~kappa ~h in
       let expected = ref 0. in
       for j = 1 to h do
         Array.iter

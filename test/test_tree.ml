@@ -58,23 +58,6 @@ let test_lift_internal_jobs () =
   Alcotest.(check bool) "dummy edge infinite" true
     (Tree.edge_weight lifted job_leaf.(0) = infinity)
 
-let test_binarize () =
-  let t = sample () in
-  let b, mapping = Tree.binarize t in
-  Alcotest.(check (array int)) "originals keep ids" (Array.init 6 (fun i -> i)) mapping;
-  (* Node 0 had 3 children: one dummy added. *)
-  Alcotest.(check int) "one dummy" 7 (Tree.n_nodes b);
-  (* Binary now. *)
-  for v = 0 to Tree.n_nodes b - 1 do
-    Alcotest.(check bool) "arity <= 2" true (Array.length (Tree.children b v) <= 2)
-  done;
-  (* Same leaves. *)
-  Alcotest.(check (array int)) "same leaves" (Tree.leaves t) (Tree.leaves b);
-  (* Original edge weights preserved on original nodes. *)
-  for v = 1 to 5 do
-    Test_support.check_close "weight kept" (Tree.edge_weight t v) (Tree.edge_weight b v)
-  done
-
 let test_total_edge_weight () =
   let t = sample () in
   Test_support.check_close "sum" 15. (Tree.total_edge_weight t);
@@ -95,19 +78,6 @@ let prop_of_graph_roundtrip =
       let t2 = Tree.of_graph g ~root:(n - 1) in
       Tree.n_nodes t2 = n
       && Float.abs (Tree.total_edge_weight t2 -. Tree.total_edge_weight t) < 1e-9)
-
-let prop_binarize_preserves_leafset =
-  Test_support.qtest ~count:100 "binarize keeps leaf set and arity bound"
-    (Test_support.gen_tree ())
-    (fun t ->
-      let b, _ = Tree.binarize t in
-      Tree.leaves b = Tree.leaves t
-      &&
-      let ok = ref true in
-      for v = 0 to Tree.n_nodes b - 1 do
-        if Array.length (Tree.children b v) > 2 then ok := false
-      done;
-      !ok)
 
 let prop_subtree_leaves_partition_at_children =
   Test_support.qtest ~count:100 "children's subtree leaves partition the parent's"
@@ -135,13 +105,11 @@ let () =
           Alcotest.test_case "post order" `Quick test_post_order;
           Alcotest.test_case "of_graph" `Quick test_of_graph;
           Alcotest.test_case "lift internal jobs" `Quick test_lift_internal_jobs;
-          Alcotest.test_case "binarize" `Quick test_binarize;
           Alcotest.test_case "total edge weight" `Quick test_total_edge_weight;
         ] );
       ( "property",
         [
           prop_of_graph_roundtrip;
-          prop_binarize_preserves_leafset;
           prop_subtree_leaves_partition_at_children;
         ] );
     ]
