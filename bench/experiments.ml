@@ -1238,7 +1238,8 @@ let e20_fm_refinement () =
 (* with the amortized incremental/cold ratio in the ledger.  The        *)
 (* timing gate itself lives in CI (hgp_cli drift --assert-amortized);   *)
 (* here only a conservative 5x tripwire guards the 1e5 speedup claim    *)
-(* against wholesale regressions of the fast path.                      *)
+(* against wholesale regressions of the fast path; it fails the run     *)
+(* after the table is printed.                                          *)
 
 module Des = Hgp_sim.Des
 
@@ -1254,6 +1255,9 @@ let e21_incremental () =
     in
     Hgp_workloads.Stream_dag.to_instance w hy ~load_factor:0.6
   in
+  (* The speedup tripwire fails the run only after the whole table is
+     printed, so a slow host still reports every row. *)
+  let tripped = ref None in
   let single_rows =
     List.map
       (fun (label, n_sources) ->
@@ -1295,10 +1299,11 @@ let e21_incremental () =
           failwith (Printf.sprintf "E21 %s: uncertified incremental result" label);
         let speedup = t_cold /. Float.max 1e-9 mean_incr in
         if label = "1e5" && speedup < 5. then
-          failwith
-            (Printf.sprintf
-               "E21 %s: single-edge re-solve only %.1fx faster than cold" label
-               speedup);
+          tripped :=
+            Some
+              (Printf.sprintf
+                 "E21 %s: single-edge re-solve only %.1fx faster than cold" label
+                 speedup);
         Hgp_obs.Obs.gauge (Printf.sprintf "e21.incr_ms.%s" label)
           (mean_incr *. 1000.);
         Hgp_obs.Obs.gauge (Printf.sprintf "e21.cold_ms.%s" label) (t_cold *. 1000.);
@@ -1357,7 +1362,8 @@ let e21_incremental () =
     ~header:
       [ "mode"; "size"; "n"; "cold (s)"; "incr (ms)"; "speedup"; "resolved";
         "reused"; "final n"; "identical"; "certified" ]
-    (single_rows @ drift_rows)
+    (single_rows @ drift_rows);
+  Option.iter failwith !tripped
 
 let run_all () =
   let experiments =

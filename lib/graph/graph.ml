@@ -22,75 +22,115 @@ let edge_total n xadj adjncy adjw =
   done;
   !s
 
-(* The one CSR build, over the first [ne] entries of [src]/[dst]/[w]
-   (validated by the caller; self-loops are dropped here).  The directed
-   arcs are sorted by (src, dst) with two stable counting passes — by dst,
-   then by src — so each (src, dst) run keeps input order, and both
-   directions of an undirected edge see the same addition sequence: the two
-   slots hold bit-identical sums.  Sums start from [0.], as accumulating
-   into an empty table would. *)
-let build n ~ne src dst w =
-  let start = Array.make (n + 1) 0 in
-  for i = 0 to ne - 1 do
-    let u = src.(i) and v = dst.(i) in
-    if u <> v then begin
-      start.(u + 1) <- start.(u + 1) + 1;
-      start.(v + 1) <- start.(v + 1) + 1
-    end
-  done;
+(* ---- the one CSR build ----
+
+   The directed arcs are sorted by (src, dst) with two stable counting
+   passes — by dst, then by src — so each (src, dst) run keeps input order,
+   and both directions of an undirected edge see the same addition
+   sequence: the two slots hold bit-identical sums.  Sums start from [0.],
+   as accumulating into an empty table would.
+
+   The passes run in a per-domain scratch grown to the largest build seen
+   and never shrunk; a build calls no user code, so the scratch of one
+   domain is never entered twice at once.  What a build allocates is its
+   output: [xadj] and the merged [adjncy]/[adjw] at their exact length. *)
+
+type scratch = {
+  mutable fill : int array;  (* per vertex: the next free slot of its bucket or row *)
+  mutable bsrc : int array;  (* arcs bucketed by dst: their src ... *)
+  mutable bw : float array;  (* ... and weight *)
+  mutable radj : int array;  (* arcs in (src, dst) order, merged in place *)
+  mutable rw : float array;
+}
+
+let scratch_key : scratch Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      { fill = [||]; bsrc = [||]; bw = [||]; radj = [||]; rw = [||] })
+
+let scratch ~n ~na =
+  let s = Domain.DLS.get scratch_key in
+  if Array.length s.fill < n then s.fill <- Array.make (max n (2 * Array.length s.fill)) 0;
+  if Array.length s.bsrc < na then begin
+    let c = max na (2 * Array.length s.bsrc) in
+    s.bsrc <- Array.make c 0;
+    s.bw <- Array.make c 0.;
+    s.radj <- Array.make c 0;
+    s.rw <- Array.make c 0.
+  end;
+  s
+
+(* First pass, per input edge [{u, v}] (not a self-loop): count its two
+   arcs, then — once [offsets] turned the counts into row offsets and
+   [fill] holds a copy of them — drop each arc into its dst bucket.  Every
+   vertex is the source of as many arcs as it is the destination of, so
+   [start] delimits both the dst buckets and the src rows. *)
+let[@inline] count start u v =
+  start.(u + 1) <- start.(u + 1) + 1;
+  start.(v + 1) <- start.(v + 1) + 1
+
+let offsets start n =
   for v = 0 to n - 1 do
     start.(v + 1) <- start.(v + 1) + start.(v)
-  done;
-  (* Every vertex is the source of as many arcs as it is the destination
-     of, so [start] delimits both the dst buckets and the src rows. *)
-  let na = start.(n) in
-  let fill = Array.sub start 0 n in
-  let bsrc = Array.make na 0 and bw = Array.make na 0. in
-  for i = 0 to ne - 1 do
-    let u = src.(i) and v = dst.(i) in
-    if u <> v then begin
-      let p = fill.(v) in
-      fill.(v) <- p + 1;
-      bsrc.(p) <- u;
-      bw.(p) <- w.(i);
-      let p = fill.(u) in
-      fill.(u) <- p + 1;
-      bsrc.(p) <- v;
-      bw.(p) <- w.(i)
-    end
-  done;
+  done
+
+let[@inline] bucket s u v x =
+  let p = s.fill.(v) in
+  s.fill.(v) <- p + 1;
+  s.bsrc.(p) <- u;
+  s.bw.(p) <- x;
+  let p = s.fill.(u) in
+  s.fill.(u) <- p + 1;
+  s.bsrc.(p) <- v;
+  s.bw.(p) <- x
+
+(* Second pass: the dst buckets [start] delimits, filled in ascending dst
+   order into the src rows, then the duplicate (src, dst) runs merged in
+   place (rows only shrink, so the write cursor never passes the read
+   cursor) and copied out at their merged length. *)
+let finish n start s =
+  let fill = s.fill and bsrc = s.bsrc and bw = s.bw and radj = s.radj and rw = s.rw in
   Array.blit start 0 fill 0 n;
-  let adjncy = Array.make na 0 and adjw = Array.make na 0. in
   for d = 0 to n - 1 do
     for k = start.(d) to start.(d + 1) - 1 do
-      let s = bsrc.(k) in
-      let p = fill.(s) in
-      fill.(s) <- p + 1;
-      adjncy.(p) <- d;
-      adjw.(p) <- 0. +. bw.(k)
+      let src = bsrc.(k) in
+      let p = fill.(src) in
+      fill.(src) <- p + 1;
+      radj.(p) <- d;
+      rw.(p) <- 0. +. bw.(k)
     done
   done;
-  (* Merge duplicate (src, dst) runs in place; rows only shrink, so the
-     write cursor never passes the read cursor. *)
   let j = ref 0 in
   for u = 0 to n - 1 do
     let lo = start.(u) and hi = start.(u + 1) in
     start.(u) <- !j;
     for k = lo to hi - 1 do
-      if !j > start.(u) && adjncy.(!j - 1) = adjncy.(k) then
-        adjw.(!j - 1) <- adjw.(!j - 1) +. adjw.(k)
+      if !j > start.(u) && radj.(!j - 1) = radj.(k) then
+        rw.(!j - 1) <- rw.(!j - 1) +. rw.(k)
       else begin
-        adjncy.(!j) <- adjncy.(k);
-        adjw.(!j) <- adjw.(k);
+        radj.(!j) <- radj.(k);
+        rw.(!j) <- rw.(k);
         incr j
       end
     done
   done;
   start.(n) <- !j;
-  let adjncy, adjw =
-    if !j = na then (adjncy, adjw) else (Array.sub adjncy 0 !j, Array.sub adjw 0 !j)
-  in
+  let adjncy = Array.sub radj 0 !j and adjw = Array.sub rw 0 !j in
   { n; xadj = start; adjncy; adjw; total_w = edge_total n start adjncy adjw }
+
+(* The build over the first [ne] entries of [src]/[dst]/[w] (validated by
+   the caller; self-loops are dropped here). *)
+let build n ~ne src dst w =
+  let start = Array.make (n + 1) 0 in
+  for i = 0 to ne - 1 do
+    if src.(i) <> dst.(i) then count start src.(i) dst.(i)
+  done;
+  offsets start n;
+  let s = scratch ~n ~na:start.(n) in
+  Array.blit start 0 s.fill 0 n;
+  for i = 0 to ne - 1 do
+    if src.(i) <> dst.(i) then bucket s src.(i) dst.(i) w.(i)
+  done;
+  finish n start s
 
 module Builder = struct
   type graph = t
@@ -257,19 +297,27 @@ let contract g partition ~n_parts =
       if p < 0 || p >= n_parts then
         invalid context "vertex %d mapped to part %d, outside 0..%d" v p (n_parts - 1))
     partition;
-  (* Fine edges in ascending order; intra-part edges become self-loops,
-     which the build drops. *)
-  let ne = m g in
-  let src = Array.make ne 0 and dst = Array.make ne 0 and w = Array.make ne 0. in
-  let k = ref 0 in
-  iter_edges
-    (fun u v x ->
-      src.(!k) <- partition.(u);
-      dst.(!k) <- partition.(v);
-      w.(!k) <- x;
-      incr k)
-    g;
-  build n_parts ~ne src dst w
+  (* The build's input is the fine edges in ascending (u, v) order, read
+     from [g] in place; intra-part edges are the self-loops it drops. *)
+  let start = Array.make (n_parts + 1) 0 in
+  for u = 0 to g.n - 1 do
+    for i = g.xadj.(u) to g.xadj.(u + 1) - 1 do
+      let v = g.adjncy.(i) in
+      if u < v && partition.(u) <> partition.(v) then
+        count start partition.(u) partition.(v)
+    done
+  done;
+  offsets start n_parts;
+  let s = scratch ~n:n_parts ~na:start.(n_parts) in
+  Array.blit start 0 s.fill 0 n_parts;
+  for u = 0 to g.n - 1 do
+    for i = g.xadj.(u) to g.xadj.(u + 1) - 1 do
+      let v = g.adjncy.(i) in
+      if u < v && partition.(u) <> partition.(v) then
+        bucket s partition.(u) partition.(v) g.adjw.(i)
+    done
+  done;
+  finish n_parts start s
 
 let reweight_edges g updates =
   let context = "graph.reweight_edges" in

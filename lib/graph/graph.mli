@@ -8,7 +8,10 @@
 
     Every constructor goes through one counting-sort build (O(n + m), no
     per-edge boxing); {!Builder} and {!of_edges} are edge-list front ends
-    over it.  Vertex weights live one layer up, in {!Csr}. *)
+    over it, and {!contract} feeds it the fine graph's edges in place.  Its
+    passes run in a per-domain scratch grown to the largest build seen, so
+    a build allocates only the graph it returns.  Vertex weights live one
+    layer up, in {!Csr}. *)
 
 type t = private {
   n : int;

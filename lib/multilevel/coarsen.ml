@@ -2,47 +2,72 @@ module Csr = Hgp_graph.Csr
 module Graph = Hgp_graph.Graph
 module Prng = Hgp_util.Prng
 
-type level = {
-  fine : Csr.t;
-  cmap : int array;
-  coarse : Csr.t;
-  key : Hgp_util.Fingerprint.t;
-}
+type level = { fine : Csr.t; cmap : int array; coarse : Csr.t }
 
 type chain = level list
 
+(* The matching's scratch, one per domain, grown to the largest graph seen
+   and never shrunk: the visit order and the partner of each vertex.  The
+   matching calls no user code, so a domain's buffers are never entered
+   twice at once. *)
+type buffers = { mutable order : int array; mutable matched : int array }
+
+let buffers_key : buffers Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { order = [||]; matched = [||] })
+
+let buffers n =
+  let b = Domain.DLS.get buffers_key in
+  if Array.length b.order < n then begin
+    let c = max n (2 * Array.length b.order) in
+    b.order <- Array.make c 0;
+    b.matched <- Array.make c 0
+  end;
+  b
+
 let matching rng csr ~max_weight =
   let n = Csr.n csr in
-  let g = csr.Csr.graph in
-  let matched = Array.make n (-1) in
-  let order = Prng.permutation rng n in
-  Array.iter
-    (fun v ->
-      if matched.(v) = -1 then begin
-        let best = ref (-1) and best_w = ref 0. in
-        Graph.iter_neighbors
-          (fun u w ->
-            if
-              matched.(u) = -1 && u <> v && w > !best_w
-              && Csr.vertex_weight csr v +. Csr.vertex_weight csr u <= max_weight
-            then begin
-              best := u;
-              best_w := w
-            end)
-          g v;
-        if !best >= 0 then begin
-          matched.(v) <- !best;
-          matched.(!best) <- v
+  let g = csr.Csr.graph and vw = csr.Csr.vwgt in
+  let xadj = g.Graph.xadj and adjncy = g.Graph.adjncy and adjw = g.Graph.adjw in
+  let { order; matched } = buffers n in
+  (* The visit order is [Prng.permutation rng n] drawn into the buffer:
+     the identity, then the same Fisher-Yates swaps. *)
+  for v = 0 to n - 1 do
+    order.(v) <- v;
+    matched.(v) <- -1
+  done;
+  for i = n - 1 downto 1 do
+    let j = Prng.int rng (i + 1) in
+    let tmp = order.(i) in
+    order.(i) <- order.(j);
+    order.(j) <- tmp
+  done;
+  (* Loops rather than a neighbor closure: a float crossing a closure
+     (or held in a ref it captures) is boxed. *)
+  for k = 0 to n - 1 do
+    let v = order.(k) in
+    if matched.(v) = -1 then begin
+      let best = ref (-1) and best_w = ref 0. in
+      for i = xadj.(v) to xadj.(v + 1) - 1 do
+        let u = adjncy.(i) and w = adjw.(i) in
+        if matched.(u) = -1 && u <> v && w > !best_w && vw.(v) +. vw.(u) <= max_weight
+        then begin
+          best := u;
+          best_w := w
         end
-        else matched.(v) <- v
-      end)
-    order;
+      done;
+      if !best >= 0 then begin
+        matched.(v) <- !best;
+        matched.(!best) <- v
+      end
+      else matched.(v) <- v
+    end
+  done;
   let cmap = Array.make n (-1) in
   let next = ref 0 in
   for v = 0 to n - 1 do
     if cmap.(v) = -1 then begin
       cmap.(v) <- !next;
-      if matched.(v) <> v && matched.(v) >= 0 then cmap.(matched.(v)) <- !next;
+      if matched.(v) <> v then cmap.(matched.(v)) <- !next;
       incr next
     end
   done;
@@ -114,7 +139,7 @@ let rebuild rng csr ~prev ~delta ~threshold ~max_levels ~max_weight =
         else
           go coarse
             (Option.map (fun (_, prest, _, coarse_delta) -> (prest, coarse_delta)) follow)
-            ({ fine = csr; cmap; coarse; key = Csr.fingerprint coarse } :: acc)
+            ({ fine = csr; cmap; coarse } :: acc)
             (false :: clean) (depth + 1)
     end
   in

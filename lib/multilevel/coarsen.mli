@@ -14,13 +14,15 @@
     with [Hgp_baselines.Multilevel], which delegates here — both produce
     bit-identical coarse graphs for the same seed. *)
 
+(** One coarsening transition.  A level holds only what the uncoarsening
+    walk reads: the two graphs and the map between them.  It carries no
+    content address of its own; the hierarchy cache keys a whole chain by
+    the fine graph and the coarsening parameters
+    ([Vcycle]'s chain key), so no per-level fingerprint is computed. *)
 type level = {
   fine : Hgp_graph.Csr.t;  (** the graph this transition coarsens *)
   cmap : int array;  (** fine vertex -> coarse vertex *)
   coarse : Hgp_graph.Csr.t;
-  key : Hgp_util.Fingerprint.t;
-      (** content address of [coarse] — the per-level fingerprint the
-          hierarchy cache and [--cache-stats] report against *)
 }
 
 (** Finest transition first; [(List.nth chain i).coarse == (List.nth chain
@@ -31,7 +33,14 @@ type chain = level list
     fine->coarse map (dense coarse ids, assigned in ascending fine-id order)
     and the coarse vertex count.  Invariants (property-tested): each vertex
     appears in at most one matched pair, matched pairs are edges of [csr],
-    and singletons map alone. *)
+    and singletons map alone.
+
+    The visit order is [Prng.permutation rng (Csr.n csr)] — the same draws
+    from [rng] — but it is written, with each vertex's partner, into a
+    per-domain buffer grown to the largest graph seen and reused by every
+    later matching on that domain, so the returned map is the only array a
+    matching allocates.  {!Hgp_graph.Csr.contract} likewise allocates only
+    the coarse graph. *)
 val matching :
   Hgp_util.Prng.t -> Hgp_graph.Csr.t -> max_weight:float -> int array * int
 

@@ -19,9 +19,10 @@
     bound, so the fine solution inherits the coarse certificate's violation
     band; the fine cost is reported from the true Equation-1 objective.
 
-    Coarsening chains are content-addressed ({!Coarsen.level.key} per level,
-    the fine graph's fingerprint ⊕ threshold ⊕ seed as the chain key) and
-    cached in the ["hierarchy"] {!Hgp_resilience.Artifact_cache}, so
+    Coarsening chains are content-addressed by one chain key — the fine
+    graph's fingerprint ⊕ threshold ⊕ max levels ⊕ seed ⊕ leaf capacity,
+    the only fingerprint a V-cycle computes (levels carry no key of their
+    own) — and cached in the ["hierarchy"] {!Hgp_resilience.Artifact_cache}, so
     repeated solves of the same graph — the batch server's favorite access
     pattern — skip coarsening entirely.  Like every artifact cache it obeys
     the one caching switch and is bypassed while a fault plan is armed.

@@ -1,34 +1,44 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state, unboxed: eight raw bytes read and written with
+   [Bytes.get/set_int64_ne], so advancing it stores no boxed [int64] (a
+   [mutable int64] field would allocate a fresh box per draw). *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix64 (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (mix64 (Int64.of_int seed))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let copy t = Bytes.copy t
 
-let split t =
-  let s = bits64 t in
-  { state = mix64 s }
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix64 s
+
+let split t = of_state (mix64 (bits64 t))
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling over the top bits to avoid modulo bias. *)
-  let mask = Int64.of_int max_int in
-  let rec draw () =
-    let r = Int64.to_int (Int64.logand (bits64 t) mask) in
-    let v = r mod bound in
-    if r - v > max_int - bound + 1 then draw () else v
-  in
-  draw ()
+  (* Rejection sampling over the top bits to avoid modulo bias.  A loop
+     rather than a local recursive function, which would allocate a
+     closure per call. *)
+  let limit = max_int - bound + 1 in
+  let v = ref (-1) in
+  while !v < 0 do
+    let r = Int64.to_int (bits64 t) land max_int in
+    let x = r mod bound in
+    if r - x <= limit then v := x
+  done;
+  !v
 
 let int_incl t lo hi =
   if lo > hi then invalid_arg "Prng.int_incl: lo > hi";
@@ -40,7 +50,7 @@ let float t bound =
   (* 53 random bits -> uniform in [0,1). *)
   Int64.to_float r *. (1.0 /. 9007199254740992.0) *. bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.to_int (bits64 t) land 1 = 1
 
 let exponential t ~rate =
   if not (rate > 0.) then invalid_arg "Prng.exponential: rate must be positive";

@@ -3,7 +3,13 @@
     Every randomized component of the library threads an explicit [Prng.t] so
     that experiments are reproducible from a single seed.  The generator is
     mutable; use {!split} to derive statistically independent streams for
-    parallel or per-trial use. *)
+    parallel or per-trial use.
+
+    Draws do not allocate: the state is stored unboxed, so {!int},
+    {!int_incl}, {!bool} and {!shuffle} allocate nothing, however many
+    numbers they draw.  Only the value itself may be boxed: {!bits64} and
+    {!float} return a boxed [int64] / [float] to callers in other modules.
+    The stream is pinned value by value in the test suite. *)
 
 type t
 

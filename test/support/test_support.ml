@@ -113,3 +113,24 @@ module Refine_reference = Refine_reference
 module Laminar = Laminar
 module Collections = Collections
 module Mincut = Mincut
+
+(* Byte-wise reference for the FNV-1a fingerprint (see
+   fingerprint_reference.ml). *)
+module Fingerprint_reference = Fingerprint_reference
+
+(* [perf_budget key] is the number stored under [key] in
+   test/perf_budget.json (a flat object of numbers), read from the test's
+   working directory. *)
+let perf_budget key =
+  let text = In_channel.with_open_bin "perf_budget.json" In_channel.input_all in
+  let pat = Printf.sprintf "%S:" key in
+  let rec find i =
+    if String.sub text i (String.length pat) = pat then i + String.length pat
+    else find (i + 1)
+  in
+  let start = find 0 in
+  let stop = ref start in
+  while not (String.contains ",}" text.[!stop]) do
+    incr stop
+  done;
+  float_of_string (String.trim (String.sub text start (!stop - start)))

@@ -360,6 +360,44 @@ let test_stream_dag_scale () =
     true
     (r.Vcycle.coarsening_ratio >= 50.)
 
+(* ---- allocation budget ----
+
+   Coarsening allocates only the chain it returns: each level's cmap and
+   coarse graph.  The matching's visit order and partners, and the
+   contraction's counting-sort passes, run in per-domain scratch, and the
+   fingerprints no longer run per level.  Measured on the benchmark's
+   pinned ~10^4-vertex stream DAG (1830 sources, threshold 32), once this
+   domain's scratch has grown: bytes allocated / (8 x words reachable from
+   the chain and not from the input graph) ~1.0, against a ceiling of ~2x
+   that in test/perf_budget.json ("coarsen.build_alloc_per_output_word_max").
+   An edge-list copy per level, a boxed value per PRNG draw or per matching
+   candidate each push it past the ceiling (all three together: ~14). *)
+let test_coarsen_allocation_budget () =
+  let cap = Test_support.perf_budget "coarsen.build_alloc_per_output_word_max" in
+  let n_sources = 1830 in
+  let w =
+    Hgp_workloads.Stream_dag.generate
+      (Prng.create (2100 + n_sources))
+      { Hgp_workloads.Stream_dag.default_params with n_sources }
+  in
+  let inst = Hgp_workloads.Stream_dag.to_instance w hy ~load_factor:0.6 in
+  let csr = Csr.of_graph ~vwgt:inst.Instance.demands inst.Instance.graph in
+  let max_weight = Hierarchy.min_leaf_capacity hy in
+  let build () = Coarsen.build (Prng.create 1) csr ~threshold:32 ~max_levels:40 ~max_weight in
+  ignore (build ());
+  Gc.minor ();
+  let before = Gc.allocated_bytes () in
+  let chain = build () in
+  let bytes = Gc.allocated_bytes () -. before in
+  let out_words =
+    Obj.reachable_words (Obj.repr chain) - Obj.reachable_words (Obj.repr csr)
+  in
+  let ratio = bytes /. float_of_int (out_words * (Sys.word_size / 8)) in
+  Alcotest.(check bool) "coarsened" true (List.length chain >= 8);
+  if ratio > cap then
+    Alcotest.failf "Coarsen.build allocated %.0f bytes for %d output words (%.2fx, budget %.1fx)"
+      bytes out_words ratio cap
+
 let () =
   Alcotest.run "multilevel_vcycle"
     [
@@ -383,6 +421,8 @@ let () =
           Alcotest.test_case "deterministic for fixed seed" `Quick
             test_matching_deterministic;
           Alcotest.test_case "invariants" `Quick test_matching_invariants;
+          Alcotest.test_case "coarsen allocation budget" `Quick
+            test_coarsen_allocation_budget;
         ] );
       ( "cache",
         [ Alcotest.test_case "hierarchy chain reuse" `Quick test_hierarchy_cache_reuse ] );
