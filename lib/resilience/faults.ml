@@ -76,6 +76,12 @@ let arm plan =
 let disarm () = Atomic.set state None
 let armed () = Option.map (fun a -> a.plan) (Atomic.get state)
 
+let hit_count site =
+  match Atomic.get state with
+  | Some { hits; _ } -> (
+    match List.assoc_opt site hits with Some c -> Atomic.get c | None -> 0)
+  | None -> 0
+
 let env_var = "HGP_FAULT_PLAN"
 
 let from_env () =

@@ -47,6 +47,11 @@ val arm : t -> unit
 val disarm : unit -> unit
 val armed : unit -> t option
 
+(** [hit_count site] is the number of hits [site] has drawn since the plan
+    was armed, reserved ones included ({!reserve}); [0] when [site] is not
+    armed. *)
+val hit_count : string -> int
+
 (** The environment variable read by {!from_env}: ["HGP_FAULT_PLAN"]. *)
 val env_var : string
 

@@ -381,6 +381,60 @@ let test_degraded_results_not_cached () =
     ((packed_stats ()).Lru.misses > misses0);
   Alcotest.(check bool) "healthy solve did DP work" true (healthy.dp_states > 0)
 
+(* The fail-fast contract: [Solver.solve] and [Pipeline.start_session]
+   stop at the first lost tree and raise what it raised.  Sampling stops at
+   the failing build; the relax batch runs every tree, then raises the
+   lowest-index error; packing stops at the failing tree.  Every other site
+   is armed with a zero delay, so the hit count of each site pins where
+   the solve stopped.  The CI chaos matrix numbers its hits the same way. *)
+let contract_sites =
+  [ "ensemble_cache.lookup"; "decomposition.build"; "tree_dp.solve"; "feasible.pack" ]
+
+let fail_fast_cases =
+  [
+    (* armed crash, its message, hits per [contract_sites] after the call *)
+    ("decomposition.build", "crash@2", "crash armed at hit 2", [ 1; 2; 0; 0 ]);
+    ("tree_dp.solve", "crash@2", "crash armed at hit 2", [ 1; 4; 4; 0 ]);
+    ("feasible.pack", "crash@1", "crash armed at hit 1", [ 1; 4; 4; 1 ]);
+    ("ensemble_cache.lookup", "crash", "crash armed at hit 1", [ 1; 0; 0; 0 ]);
+  ]
+
+let check_fail_fast entry run () =
+  let inst = mk_instance 47 ~n:24 in
+  let options = { Solver.default_options with ensemble_size = 4; seed = 23 } in
+  List.iter
+    (fun (site, action, msg, hits) ->
+      let spec =
+        String.concat ";"
+          (("seed=3;" ^ site ^ "=" ^ action)
+          :: List.filter_map
+               (fun s -> if s = site then None else Some (s ^ "=delay:0"))
+               contract_sites)
+      in
+      Pipeline.clear_caches ();
+      Faults.with_plan (plan spec) (fun () ->
+          match run inst options with
+          | () -> Alcotest.failf "%s under %s: no error raised" entry spec
+          | exception E.Error e ->
+            Alcotest.(check string) (spec ^ ": label") "fault" (E.label e);
+            Alcotest.(check string)
+              (spec ^ ": message")
+              (E.to_string (E.Fault_injected { site; msg }))
+              (E.to_string e);
+            Alcotest.(check (list int))
+              (spec ^ ": hits per site") hits
+              (List.map Faults.hit_count contract_sites));
+      Alcotest.(check int) (spec ^ ": packed cache not written") 0
+        (packed_stats ()).Lru.entries)
+    fail_fast_cases
+
+let test_solve_fails_fast =
+  check_fail_fast "Solver.solve" (fun inst options -> ignore (Solver.solve ~options inst))
+
+let test_start_session_fails_fast =
+  check_fail_fast "Pipeline.start_session" (fun inst options ->
+      ignore (Pipeline.start_session inst options))
+
 (* Every artifact cache obeys the one switch and the fault-plan bypass.
    The caches are warmed first, so a lookup that slipped through would
    count a hit; then, with caching off and separately under an armed plan
@@ -472,6 +526,9 @@ let () =
         ] );
       ( "faults",
         [
+          Alcotest.test_case "solve fails fast" `Quick test_solve_fails_fast;
+          Alcotest.test_case "start_session fails fast" `Quick
+            test_start_session_fails_fast;
           Alcotest.test_case "sites fire despite warm caches" `Slow
             test_sites_fire_despite_warm_caches;
           Alcotest.test_case "pool crash: survivors bit-identical" `Slow
