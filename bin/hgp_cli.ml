@@ -188,7 +188,8 @@ let solve_cmd =
           ~doc:
             "Soft wall-clock budget in milliseconds; on expiry the solve \
              degrades through cheaper rungs instead of failing (see \
-             docs/ROBUSTNESS.md).")
+             docs/ROBUSTNESS.md).  With $(b,--delta) the session solve \
+             and its re-solve share the budget and an expiry exits 75.")
   in
   let repeat =
     Arg.(
@@ -306,10 +307,11 @@ let solve_cmd =
            (Hgp_error.Infeasible
               { resolution = Solver.resolution_of inst options; retried = false; msg })
        in
-       match Pipeline.start_session inst options with
+       let deadline = Hgp_resilience.Deadline.of_budget_ms deadline_ms in
+       match Pipeline.start_session ~deadline inst options with
        | None -> infeasible "base instance infeasible; incremental sessions do not retry"
        | Some (sess, _) -> (
-         match Pipeline.resolve_delta sess delta with
+         match Pipeline.resolve_delta ~deadline sess delta with
          | None -> infeasible "post-delta instance infeasible at this resolution"
          | Some u ->
            let sol = u.Pipeline.u_solution in
@@ -360,20 +362,7 @@ let solve_cmd =
          r.V.level_reports;
        Array.iteri (fun v leaf -> Printf.printf "%d %d\n" v leaf) sol.assignment
      | None, None ->
-       (* Ladder rungs below the core pipeline: the refined heuristic portfolio
-          (sans the hgp candidate — it just failed above us), then plain dual
-          recursive bisection.  Each gets a fresh deterministic rng. *)
-       let fallbacks =
-         [
-           ( "portfolio",
-             fun inst ->
-               (B.Portfolio.solve ~include_hgp:false (Prng.create seed) inst ~slack
-                  ~refine_passes:2)
-                 .best.B.Portfolio.assignment );
-           ( "recursive-bisection",
-             fun inst -> B.Recursive_bisection.assign (Prng.create seed) inst ~slack );
-         ]
-       in
+       let fallbacks = B.Portfolio.ladder ~slack ~seed in
        let solve_once () =
          match Solver.solve_supervised ~options ?deadline_ms ~fallbacks inst with
          | Error e -> Hgp_error.error e

@@ -64,3 +64,14 @@ let solve ?(solver_options = Solver.default_options) ?(include_hgp = true) rng
         (List.hd entries) entries
   in
   { best; entries }
+
+let ladder ~slack ~seed =
+  [
+    ( "portfolio",
+      fun inst ->
+        (solve ~include_hgp:false (Hgp_util.Prng.create seed) inst ~slack ~refine_passes:2)
+          .best
+          .assignment );
+    ( "recursive-bisection",
+      fun inst -> Recursive_bisection.assign (Hgp_util.Prng.create seed) inst ~slack );
+  ]

@@ -34,3 +34,11 @@ val solve :
   slack:float ->
   refine_passes:int ->
   result
+
+(** [ladder ~slack ~seed] is the supervised solve's fallback rungs below the
+    pipeline, the ones the CLI's [solve] and the batch server install: this
+    portfolio without the hgp candidate (the pipeline has just failed above
+    it) and two refinement passes, then plain dual recursive bisection.
+    Each rung draws from a fresh [Prng.create seed], so its answer does not
+    depend on what ran before it. *)
+val ladder : slack:float -> seed:int -> Hgp_core.Solver.fallback list

@@ -57,11 +57,16 @@ let default_options =
     seed = 42;
   }
 
-type supervision = {
-  deadline : Deadline.t;
-  record_tree : Hgp_error.t -> unit;
-  record : Hgp_error.t -> unit;
-}
+(* ---- fences ----
+
+   Every per-tree fence (a build slot, a pooled DP slot, a pack) reports a
+   lost tree to one handler: its ensemble index, the stage that lost it
+   ("decomposition", "dp" or "pack") and what it raised.  The default
+   handler re-raises, which makes the solve fail fast. *)
+
+type on_lost = int -> string -> exn -> unit
+
+let raise_lost : on_lost = fun _ _ exn -> raise exn
 
 (* ---- stage timing (always on, independent of Obs) ---- *)
 
@@ -168,47 +173,18 @@ let prepare (inst : Instance.t) options =
 
 (* ---- Embedded ---- *)
 
-type embedded = {
-  prepared : prepared;
-  ensemble : Ensemble.t;
-  e_key : Fingerprint.t;
-  complete : bool;  (** no build failures, no deadline expiry — cache-legal *)
-}
+type embedded = { prepared : prepared; ensemble : Ensemble.t }
 
-let embed ?supervision (p : prepared) =
+let embed ~deadline ~(lost : on_lost) (p : prepared) =
   stage 1 @@ fun () ->
   let { inst; options; _ } = p in
-  let e_key =
-    Ensemble_cache.key inst.Instance.graph ~strategy:options.strategy ~seed:options.seed
-      ~size:options.ensemble_size
-  in
-  let ensemble, failures =
+  let ensemble =
     Obs.span "solver.ensemble" (fun () ->
-        match supervision with
-        | None ->
-          let e, _from_cache =
-            Ensemble_cache.sample ~strategy:options.strategy ~seed:options.seed
-              inst.Instance.graph ~size:options.ensemble_size
-          in
-          (e, [])
-        | Some sv ->
-          let (e, failures), _from_cache =
-            Ensemble_cache.sample_isolated ~strategy:options.strategy ~deadline:sv.deadline
-              ~seed:options.seed inst.Instance.graph ~size:options.ensemble_size
-          in
-          (e, failures))
+        Ensemble_cache.sample ~strategy:options.strategy ~deadline
+          ~on_lost:(fun i exn -> lost i "decomposition" exn)
+          ~seed:options.seed inst.Instance.graph ~size:options.ensemble_size)
   in
-  (match supervision with
-  | Some sv ->
-    List.iter
-      (fun (i, exn) ->
-        sv.record_tree
-          (Hgp_error.Tree_failure
-             { tree_index = i; stage = "decomposition"; msg = Hgp_error.message_of_exn exn }))
-      failures
-  | None -> ());
-  let complete = failures = [] && Ensemble.size ensemble = options.ensemble_size in
-  { prepared = p; ensemble; e_key; complete }
+  { prepared = p; ensemble }
 
 (* ---- Relaxed ---- *)
 
@@ -243,41 +219,37 @@ let relax_tree ?(deadline = Deadline.none) ?workspace (p : prepared) d =
 (* Per-tree DP over the whole ensemble: one task per tree on the shared
    domain pool, whose fixed lanes put tree [i] on the same domain — and so
    the same resident workspace — on every run.  [solve_tree ~deadline
-   ~workspace i] solves tree [i].  Unsupervised, the error of the
-   lowest-index failing tree is raised once the batch is done; supervised,
-   every slot is fenced and an [Error] marks a lost tree (a slot whose
-   error escaped the fence is a task that died outside it, surfaced as
-   [Domain_crash]).  The [tree_dp.solve] fault hits are numbered in tree
-   order and spans nest under the caller's, whichever domain runs a
-   tree. *)
-let relax_trees ?supervision (e : embedded) solve_tree =
+   ~workspace i] solves tree [i] and returns [None] when the quantized
+   instance does not fit it.  Each slot is a fence: once the batch is
+   done, the slots that raised are reported to [lost] in tree order, so a
+   raising handler raises the lowest-index error.  Lost and infeasible
+   trees both come back as [None].  The [tree_dp.solve] fault hits are
+   numbered in tree order and spans nest under the caller's, whichever
+   domain runs a tree. *)
+let relax_trees ~deadline ~(lost : on_lost) (e : embedded) solve_tree =
   let n_trees = Ensemble.size e.ensemble in
   let hits = Faults.reserve "tree_dp.solve" n_trees in
   let task i () =
     Faults.with_hit hits i @@ fun () ->
     Workspace.with_ws @@ fun workspace ->
-    match supervision with
-    | None -> Ok (solve_tree ~deadline:Deadline.none ~workspace i)
-    | Some sv -> (
-      try
-        Deadline.check sv.deadline ~stage:"ensemble";
-        Ok (solve_tree ~deadline:sv.deadline ~workspace i)
-      with exn -> Error exn)
+    Deadline.check deadline ~stage:"ensemble";
+    solve_tree ~deadline ~workspace i
   in
   Domain_pool.run_batch (Domain_pool.shared ()) (Obs.propagate (Array.init n_trees task))
   |> Array.mapi (fun i slot ->
-         match (slot, supervision) with
-         | Ok outcome, _ -> outcome
-         | Error exn, None -> raise exn
-         | Error exn, Some _ ->
-           Error
-             (Hgp_error.Error
-                (Hgp_error.Domain_crash
-                   { tree_index = i; msg = Hgp_error.message_of_exn exn })))
+         match slot with
+         | Ok (Some _ as r) -> r
+         | Ok None ->
+           Obs.count "solver.trees_infeasible" 1;
+           Log.debug (fun m -> m "tree %d: infeasible after quantization" i);
+           None
+         | Error exn ->
+           lost i "dp" exn;
+           None)
 
-let relax ?supervision (e : embedded) =
+let relax ~deadline ~lost (e : embedded) =
   stage 2 @@ fun () ->
-  relax_trees ?supervision e (fun ~deadline ~workspace i ->
+  relax_trees ~deadline ~lost e (fun ~deadline ~workspace i ->
       relax_tree ~deadline ~workspace e.prepared (Ensemble.get e.ensemble i))
 
 (* ---- Packed ---- *)
@@ -309,61 +281,24 @@ let finish inst assignment relaxed_tree_cost tree_index dp_states =
     cached_dp_states = 0;
   }
 
-(* Pack every surviving tree, then keep the assignment with the smallest
-   {e true} graph cost (Equation 1) — a strict improvement over the paper's
-   pick-by-tree-cost that preserves the guarantee.  Returns the solution and
-   whether any tree was lost in this stage or earlier ones. *)
-let pack_and_select ?supervision ~deadline_seen ~lost (e : embedded) outcomes =
+(* Pack every surviving tree, each behind a fence, then keep the assignment
+   with the smallest {e true} graph cost (Equation 1) — a strict
+   improvement over the paper's pick-by-tree-cost that preserves the
+   guarantee. *)
+let pack_and_select ~deadline ~(lost : on_lost) (e : embedded) relaxed =
   stage 3 @@ fun () ->
   let p = e.prepared in
-  let record_deadline sv err =
-    (* One deadline report per run, not one per surviving tree. *)
-    if not !deadline_seen then begin
-      deadline_seen := true;
-      sv.record err
-    end
-  in
   let packed =
     Array.mapi
-      (fun i outcome ->
-        match outcome with
-        | Error (Hgp_error.Error (Hgp_error.Deadline_exceeded _ as err)) ->
-          (match supervision with Some sv -> record_deadline sv err | None -> ());
-          None
-        | Error exn ->
-          lost := true;
-          (match supervision with
-          | Some sv ->
-            sv.record_tree
-              (Hgp_error.Tree_failure
-                 { tree_index = i; stage = "dp"; msg = Hgp_error.message_of_exn exn })
-          | None -> ());
-          None
-        | Ok None ->
-          Obs.count "solver.trees_infeasible" 1;
-          Log.debug (fun m -> m "tree %d: infeasible after quantization" i);
-          None
-        | Ok (Some tr) -> (
-          let d = Ensemble.get e.ensemble i in
-          match supervision with
-          | None -> Some (pack_tree p d tr, tr.dp.Tree_dp.cost, tr.dp.Tree_dp.states_explored)
-          | Some sv -> (
-            try
-              Some
-                ( pack_tree ~deadline:sv.deadline p d tr,
-                  tr.dp.Tree_dp.cost,
-                  tr.dp.Tree_dp.states_explored )
-            with
-            | Hgp_error.Error (Hgp_error.Deadline_exceeded _ as err) ->
-              record_deadline sv err;
-              None
-            | exn ->
-              lost := true;
-              sv.record_tree
-                (Hgp_error.Tree_failure
-                   { tree_index = i; stage = "pack"; msg = Hgp_error.message_of_exn exn });
-              None)))
-      outcomes
+      (fun i r ->
+        Option.bind r (fun tr ->
+            match pack_tree ~deadline p (Ensemble.get e.ensemble i) tr with
+            | assignment ->
+              Some (assignment, tr.dp.Tree_dp.cost, tr.dp.Tree_dp.states_explored)
+            | exception exn ->
+              lost i "pack" exn;
+              None))
+      relaxed
   in
   Obs.span "solver.select" @@ fun () ->
   let best = ref None in
@@ -384,7 +319,6 @@ let pack_and_select ?supervision ~deadline_seen ~lost (e : embedded) outcomes =
   match !best with
   | Some (assignment, _, relaxed, i) ->
     Obs.count "solver.dp_states" !total_states;
-    if supervision = None then Obs.count "solver.solves" 1;
     Log.info (fun m ->
         m "solved n=%d k=%d resolution=%d: winning tree %d, %d DP states"
           (Instance.n p.inst)
@@ -452,33 +386,33 @@ let prepare_keyed inst options =
   in
   (p, key)
 
-(* Pack and select over the per-tree outcomes, publishing the winner under
-   [key].  Only healthy, complete runs are cacheable: a degraded solution is
-   correct but not bit-identical to what a fresh solve would return. *)
-let pack_and_publish ?supervision key (e : embedded) outcomes =
-  let deadline_seen = ref false in
-  let lost = ref (not e.complete) in
-  let result = pack_and_select ?supervision ~deadline_seen ~lost e outcomes in
-  (match result with
-  | Some sol when (not !lost) && not !deadline_seen -> packed_add key sol
-  | _ -> ());
+(* embed → [relax] → pack, every lost tree reported to [on_lost], the
+   winner published under [key].  Only a run that lost nothing is
+   cacheable: a degraded solution is correct but not bit-identical to what
+   a fresh solve would return. *)
+let fenced ~deadline ~on_lost key p relax =
+  let clean = ref true in
+  let lost i stage exn =
+    clean := false;
+    on_lost i stage exn
+  in
+  let e = embed ~deadline ~lost p in
+  let result = pack_and_select ~deadline ~lost e (relax ~deadline ~lost e) in
+  (match result with Some sol when !clean -> packed_add key sol | _ -> ());
   result
 
-let run ?supervision inst options =
+let run ?(deadline = Deadline.none) ?(on_lost = raise_lost) inst options =
   let p, key = prepare_keyed inst options in
   match packed_find key with
   | Some sol ->
     (* Work counters reflect work actually performed by this solve: zero DP
-       states, one solve.  The inherited work is visible in
-       [sol.cached_dp_states] and the [solver.dp_states_cached] counter. *)
+       states.  The inherited work is visible in [sol.cached_dp_states] and
+       the [solver.dp_states_cached] counter. *)
     Obs.count "solver.dp_states" 0;
     Obs.count "solver.dp_states_cached" sol.cached_dp_states;
-    if supervision = None then Obs.count "solver.solves" 1;
     Log.debug (fun m -> m "packed cache hit (%s)" (Fingerprint.to_hex key));
     Some sol
-  | None ->
-    let e = embed ?supervision p in
-    pack_and_publish ?supervision key e (relax ?supervision e)
+  | None -> fenced ~deadline ~on_lost key p relax
 
 let infeasible ~resolution ~retried =
   Hgp_error.error
@@ -532,33 +466,32 @@ let shape_key (p : prepared) d ~tree_index =
    results are still published to it — they are bit-identical to what a
    cold run would cache.  Returns the solution plus [(resolved_subtrees,
    reused_subtrees)] summed over the ensemble. *)
-let run_incremental ?supervision inst options =
+let run_incremental ?(deadline = Deadline.none) inst options =
   let p, key = prepare_keyed inst options in
-  let e = embed ?supervision p in
   let resolved = ref 0 and reused = ref 0 in
-  let outcomes =
+  let relax ~deadline ~lost (e : embedded) =
     stage 2 @@ fun () ->
     let keys =
       Array.init (Ensemble.size e.ensemble) (fun i ->
           shape_key p (Ensemble.get e.ensemble i) ~tree_index:i)
     in
     let prevs = Array.map (Artifact_cache.find subtree_cache) keys in
-    relax_trees ?supervision e (fun ~deadline ~workspace i ->
+    relax_trees ~deadline ~lost e (fun ~deadline ~workspace i ->
         let t, demand_units, cfg = tree_inputs p (Ensemble.get e.ensemble i) in
         Obs.span "solver.tree_dp" (fun () ->
             Tree_dp.solve_snap ~deadline ~workspace ?prev:prevs.(i) t ~demand_units cfg)
         |> Option.map (fun (dp, snap, st) -> ({ demand_units; dp }, snap, st)))
-    |> Array.mapi (fun i outcome ->
-           Result.map
-             (Option.map (fun (tr, snap, st) ->
-                  Artifact_cache.add subtree_cache keys.(i) snap;
-                  resolved := !resolved + st.Tree_dp.resolved_nodes;
-                  reused := !reused + st.Tree_dp.reused_nodes;
-                  tr))
-             outcome)
+    |> Array.mapi (fun i ->
+           Option.map (fun (tr, snap, st) ->
+               Artifact_cache.add subtree_cache keys.(i) snap;
+               resolved := !resolved + st.Tree_dp.resolved_nodes;
+               reused := !reused + st.Tree_dp.reused_nodes;
+               tr))
   in
-  pack_and_publish ?supervision key e outcomes
-  |> Option.map (fun sol -> (sol, (!resolved, !reused)))
+  fenced ~deadline ~on_lost:raise_lost key p relax
+  |> Option.map (fun sol ->
+         Obs.count "solver.solves" 1;
+         (sol, (!resolved, !reused)))
 
 (* ---- sessions: named solve state for delta streams ---- *)
 
@@ -578,8 +511,8 @@ type update_report = {
   cert_bound : float;
 }
 
-let start_session inst options =
-  match run_incremental inst options with
+let start_session ?deadline inst options =
+  match run_incremental ?deadline inst options with
   | None -> None
   | Some (sol, _) ->
     Some
@@ -612,10 +545,10 @@ let churn_of ~mapping ~old_assignment ~assignment ~n_new =
   done;
   float_of_int !changed /. float_of_int (max 1 n_new)
 
-let resolve_delta ?supervision (s : session) delta =
+let resolve_delta ?deadline (s : session) delta =
   let inst', mapping = Delta.apply_mapped s.s_inst delta in
   Delta.check_connected inst' delta;
-  match run_incremental ?supervision inst' s.s_options with
+  match run_incremental ?deadline inst' s.s_options with
   | None -> None
   | Some (sol, (resolved_subtrees, reused_subtrees)) ->
     let churn =

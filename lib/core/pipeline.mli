@@ -103,33 +103,43 @@ val resolution_for :
     also counted under [solver.resolution_clamped]). *)
 val resolution_clamped : Instance.t -> options -> bool
 
-(** {1 Supervision hooks}
+(** {1 Fences}
 
-    The supervised solve threads fault isolation through the stage
-    boundaries: per-tree failures are recorded and skipped rather than
-    raised, and an expired deadline aborts the current stage. *)
+    The pipeline is one fenced path.  Every per-tree fence — a slot of the
+    build loop, a pooled DP slot, a pack — reports a lost tree to one
+    handler.  Deadlines hold the same way on every path: each build slot
+    and each DP slot checks the token first (stage ["ensemble"]), and the
+    DP and the packer check it as they go. *)
 
-type supervision = {
-  deadline : Hgp_resilience.Deadline.t;
-  record_tree : Hgp_resilience.Hgp_error.t -> unit;
-      (** called with [Tree_failure _] / [Domain_crash _] per lost tree *)
-  record : Hgp_resilience.Hgp_error.t -> unit;
-      (** called for non-tree events (one deduplicated deadline report) *)
-}
+(** [on_lost tree stage exn]: tree [tree] of the ensemble was lost in
+    [stage] (["decomposition"], ["dp"] or ["pack"]) because it raised
+    [exn], an expired deadline included.  A handler that raises stops the
+    solve there; one that returns drops the tree, and the survivors carry
+    the solve. *)
+type on_lost = int -> string -> exn -> unit
 
-(** [run ?supervision inst options] executes prepare → embed → relax → pack
-    and returns the best feasible assignment by true graph cost, or [None]
-    when every tree is infeasible after quantization.
+(** [run ?deadline ?on_lost inst options] executes prepare → embed → relax
+    → pack and returns the best feasible assignment by true graph cost, or
+    [None] when no tree is left feasible after quantization.
 
-    Without [supervision] this is the fail-fast path: every tree of the
-    batch runs, then the error of the lowest-index failing tree propagates.
-    With it, per-tree faults are recorded via the hooks and survivors carry
-    the solve.
+    The default handler re-raises, so the solve fails fast: sampling stops
+    at the failing build, the relax batch runs every tree and then raises
+    the lowest-index error, and packing stops at the failing tree.  A run
+    that lost any tree, for whatever reason, publishes nothing to the
+    packed-solution cache.  [deadline] defaults to
+    {!Hgp_resilience.Deadline.none}.
 
     Telemetry: [pipeline.stage.*] spans, [cache.{hit,miss,evict}] counters
     (plus [cache.NAME.*] breakdowns per cache), and the pre-existing
-    [solver.*] span/counter names, unchanged. *)
-val run : ?supervision:supervision -> Instance.t -> options -> solution option
+    [solver.*] span/counter names, unchanged.  [solver.solves] is counted
+    by the fail-fast entry points ({!Solver.solve}, {!run_incremental}),
+    not here. *)
+val run :
+  ?deadline:Hgp_resilience.Deadline.t ->
+  ?on_lost:on_lost ->
+  Instance.t ->
+  options ->
+  solution option
 
 (** [solve_on_decomposition inst d ~options] runs relax + pack on one given
     tree (no ensemble, no caching); exposed for ensemble ablations.
@@ -145,17 +155,19 @@ val solve_on_decomposition :
     splicing clean-subtree tables back in bit-identically
     (docs/INCREMENTAL.md). *)
 
-(** [run_incremental ?supervision inst options] is {!run} with the relax
-    stage routed through the per-subtree snapshot cache.  The packed-
+(** [run_incremental ?deadline inst options] is the fail-fast {!run} with
+    the relax stage routed through the per-subtree snapshot cache.  The packed-
     solution cache is not consulted (the report must reflect true
     incremental work) but healthy results are still published to it.
     Its trees run as one batch on the shared domain pool, like {!run}'s.
     Returns the solution plus [(resolved_subtrees, reused_subtrees)]:
     decomposition-tree nodes recomputed vs spliced, summed over the
-    ensemble in tree order after the batch.  The solution is bit-identical to a cold {!run} on the same
-    instance. *)
+    ensemble in tree order after the batch.  The solution is bit-identical
+    to a cold {!run} on the same instance.  A lost tree raises, as in
+    {!run}; one lost in the DP (an expired [deadline] included) raises
+    before any snapshot of the batch is published. *)
 val run_incremental :
-  ?supervision:supervision ->
+  ?deadline:Hgp_resilience.Deadline.t ->
   Instance.t ->
   options ->
   (solution * (int * int)) option
@@ -177,11 +189,15 @@ type update_report = {
   cert_bound : float;
 }
 
-(** [start_session inst options] solves cold (warming the snapshot cache)
-    and opens a session; [None] when every tree is infeasible. *)
-val start_session : Instance.t -> options -> (session * solution) option
+(** [start_session ?deadline inst options] solves cold with
+    {!run_incremental} (warming the snapshot cache) and opens a session;
+    [None] when every tree is infeasible.
+    @raise Hgp_resilience.Hgp_error.Error whatever a lost tree raised —
+    [Deadline_exceeded _] once [deadline] expires. *)
+val start_session :
+  ?deadline:Hgp_resilience.Deadline.t -> Instance.t -> options -> (session * solution) option
 
-(** [resolve_delta ?supervision session delta] applies the delta
+(** [resolve_delta ?deadline session delta] applies the delta
     ({!Delta.apply_mapped}), re-solves incrementally, re-certifies with
     {!Verify.certify}, updates the session state, and bumps the
     [incremental.{updates,dirty_subtrees,reused_subtrees}] counters and the
@@ -191,10 +207,11 @@ val start_session : Instance.t -> options -> (session * solution) option
     resolution).
     @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _]) when the
     delta does not validate against the session's instance or leaves its
-    graph disconnected ({!Delta.check_connected}); the session is left
-    unchanged. *)
+    graph disconnected ({!Delta.check_connected}), and whatever a lost
+    tree raised — [Deadline_exceeded _], naming the stage that noticed,
+    once [deadline] expires.  Either way the session is left unchanged. *)
 val resolve_delta :
-  ?supervision:supervision -> session -> Delta.t -> update_report option
+  ?deadline:Hgp_resilience.Deadline.t -> session -> Delta.t -> update_report option
 
 (** [churn_of ~mapping ~old_assignment ~assignment ~n_new] is the exact
     fraction of the new instance's vertices whose leaf assignment changed:

@@ -53,7 +53,13 @@ let solve ?(options = default_options) inst =
         ("strategy", Ensemble.strategy_name options.strategy);
       ]
   @@ fun () ->
-  match Pipeline.run inst options with
+  let run options =
+    Pipeline.run inst options
+    |> Option.map (fun s ->
+           Obs.count "solver.solves" 1;
+           s)
+  in
+  match run options with
   | Some s -> s
   | None -> (
     match retry_options inst options with
@@ -63,7 +69,7 @@ let solve ?(options = default_options) inst =
       Log.info (fun m ->
           m "infeasible at resolution %d; retrying at %d with floor rounding"
             (resolution_of inst options) r');
-      match Pipeline.run inst options' with
+      match run options' with
       | Some s -> s
       | None -> infeasible ~resolution:r' ~retried:true))
 
@@ -151,7 +157,22 @@ let solve_supervised ?(options = default_options) ?deadline_ms ?(fallbacks = [])
     record e;
     Obs.count "supervisor.tree_failures" 1
   in
-  let supervision = { Pipeline.deadline; record_tree; record } in
+  (* The pipeline's fences report each lost tree here: it is recorded and
+     skipped, and the survivors carry the rung.  An expired deadline is
+     recorded once per rung, not once per tree. *)
+  let on_lost () =
+    let deadline_seen = ref false in
+    fun tree_index stage exn ->
+      match exn with
+      | Hgp_error.Error (Hgp_error.Deadline_exceeded _ as err) ->
+        if not !deadline_seen then begin
+          deadline_seen := true;
+          record err
+        end
+      | exn ->
+        record_tree
+          (Hgp_error.Tree_failure { tree_index; stage; msg = Hgp_error.message_of_exn exn })
+  in
   let h = Hierarchy.height inst.hierarchy in
   let bound = Feasible.theoretical_violation_bound ~h ~eps:options.eps in
   let rungs_tried = ref [] in
@@ -194,11 +215,11 @@ let solve_supervised ?(options = default_options) ?deadline_ms ?(fallbacks = [])
       | None -> None
       | Some cert -> Some (solution, cert))
   in
-  let ensemble_rung () = Pipeline.run ~supervision inst options in
+  let ensemble_rung () = Pipeline.run ~deadline ~on_lost:(on_lost ()) inst options in
   let reduced_rung () =
     Deadline.check deadline ~stage:"reduced";
     let options = reduced_options options (resolution_of inst options) in
-    Pipeline.run ~supervision inst options
+    Pipeline.run ~deadline ~on_lost:(on_lost ()) inst options
   in
   let fallback_rung name f () =
     Deadline.check deadline ~stage:name;

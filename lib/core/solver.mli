@@ -16,10 +16,12 @@
     This module re-exports the pipeline's {!options} / {!solution} types, so
     [Solver.default_options] and friends work as before.
 
-    Two entry points: {!solve} is the raw pipeline (fails fast with a
-    structured error), {!solve_supervised} wraps it in fault isolation, a
-    cooperative deadline, and a certified degradation ladder — the
-    production entry point (see [docs/ROBUSTNESS.md]). *)
+    Two entry points run the same fenced pipeline and differ only in what
+    a lost tree does ({!Pipeline.on_lost}): {!solve} re-raises its error
+    (fails fast with a structured error); {!solve_supervised} records it,
+    carries on with the survivors, and adds a cooperative deadline and a
+    certified degradation ladder — the production entry point (see
+    [docs/ROBUSTNESS.md]). *)
 
 (** {!options} and {!solution} are {!Pipeline.Types}' records, documented
     there. *)
@@ -50,8 +52,11 @@ val resolution_clamped : Instance.t -> options -> bool
     overshoot that causes spurious infeasibility — most often with
     [Demand.Ceil]); the retry reuses the cached ensemble, since the ensemble
     key does not involve the resolution; only then is the failure surfaced.
+    A lost tree stops the solve ({!Pipeline.run}'s default handler): the
+    error it raised propagates.  Counted under [solver.solves].
     @raise Hgp_resilience.Hgp_error.Error with an [Infeasible] payload
-    ([retried = true] when the retry also failed). *)
+    ([retried = true] when the retry also failed), or whatever a lost tree
+    raised. *)
 val solve : ?options:options -> Instance.t -> solution
 
 (** [solve_on_decomposition inst d ~options] solves on one given tree;
@@ -76,7 +81,8 @@ type supervised = {
   degraded : bool;
       (** true when any tree failed or a rung below "ensemble" won *)
   tree_failures : Hgp_resilience.Hgp_error.t list;
-      (** per-tree isolation events ([Tree_failure] / [Domain_crash]) *)
+      (** per-tree isolation events: one [Tree_failure] per lost tree,
+          naming the stage that lost it *)
   errors : Hgp_resilience.Hgp_error.t list;  (** everything recorded, including the above *)
 }
 
@@ -84,13 +90,14 @@ type supervised = {
     resilient entry point:
 
     - {b fault isolation}: each ensemble member's decomposition build, DP
-      and packing run behind a fence; a raising tree (or a pool task
-      that died outside its fence) is recorded and skipped, and the solve
-      proceeds on the survivors — a Räcke ensemble is a distribution over
-      trees, so losing members costs diversity, never correctness;
+      and packing run behind the pipeline's fences; a raising tree is
+      recorded as a [Tree_failure] and skipped, and the solve proceeds on
+      the survivors — a Räcke ensemble is a distribution over trees, so
+      losing members costs diversity, never correctness;
     - {b deadline}: [deadline_ms] starts a cooperative token checked in the
       ensemble loop, the DP merge loop, and the packer; on expiry the
-      current rung aborts within microseconds and the ladder descends;
+      current rung aborts within microseconds (recording one
+      [Deadline_exceeded]) and the ladder descends;
     - {b degradation ladder}: rung 0 is the full ensemble; rung 1 retries
       with a single tree, a narrow beam and halved resolution; then each
       [fallbacks] entry in order; the final rung is a least-loaded

@@ -38,8 +38,6 @@ let of_graph ?vwgt g =
 
 let to_graph t = t.graph
 let n t = Graph.n t.graph
-let vertex_weight t v = t.vwgt.(v)
-let total_vertex_weight t = t.total_vw
 
 let contract t map ~n_parts =
   let graph = Graph.contract t.graph map ~n_parts in

@@ -27,8 +27,6 @@ val of_graph : ?vwgt:float array -> Graph.t -> t
 val to_graph : t -> Graph.t
 
 val n : t -> int
-val vertex_weight : t -> int -> float
-val total_vertex_weight : t -> float
 
 (** [contract t map ~n_parts] is {!Graph.contract} with vertex weights
     added up per part.  O(n + m).

@@ -1,4 +1,6 @@
 module Obs = Hgp_obs.Obs
+module Deadline = Hgp_resilience.Deadline
+module Hgp_error = Hgp_resilience.Hgp_error
 
 type t = { trees : Decomposition.t array }
 
@@ -11,55 +13,35 @@ let strategy_name = function
 let mixed_cycle =
   [| Decomposition.Low_diameter; Decomposition.Bfs_bisection; Decomposition.Gomory_hu |]
 
-let sample ?(strategy = Pure Decomposition.Low_diameter) rng g ~size =
+let sample ?(strategy = Pure Decomposition.Low_diameter) ?(deadline = Deadline.none)
+    ?(on_lost = fun _ exn -> raise exn) rng g ~size =
   if size < 1 then invalid_arg "Ensemble.sample: size must be >= 1";
-  let shape_of i =
-    match strategy with
-    | Pure s -> s
-    | Mixed -> mixed_cycle.(i mod Array.length mixed_cycle)
-  in
-  let trees =
-    Array.init size (fun i ->
-        let rng' = Hgp_util.Prng.split rng in
-        let shape = shape_of i in
-        (* One span per shape so a mixed ensemble reports how its sampling
-           time splits across strategies. *)
-        Obs.span ("ensemble.build." ^ Decomposition.strategy_name shape) (fun () ->
-            Decomposition.build ~strategy:shape rng' g))
-  in
-  Obs.count "ensemble.trees_sampled" size;
-  { trees }
-
-let sample_isolated ?(strategy = Pure Decomposition.Low_diameter)
-    ?(deadline = Hgp_resilience.Deadline.none) rng g ~size =
-  if size < 1 then invalid_arg "Ensemble.sample_isolated: size must be >= 1";
-  let shape_of i =
-    match strategy with
-    | Pure s -> s
-    | Mixed -> mixed_cycle.(i mod Array.length mixed_cycle)
-  in
-  let failures = ref [] in
   let trees = ref [] in
-  let i = ref 0 in
-  while !i < size && not (Hgp_resilience.Deadline.expired deadline) do
+  for i = 0 to size - 1 do
     (* Split before trying: slot [i] consumes its RNG stream whether or not
        the build survives, keeping later trees deterministic. *)
     let rng' = Hgp_util.Prng.split rng in
-    let shape = shape_of !i in
-    (try
-       let d =
-         Obs.span ("ensemble.build." ^ Decomposition.strategy_name shape) (fun () ->
-             Decomposition.build ~strategy:shape rng' g)
-       in
-       trees := d :: !trees
-     with exn ->
-       Obs.count "ensemble.build_failures" 1;
-       failures := (!i, exn) :: !failures);
-    incr i
+    let shape =
+      match strategy with
+      | Pure s -> s
+      | Mixed -> mixed_cycle.(i mod Array.length mixed_cycle)
+    in
+    match
+      Deadline.check deadline ~stage:"ensemble";
+      (* One span per shape so a mixed ensemble reports how its sampling
+         time splits across strategies. *)
+      Obs.span ("ensemble.build." ^ Decomposition.strategy_name shape) (fun () ->
+          Decomposition.build ~strategy:shape rng' g)
+    with
+    | d -> trees := d :: !trees
+    | exception (Hgp_error.Error (Hgp_error.Deadline_exceeded _) as exn) -> on_lost i exn
+    | exception exn ->
+      on_lost i exn;
+      Obs.count "ensemble.build_failures" 1
   done;
   let trees = Array.of_list (List.rev !trees) in
   Obs.count "ensemble.trees_sampled" (Array.length trees);
-  ({ trees }, List.rev !failures)
+  { trees }
 
 let size e = Array.length e.trees
 let get e i = e.trees.(i)

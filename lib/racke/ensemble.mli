@@ -18,29 +18,29 @@ type strategy =
     {!Decomposition.strategy_name}) for telemetry and reports. *)
 val strategy_name : strategy -> string
 
-(** [sample ?strategy rng g ~size] draws [size] independent decomposition
-    trees of the connected graph [g] (default
-    [Pure Decomposition.Low_diameter]).  Requires [size >= 1]. *)
-val sample :
-  ?strategy:strategy -> Hgp_util.Prng.t -> Hgp_graph.Graph.t -> size:int -> t
+(** [sample ?strategy ?deadline ?on_lost rng g ~size] draws [size]
+    independent decomposition trees of the connected graph [g] (default
+    [Pure Decomposition.Low_diameter]).  Requires [size >= 1].
 
-(** [sample_isolated ?strategy ?deadline rng g ~size] is {!sample} with
-    per-tree fault isolation: a tree whose decomposition build raises is
-    skipped (counted under [ensemble.build_failures]) and reported as
-    [(original_index, exn)]; the survivors form the ensemble.  Losing a tree
-    only costs diversity — a Räcke ensemble is a distribution over trees, so
-    any member alone still upper-bounds every cut (Proposition 1).  The RNG
-    stream is split per slot {e before} building, so surviving trees are
-    bit-identical to the same slots of {!sample}.  When [deadline] expires,
-    sampling stops early and the partial ensemble is returned; the ensemble
-    may therefore be empty. *)
-val sample_isolated :
+    Each slot is fenced: it checks [deadline] (stage ["ensemble"]), then
+    builds its tree.  A slot that raises is reported to [on_lost i exn]
+    with its index [i].  The default [on_lost] re-raises, so sampling
+    stops at the failing slot.  A handler that returns skips the slot (a
+    skipped build is counted under [ensemble.build_failures]), and the
+    survivors form the ensemble, which may then be smaller than [size] or
+    empty.  Losing a tree only costs diversity: a Räcke ensemble is a
+    distribution over trees, so any member alone still upper-bounds every
+    cut (Proposition 1).  The RNG stream is split per slot {e before}
+    building, so a surviving tree is bit-identical to the same slot of a
+    healthy run. *)
+val sample :
   ?strategy:strategy ->
   ?deadline:Hgp_resilience.Deadline.t ->
+  ?on_lost:(int -> exn -> unit) ->
   Hgp_util.Prng.t ->
   Hgp_graph.Graph.t ->
   size:int ->
-  t * (int * exn) list
+  t
 
 (** [size e] is the number of trees. *)
 val size : t -> int

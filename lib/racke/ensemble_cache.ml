@@ -1,6 +1,5 @@
 module Fingerprint = Hgp_util.Fingerprint
 module Faults = Hgp_resilience.Faults
-module Deadline = Hgp_resilience.Deadline
 module Artifact_cache = Hgp_resilience.Artifact_cache
 
 (* Ensembles are the largest artifacts we retain (O(size * n) tree nodes
@@ -22,26 +21,16 @@ let lookup k =
   Faults.fire "ensemble_cache.lookup";
   Artifact_cache.find cache k
 
-let sample ~strategy ~seed g ~size =
+let sample ~strategy ?deadline ?on_lost ~seed g ~size =
   let k = key g ~strategy ~seed ~size in
   match lookup k with
-  | Some e -> (e, true)
+  | Some e -> e
   | None ->
-    let e = Ensemble.sample ~strategy (Hgp_util.Prng.create seed) g ~size in
-    Artifact_cache.add cache k e;
-    (e, false)
-
-let sample_isolated ~strategy ?(deadline = Deadline.none) ~seed g ~size =
-  let k = key g ~strategy ~seed ~size in
-  match lookup k with
-  | Some e -> ((e, []), true)
-  | None ->
-    let ((e, failures) as r) =
-      Ensemble.sample_isolated ~strategy ~deadline (Hgp_util.Prng.create seed) g ~size
+    let e =
+      Ensemble.sample ~strategy ?deadline ?on_lost (Hgp_util.Prng.create seed) g ~size
     in
-    (* Only complete ensembles are cacheable: a partial one (lost trees or
-       an expired deadline) is correct for this solve but not bit-identical
-       to what a healthy solve would produce. *)
-    if failures = [] && Ensemble.size e = size && not (Deadline.expired deadline) then
-      Artifact_cache.add cache k e;
-    (r, false)
+    (* Only complete ensembles are cacheable: one that lost a tree (a failed
+       build or an expired deadline) is correct for this solve but not
+       bit-identical to what a healthy solve would produce. *)
+    if Ensemble.size e = size then Artifact_cache.add cache k e;
+    e

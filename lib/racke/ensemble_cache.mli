@@ -26,21 +26,17 @@ val key :
   size:int ->
   Hgp_util.Fingerprint.t
 
-(** [sample ~strategy ~seed g ~size] is [Ensemble.sample] memoized on
-    {!key}; the PRNG is created from [seed] internally so a cache hit and a
-    fresh sample are bit-identical.  Returns [(ensemble, from_cache)]. *)
+(** [sample ~strategy ?deadline ?on_lost ~seed g ~size] is
+    {!Ensemble.sample} memoized on {!key}; the PRNG is created from [seed]
+    internally so a cache hit and a fresh sample are bit-identical.  Only a
+    complete ensemble is stored: one that lost a slot to [on_lost] is
+    served to this caller and never cached, so a hit is always what a
+    healthy sample returns. *)
 val sample :
-  strategy:Ensemble.strategy -> seed:int -> Hgp_graph.Graph.t -> size:int -> Ensemble.t * bool
-
-(** [sample_isolated] is the fault-isolated variant used by the supervised
-    solve.  A cached (complete) ensemble is served with an empty failure
-    list — exactly what [Ensemble.sample_isolated] returns when nothing
-    fails, which is the only case that is ever stored: partial ensembles
-    (build failures or deadline expiry) are never cached. *)
-val sample_isolated :
   strategy:Ensemble.strategy ->
   ?deadline:Hgp_resilience.Deadline.t ->
+  ?on_lost:(int -> exn -> unit) ->
   seed:int ->
   Hgp_graph.Graph.t ->
   size:int ->
-  (Ensemble.t * (int * exn) list) * bool
+  Ensemble.t

@@ -1,8 +1,8 @@
 module Fingerprint = Hgp_util.Fingerprint
 module Domain_pool = Hgp_util.Domain_pool
-module Prng = Hgp_util.Prng
 module Obs = Hgp_obs.Obs
 module Hgp_error = Hgp_resilience.Hgp_error
+module Deadline = Hgp_resilience.Deadline
 module Solver = Hgp_core.Solver
 module Pipeline = Hgp_core.Pipeline
 module Delta = Hgp_core.Delta
@@ -122,22 +122,6 @@ let render_stats (s : stats) =
     s.submitted s.admitted s.rejected_overloaded s.rejected_resolve s.deadline_expired
     s.coalesced s.ok s.errors s.degraded s.cache_hits s.steals s.batches s.updates
 
-(* The same degradation ladder the CLI's one-shot solve installs: the refined
-   heuristic portfolio (sans the hgp candidate — it just failed above), then
-   plain dual recursive bisection; each with a fresh deterministic rng so a
-   request's answer does not depend on its neighbours. *)
-let ladder_fallbacks ~slack ~seed =
-  [
-    ( "portfolio",
-      fun inst ->
-        (B.Portfolio.solve ~include_hgp:false (Prng.create seed) inst ~slack
-           ~refine_passes:2)
-          .best
-          .B.Portfolio.assignment );
-    ( "recursive-bisection",
-      fun inst -> B.Recursive_bisection.assign (Prng.create seed) inst ~slack );
-  ]
-
 (* ---- admission ---- *)
 
 let rejected_response (req : Protocol.request) e =
@@ -238,23 +222,24 @@ let submit_any t = function
 
 type group = { key : Fingerprint.t; members : pending list; priority : int }
 
-(* Session-bearing solves go through [Pipeline.start_session] fail-fast, so
-   the registered session state and the response embody the same
-   bit-identical pipeline solution.  On infeasibility or a structured error
-   (an expired deadline, an injected fault) the group falls back to the
-   supervised ladder below with nothing registered — a fallback-rung answer
-   has no DP snapshots to update incrementally.
+(* Session-bearing solves go through [Pipeline.start_session] fail-fast,
+   under the request's remaining budget, so the registered session state
+   and the response embody the same bit-identical pipeline solution.  On
+   infeasibility or a structured error (an expired deadline, an injected
+   fault) the group falls back to the supervised ladder below with nothing
+   registered — a fallback-rung answer has no DP snapshots to update
+   incrementally.
    Distinct session names in one coalesced group each get their own session
    (the repeat solves hit the warm caches); the solutions are bit-identical,
    so answering the group from the first is sound. *)
-let register_sessions t ~inst ~options alive =
+let register_sessions t ~deadline ~inst ~options alive =
   let names =
     List.filter_map (fun p -> p.resolved.Protocol.request.Protocol.session) alive
     |> List.sort_uniq compare
   in
   List.fold_left
     (fun acc name ->
-      match Pipeline.start_session inst options with
+      match Pipeline.start_session ~deadline inst options with
       | exception Hgp_error.Error _ | None -> acc
       | Some (sess, sol) ->
         with_slock t (fun () -> Hashtbl.replace t.sessions name sess);
@@ -264,7 +249,8 @@ let register_sessions t ~inst ~options alive =
 
 (* Runs on a shard worker.  Answers every member of one coalesced group:
    queue-expired members get their structured deadline error, the survivors
-   share a single supervised solve under the leader's remaining budget. *)
+   share one solve — a session open, else the supervised ladder — under the
+   leader's remaining budget. *)
 let handle t group =
   let dispatch_ns = Obs.now_ns () in
   let queue_ms p = Int64.to_float (Int64.sub dispatch_ns p.submit_ns) /. 1e6 in
@@ -304,20 +290,22 @@ let handle t group =
       Obs.count "server.coalesced" (List.length followers)
     end;
     let { Protocol.inst; options; request; _ } = leader.resolved in
-    let remaining =
-      Option.map (fun d -> d -. queue_ms leader) request.Protocol.deadline_ms
+    let deadline =
+      Deadline.of_budget_ms
+        (Option.map (fun d -> d -. queue_ms leader) request.Protocol.deadline_ms)
     in
     let t0 = Obs.now_ns () in
     let result =
       Obs.span "server.solve" (fun () ->
-          match register_sessions t ~inst ~options alive with
+          match register_sessions t ~deadline ~inst ~options alive with
           | Some sol -> `Session sol
           | None -> (
             try
               `Ladder
-                (Solver.solve_supervised ~options ?deadline_ms:remaining
+                (Solver.solve_supervised ~options
+                   ?deadline_ms:(Deadline.remaining_ms deadline)
                    ~fallbacks:
-                     (ladder_fallbacks ~slack:t.config.slack ~seed:options.Solver.seed)
+                     (B.Portfolio.ladder ~slack:t.config.slack ~seed:options.Solver.seed)
                    inst)
             with exn ->
               (* [solve_supervised] promises not to raise; fence anyway so a
@@ -423,8 +411,15 @@ let run_update t (pu : pending_update) ~dispatch_ns =
              })
       | Some sess -> (
         Obs.span "server.update" @@ fun () ->
+        (* The budget left when the update starts, like a solve's. *)
+        let deadline =
+          Deadline.of_budget_ms
+            (Option.map
+               (fun d -> d -. (Int64.to_float (Int64.sub t0 pu.u_submit_ns) /. 1e6))
+               u.Protocol.u_deadline_ms)
+        in
         try
-          match Pipeline.resolve_delta sess pu.delta with
+          match Pipeline.resolve_delta ~deadline sess pu.delta with
           | Some r ->
             let sol = r.Pipeline.u_solution in
             Protocol.Updated

@@ -85,8 +85,9 @@ val submit : t -> Protocol.request -> [ `Admitted | `Rejected of Protocol.respon
     infeasible or raises, the request falls back to the supervised
     degradation ladder and {e no} session is registered — a fallback-rung
     answer has no DP snapshots to update.  Re-using a name replaces the
-    session.  Session solves ignore the remaining [deadline_ms] budget
-    (queue-expiry still applies). *)
+    session.  The session open runs under the request's remaining
+    [deadline_ms] budget: an open that expires registers nothing and falls
+    back to the ladder with what is left of the budget. *)
 
 (** [submit_update t u] admits a delta against a named session under the
     same bounded queue ([Overloaded] past the limit); a malformed delta is
@@ -95,8 +96,10 @@ val submit : t -> Protocol.request -> [ `Admitted | `Rejected of Protocol.respon
     in the same batch is visible) and in submission order; responses
     interleave with solve responses by submission index.  Failure modes per
     update: unknown session → [Invalid_input]; queue-expired deadline →
-    [Deadline_exceeded]; post-delta infeasibility → [Infeasible] (the
-    session keeps its pre-delta state). *)
+    [Deadline_exceeded] with stage ["queue"]; a re-solve that outlives the
+    remaining budget → [Deadline_exceeded] naming the stage that noticed;
+    post-delta infeasibility → [Infeasible].  On every failure the session
+    keeps its pre-delta state. *)
 val submit_update :
   t -> Protocol.update_request -> [ `Admitted | `Rejected of Protocol.response ]
 

@@ -109,7 +109,7 @@ let band_init csr hy assignment ~slack =
   in
   for v = 0 to n - 1 do
     let l = assignment.(v) in
-    let d = Csr.vertex_weight csr v in
+    let d = csr.Csr.vwgt.(v) in
     for j = 1 to h do
       let a = Hierarchy.ancestor hy ~level:j l in
       loads.(j).(a) <- loads.(j).(a) +. d
@@ -232,7 +232,7 @@ let refine csr hy assignment ~slack ~max_passes =
           graph v;
         if !ncand > 0 then begin
           let here = incident from v in
-          let d = Csr.vertex_weight csr v in
+          let d = csr.Csr.vwgt.(v) in
           let best_l = ref from and best_gain = ref 1e-12 in
           for i = 0 to !ncand - 1 do
             let l = !cand.(i) in
@@ -299,7 +299,7 @@ let refine_fm csr hy assignment ~slack ~max_passes ~hill_climb ?observe () =
     if cnt.(v) = 0 then None
     else begin
       let from = assignment.(v) in
-      let d = Csr.vertex_weight csr v in
+      let d = csr.Csr.vwgt.(v) in
       let here = incident from v in
       let best_l = ref from and best_g = ref neg_infinity in
       Graph.iter_neighbors
@@ -342,7 +342,7 @@ let refine_fm csr hy assignment ~slack ~max_passes ~hill_climb ?observe () =
     let cum = ref 0. and best_cum = ref 0. and best_len = ref 0 in
     let apply v dst g =
       let src = assignment.(v) in
-      let d = Csr.vertex_weight csr v in
+      let d = csr.Csr.vwgt.(v) in
       band_apply band ~from:src dst d;
       assignment.(v) <- dst;
       cnt_move csr cnt assignment v ~src ~dst;
@@ -398,7 +398,7 @@ let refine_fm csr hy assignment ~slack ~max_passes ~hill_climb ?observe () =
           | mv :: rest ->
             log := rest;
             decr log_len;
-            let d = Csr.vertex_weight csr mv.lv in
+            let d = csr.Csr.vwgt.(mv.lv) in
             band_apply band ~from:mv.ldst mv.lsrc d;
             assignment.(mv.lv) <- mv.lsrc;
             cnt_move csr cnt assignment mv.lv ~src:mv.ldst ~dst:mv.lsrc;

@@ -96,9 +96,8 @@ let per_tree_solve inst ensemble ~options =
 (* The ensemble a solve with [options] samples (cache bypassed when the
    caches are off). *)
 let ensemble_of inst ~(options : Hgp_core.Solver.options) =
-  fst
-    (Hgp_racke.Ensemble_cache.sample ~strategy:options.strategy ~seed:options.seed
-       inst.Hgp_core.Instance.graph ~size:options.ensemble_size)
+  Hgp_racke.Ensemble_cache.sample ~strategy:options.strategy ~seed:options.seed
+    inst.Hgp_core.Instance.graph ~size:options.ensemble_size
 
 (* Differential oracle for the flat DP kernel (see tree_dp_reference.ml);
    re-exported because this module is the library's entry point. *)

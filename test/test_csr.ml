@@ -112,7 +112,7 @@ let test_round_trip () =
       Alcotest.(check int) (name ^ ": n") (Graph.n g) (Csr.n csr);
       Alcotest.(check (float 0.))
         (name ^ ": default vertex weights") (float_of_int (Graph.n g))
-        (Csr.total_vertex_weight csr);
+        csr.Csr.total_vw;
       check_against_reference name g (reference_edges (edge_list g)))
     (preset_graphs ())
 
@@ -173,14 +173,14 @@ let test_vertex_weights () =
   let g = Gen.cycle 6 in
   let vwgt = [| 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 |] in
   let csr = Csr.of_graph ~vwgt g in
-  Alcotest.(check (float 0.)) "total vw" 21.0 (Csr.total_vertex_weight csr);
-  Alcotest.(check (float 0.)) "vw 3" 4.0 (Csr.vertex_weight csr 3);
+  Alcotest.(check (float 0.)) "total vw" 21.0 csr.Csr.total_vw;
+  Alcotest.(check (float 0.)) "vw 3" 4.0 csr.Csr.vwgt.(3);
   (* The weights are copied: the caller's array stays the caller's. *)
   vwgt.(3) <- 100.0;
-  Alcotest.(check (float 0.)) "vw copied" 4.0 (Csr.vertex_weight csr 3);
+  Alcotest.(check (float 0.)) "vw copied" 4.0 csr.Csr.vwgt.(3);
   (* Default weights are all ones. *)
   let plain = Csr.of_graph g in
-  Alcotest.(check (float 0.)) "default vw" 6.0 (Csr.total_vertex_weight plain)
+  Alcotest.(check (float 0.)) "default vw" 6.0 plain.Csr.total_vw
 
 (* ---- contract ---- *)
 
@@ -210,7 +210,7 @@ let test_contract_matches_graph_contract () =
       Array.iteri (fun v p -> cvw.(p) <- cvw.(p) +. vwgt.(v)) map;
       Array.iteri
         (fun p w ->
-          if bits (Csr.vertex_weight csr p) <> bits w then
+          if bits csr.Csr.vwgt.(p) <> bits w then
             Alcotest.failf "%s: coarse vertex weight %d" name p)
         cvw)
     (preset_graphs ())

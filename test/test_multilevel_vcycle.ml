@@ -314,7 +314,7 @@ let test_matching_invariants () =
           | [ a; b ] ->
             if Graph.edge_weight (Csr.to_graph csr) a b <= 0. then
               Alcotest.failf "seed=%d: matched pair {%d,%d} is not an edge" seed a b;
-            if Csr.vertex_weight csr a +. Csr.vertex_weight csr b > max_weight then
+            if csr.Csr.vwgt.(a) +. csr.Csr.vwgt.(b) > max_weight then
               Alcotest.failf "seed=%d: pair {%d,%d} over weight cap" seed a b
           | [ _ ] -> ()
           | _ -> Alcotest.fail "impossible group size")

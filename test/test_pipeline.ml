@@ -347,10 +347,14 @@ let test_pool_crash_survivors_bit_identical () =
     | Error e -> Alcotest.failf "supervised: %s" (E.to_string e)
   in
   let survivors, lost =
-    fst
-      (Faults.with_plan crash (fun () ->
-           Hgp_racke.Ensemble_cache.sample_isolated ~strategy:options.strategy
-             ~seed:options.seed inst.Instance.graph ~size:options.ensemble_size))
+    let lost = ref [] in
+    let e =
+      Faults.with_plan crash (fun () ->
+          Hgp_racke.Ensemble_cache.sample ~strategy:options.strategy
+            ~on_lost:(fun i exn -> lost := (i, exn) :: !lost)
+            ~seed:options.seed inst.Instance.graph ~size:options.ensemble_size)
+    in
+    (e, !lost)
   in
   Alcotest.(check string) "survivors win" "ensemble" pooled.Solver.rung;
   Alcotest.(check int) "one lost" 1 (List.length pooled.Solver.tree_failures);

@@ -55,7 +55,7 @@ let min_slack csr hy assignment =
     let loads = Array.make (Hierarchy.nodes_at_level hy j) 0. in
     for v = 0 to Csr.n csr - 1 do
       let a = Hierarchy.ancestor hy ~level:j assignment.(v) in
-      loads.(a) <- loads.(a) +. Csr.vertex_weight csr v
+      loads.(a) <- loads.(a) +. csr.Csr.vwgt.(v)
     done;
     Array.iteri
       (fun i load -> worst := Float.max !worst (load /. Hierarchy.capacity_of hy ~level:j i))

@@ -462,6 +462,61 @@ let test_session_open_error_falls_back () =
   | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
   ignore (Server.shutdown server)
 
+(* Session paths run under the request's remaining budget.  A DP stalled
+   past it ([tree_dp.solve=delay]) makes a session open expire: the
+   request falls back to the ladder, whose rungs all see the spent budget
+   down to the emergency placement, and no session is registered. *)
+let delay_plan ms =
+  match Faults.parse (Printf.sprintf "seed=1;tree_dp.solve=delay:%g" ms) with
+  | Ok p -> p
+  | Error e -> Alcotest.failf "bad plan: %s" e
+
+let test_session_open_obeys_deadline () =
+  Pipeline.clear_caches ();
+  let inst = mk_instance 11 in
+  let server = mk_server () in
+  submit_ok server
+    (Protocol.inline_request ~id:"open" ~trees:2 ~seed:5 ~session:"s1" ~deadline_ms:100.
+       inst);
+  (match Faults.with_plan (delay_plan 300.) (fun () -> Server.drain server) with
+  | [ r ] -> Alcotest.(check string) "ladder answered" "emergency" (solved r).Protocol.rung
+  | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
+  Alcotest.(check int) "no session registered" 0 (Server.session_count server);
+  ignore (Server.shutdown server)
+
+(* An update that outlives its budget answers [deadline], naming the stage
+   that noticed (the stalled DP), and leaves the session at its pre-delta
+   state: a later empty update re-solves the original 16 vertices, not the
+   17 of the expired delta, bit-identically to the open. *)
+let test_session_update_obeys_deadline () =
+  Pipeline.clear_caches ();
+  let inst = mk_instance 11 in
+  let server = mk_server () in
+  submit_ok server (Protocol.inline_request ~id:"open" ~trees:2 ~seed:5 ~session:"s1" inst);
+  let opened =
+    match Server.drain server with
+    | [ r ] -> solved r
+    | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
+  in
+  submit_update_ok server
+    (Protocol.update_request ~id:"late" ~session:"s1" ~deadline_ms:100.
+       (Delta.to_string [ Delta.Add_vertex (0.1, [ (0, 1.0) ]) ]));
+  (match Faults.with_plan (delay_plan 300.) (fun () -> Server.drain server) with
+  | [ { Protocol.outcome = Protocol.Failed (Hgp_error.Deadline_exceeded { stage; _ }); _ } ]
+    ->
+    Alcotest.(check string) "stage that noticed" "tree_dp" stage
+  | [ r ] -> Alcotest.failf "expected deadline, got %s" (Protocol.response_to_line r)
+  | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
+  Alcotest.(check int) "counted as expired" 1 (Server.stats server).Server.deadline_expired;
+  submit_update_ok server (Protocol.update_request ~id:"noop" ~session:"s1" "%hgp-delta 1\n");
+  (match Server.drain server with
+  | [ { Protocol.outcome = Protocol.Updated up; _ } ] ->
+    Alcotest.(check (array int)) "pre-delta session" opened.Protocol.assignment
+      up.Protocol.up_assignment
+  | [ r ] -> Alcotest.failf "session broken: %s" (Protocol.response_to_line r)
+  | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
+  ignore (Server.shutdown server)
+
 let test_update_unknown_session () =
   let server = mk_server () in
   submit_update_ok server
@@ -544,6 +599,10 @@ let () =
           Alcotest.test_case "session update bit-identical" `Quick
             test_session_update_bit_identical;
           Alcotest.test_case "unknown session" `Quick test_update_unknown_session;
+          Alcotest.test_case "session open obeys the deadline" `Quick
+            test_session_open_obeys_deadline;
+          Alcotest.test_case "session update obeys the deadline" `Quick
+            test_session_update_obeys_deadline;
           Alcotest.test_case "session open error falls back" `Quick
             test_session_open_error_falls_back;
           Alcotest.test_case "bad delta rejected" `Quick
