@@ -907,10 +907,11 @@ let e17_batch_service () =
         for d = 0 to dups - 1 do
           for i = 0 to distinct - 1 do
             match
-              Server.submit server
-                (Protocol.inline_request
-                   ~id:(Printf.sprintf "i%d-d%d" i d)
-                   ~trees:2 ~seed:(1700 + i) insts.(i))
+              Server.submit_any server
+                (Protocol.Solve
+                   (Protocol.inline_request
+                      ~id:(Printf.sprintf "i%d-d%d" i d)
+                      ~trees:2 ~seed:(1700 + i) insts.(i)))
             with
             | `Admitted -> ()
             | `Rejected r -> failwith ("E17: rejected " ^ Protocol.response_to_line r)

@@ -81,7 +81,7 @@ let with_metrics metrics f =
     Fun.protect ~finally:(fun () -> Obs.emit sink stderr) f
 
 (* Structured errors become documented exit codes (docs/ROBUSTNESS.md):
-   parse 65, io 66, infeasible 69, tree/domain/fault/internal 70, deadline
+   parse 65, io 66, infeasible 69, tree/fault/internal 70, deadline
    75.  The handler sits OUTSIDE [with_metrics] so telemetry still flushes
    on the way out. *)
 let handle_errors f =
@@ -189,7 +189,9 @@ let solve_cmd =
             "Soft wall-clock budget in milliseconds; on expiry the solve \
              degrades through cheaper rungs instead of failing (see \
              docs/ROBUSTNESS.md).  With $(b,--delta) the session solve \
-             and its re-solve share the budget and an expiry exits 75.")
+             and its re-solve share the budget and an expiry exits 75.  \
+             Refused with $(b,--multilevel) (exit 65): the V-cycle takes no \
+             deadline yet.")
   in
   let repeat =
     Arg.(
@@ -257,6 +259,15 @@ let solve_cmd =
   let run path hierarchy load seed ensemble resolution deadline_ms slack metrics repeat
       cache_stats multilevel multilevel_refine delta_file =
     handle_errors @@ fun () ->
+    if multilevel <> None && deadline_ms <> None then
+      Hgp_error.error
+        (Hgp_error.Invalid_input
+           {
+             context = "solve";
+             msg =
+               "--deadline-ms cannot be combined with --multilevel: the V-cycle \
+                takes no deadline yet, so the budget would be silently dropped";
+           });
     let hierarchy = resolve_hierarchy hierarchy in
     with_metrics metrics @@ fun () ->
     let inst = load_instance path hierarchy load seed in
@@ -735,15 +746,6 @@ let server_stats_arg =
     & info [ "server-stats" ]
         ~doc:"Print the cumulative server statistics line to stderr on exit.")
 
-let parse_error_response ~lineno msg =
-  {
-    Protocol.id = Printf.sprintf "line-%d" lineno;
-    outcome =
-      Protocol.Failed (Hgp_error.Parse { line = Some lineno; context = "request"; msg });
-    queue_ms = 0.;
-    solve_ms = 0.;
-  }
-
 (* Submit a window of [(lineno, raw-line)] pairs, drain, and emit one response
    line per request in input order — rejections (parse, overloaded, resolve)
    are merged back among the drained responses.  A line carrying a "delta"
@@ -754,7 +756,9 @@ let run_window server window =
   List.iter
     (fun (lineno, raw) ->
       match Protocol.parse_any raw with
-      | Error msg -> rejects := (lineno, parse_error_response ~lineno msg) :: !rejects
+      | Error msg ->
+        let e = Hgp_error.Parse { line = Some lineno; context = "request"; msg } in
+        rejects := (lineno, Protocol.failed (Printf.sprintf "line-%d" lineno) e) :: !rejects
       | Ok req -> (
         match Server.submit_any server req with
         | `Admitted -> admitted := lineno :: !admitted

@@ -5,7 +5,6 @@ type t =
   | Infeasible of { resolution : int; retried : bool; msg : string }
   | Deadline_exceeded of { budget_ms : float; elapsed_ms : float; stage : string }
   | Tree_failure of { tree_index : int; stage : string; msg : string }
-  | Domain_crash of { tree_index : int; msg : string }
   | Fault_injected of { site : string; msg : string }
   | Overloaded of { queued : int; limit : int }
   | Internal of { stage : string; msg : string }
@@ -21,7 +20,6 @@ let label = function
   | Infeasible _ -> "infeasible"
   | Deadline_exceeded _ -> "deadline"
   | Tree_failure _ -> "tree-failure"
-  | Domain_crash _ -> "domain-crash"
   | Fault_injected _ -> "fault"
   | Overloaded _ -> "overloaded"
   | Internal _ -> "internal"
@@ -31,7 +29,7 @@ let exit_code = function
   | Invalid_input _ -> 65
   | Io_error _ -> 66
   | Infeasible _ -> 69
-  | Tree_failure _ | Domain_crash _ | Fault_injected _ | Internal _ -> 70
+  | Tree_failure _ | Fault_injected _ | Internal _ -> 70
   | Deadline_exceeded _ | Overloaded _ -> 75
 
 let to_string = function
@@ -49,8 +47,6 @@ let to_string = function
       elapsed_ms
   | Tree_failure { tree_index; stage; msg } ->
     Printf.sprintf "ensemble tree %d failed in %s: %s" tree_index stage msg
-  | Domain_crash { tree_index; msg } ->
-    Printf.sprintf "domain for ensemble tree %d crashed: %s" tree_index msg
   | Fault_injected { site; msg } -> Printf.sprintf "injected fault at %s: %s" site msg
   | Overloaded { queued; limit } ->
     Printf.sprintf "server overloaded: %d requests queued (admission limit %d)" queued

@@ -30,9 +30,6 @@ type t =
   | Tree_failure of { tree_index : int; stage : string; msg : string }
       (** one ensemble member failed (decomposition build or DP); the solve
           can proceed on the survivors *)
-  | Domain_crash of { tree_index : int; msg : string }
-      (** an OCaml 5 domain running one ensemble member died; isolated the
-          same way as {!Tree_failure} *)
   | Fault_injected of { site : string; msg : string }
       (** a {!Faults} crash action fired at the named site (testing only) *)
   | Overloaded of { queued : int; limit : int }
@@ -48,8 +45,8 @@ exception Error of t
 val error : t -> 'a
 
 (** [label e] is a stable kebab-case class name ("parse", "io",
-    "invalid-input", "infeasible", "deadline", "tree-failure",
-    "domain-crash", "fault", "overloaded", "internal") used in telemetry
+    "invalid-input", "infeasible", "deadline", "tree-failure", "fault",
+    "overloaded", "internal") used in telemetry
     counters, batch-response error fields and logs. *)
 val label : t -> string
 

@@ -232,76 +232,73 @@ let get kvs k coerce ~default ~what =
 
 let ( let* ) = Result.bind
 
-let parse_request line =
-  match parse_json line with
-  | Error m -> Error m
-  | Ok (Obj kvs) ->
-    let* id =
-      match List.assoc_opt "id" kvs with
-      | Some (Str id) -> Ok id
-      | _ -> Error "request is missing the string field \"id\""
-    in
-    let* source =
-      match (List.assoc_opt "instance" kvs, List.assoc_opt "path" kvs) with
-      | Some (Str text), None -> Ok (Inline text)
-      | None, Some (Str p) -> Ok (Path p)
-      | Some _, Some _ -> Error "request has both \"instance\" and \"path\""
-      | Some _, None -> Error "field \"instance\" must be a string"
-      | None, Some _ -> Error "field \"path\" must be a string"
-      | None, None -> Error "request needs \"instance\" (inline text) or \"path\""
-    in
-    let* trees = get kvs "trees" as_int ~default:4 ~what:"an integer" in
-    let* seed = get kvs "seed" as_int ~default:42 ~what:"an integer" in
-    let num = function Num f -> Some f | _ -> None in
-    let* eps = get kvs "eps" num ~default:0.25 ~what:"a number" in
-    let* resolution =
-      get kvs "resolution"
-        (fun v -> Option.map Option.some (as_int v))
-        ~default:None ~what:"an integer"
-    in
-    let* deadline_ms =
-      get kvs "deadline_ms"
-        (fun v -> Option.map Option.some (num v))
-        ~default:None ~what:"a number"
-    in
-    let* priority = get kvs "priority" as_int ~default:0 ~what:"an integer" in
-    let* session =
-      get kvs "session"
-        (function Str s -> Some (Some s) | _ -> None)
-        ~default:None ~what:"a string"
-    in
-    if trees < 1 then Error "field \"trees\" must be >= 1"
-    else if not (Float.is_finite eps) || eps <= 0. then
-      Error "field \"eps\" must be a finite positive number"
-    else Ok { id; source; trees; seed; eps; resolution; deadline_ms; priority; session }
-  | Ok _ -> Error "request line is not a JSON object"
+(* The fields every request kind carries. *)
+let id_field kvs =
+  match List.assoc_opt "id" kvs with
+  | Some (Str id) -> Ok id
+  | _ -> Error "request is missing the string field \"id\""
 
-let request_to_line r =
-  let buf = Buffer.create 512 in
+let num = function Num f -> Some f | _ -> None
+
+let deadline_field kvs =
+  get kvs "deadline_ms" (fun v -> Option.map Option.some (num v)) ~default:None
+    ~what:"a number"
+
+let solve_of_fields ~id kvs =
+  let* source =
+    match (List.assoc_opt "instance" kvs, List.assoc_opt "path" kvs) with
+    | Some (Str text), None -> Ok (Inline text)
+    | None, Some (Str p) -> Ok (Path p)
+    | Some _, Some _ -> Error "request has both \"instance\" and \"path\""
+    | Some _, None -> Error "field \"instance\" must be a string"
+    | None, Some _ -> Error "field \"path\" must be a string"
+    | None, None -> Error "request needs \"instance\" (inline text) or \"path\""
+  in
+  let* trees = get kvs "trees" as_int ~default:4 ~what:"an integer" in
+  let* seed = get kvs "seed" as_int ~default:42 ~what:"an integer" in
+  let* eps = get kvs "eps" num ~default:0.25 ~what:"a number" in
+  let* resolution =
+    get kvs "resolution"
+      (fun v -> Option.map Option.some (as_int v))
+      ~default:None ~what:"an integer"
+  in
+  let* deadline_ms = deadline_field kvs in
+  let* priority = get kvs "priority" as_int ~default:0 ~what:"an integer" in
+  let* session =
+    get kvs "session"
+      (function Str s -> Some (Some s) | _ -> None)
+      ~default:None ~what:"a string"
+  in
+  if trees < 1 then Error "field \"trees\" must be >= 1"
+  else if not (Float.is_finite eps) || eps <= 0. then
+    Error "field \"eps\" must be a finite positive number"
+  else Ok { id; source; trees; seed; eps; resolution; deadline_ms; priority; session }
+
+(* [{"id":ID<fields>}] *)
+let to_line ~size id fields =
+  let buf = Buffer.create size in
   Buffer.add_string buf "{\"id\":";
-  add_json_string buf r.id;
-  (match r.source with
-  | Inline text ->
-    Buffer.add_string buf ",\"instance\":";
-    add_json_string buf text
-  | Path p ->
-    Buffer.add_string buf ",\"path\":";
-    add_json_string buf p);
-  Printf.bprintf buf ",\"trees\":%d,\"seed\":%d,\"eps\":%.17g" r.trees r.seed r.eps;
-  (match r.resolution with
-  | None -> ()
-  | Some res -> Printf.bprintf buf ",\"resolution\":%d" res);
-  (match r.deadline_ms with
-  | None -> ()
-  | Some d -> Printf.bprintf buf ",\"deadline_ms\":%.17g" d);
-  Printf.bprintf buf ",\"priority\":%d" r.priority;
-  (match r.session with
-  | None -> ()
-  | Some s ->
-    Buffer.add_string buf ",\"session\":";
-    add_json_string buf s);
+  add_json_string buf id;
+  fields buf;
   Buffer.add_char buf '}';
   Buffer.contents buf
+
+let add_string_field buf k v =
+  Printf.bprintf buf ",\"%s\":" k;
+  add_json_string buf v
+
+let add_deadline buf = Option.iter (Printf.bprintf buf ",\"deadline_ms\":%.17g")
+
+let request_to_line r =
+  to_line ~size:512 r.id (fun buf ->
+      (match r.source with
+      | Inline text -> add_string_field buf "instance" text
+      | Path p -> add_string_field buf "path" p);
+      Printf.bprintf buf ",\"trees\":%d,\"seed\":%d,\"eps\":%.17g" r.trees r.seed r.eps;
+      Option.iter (Printf.bprintf buf ",\"resolution\":%d") r.resolution;
+      add_deadline buf r.deadline_ms;
+      Printf.bprintf buf ",\"priority\":%d" r.priority;
+      Option.iter (add_string_field buf "session") r.session)
 
 (* ---- update requests ---- *)
 
@@ -315,12 +312,7 @@ type update_request = {
 let update_request ~id ~session ?deadline_ms delta =
   { u_id = id; u_session = session; u_delta = delta; u_deadline_ms = deadline_ms }
 
-let parse_update kvs =
-  let* u_id =
-    match List.assoc_opt "id" kvs with
-    | Some (Str id) -> Ok id
-    | _ -> Error "request is missing the string field \"id\""
-  in
+let update_of_fields ~id kvs =
   let* u_session =
     match List.assoc_opt "session" kvs with
     | Some (Str s) -> Ok s
@@ -331,13 +323,8 @@ let parse_update kvs =
     | Some (Str d) -> Ok d
     | _ -> Error "field \"delta\" must be a string"
   in
-  let num = function Num f -> Some f | _ -> None in
-  let* u_deadline_ms =
-    get kvs "deadline_ms"
-      (fun v -> Option.map Option.some (num v))
-      ~default:None ~what:"a number"
-  in
-  Ok { u_id; u_session; u_delta; u_deadline_ms }
+  let* u_deadline_ms = deadline_field kvs in
+  Ok { u_id = id; u_session; u_delta; u_deadline_ms }
 
 type any_request = Solve of request | Update of update_request
 
@@ -345,27 +332,20 @@ let parse_any line =
   match parse_json line with
   | Error m -> Error m
   | Ok (Obj kvs) ->
+    let* id = id_field kvs in
     if List.mem_assoc "delta" kvs then
-      let* u = parse_update kvs in
+      let* u = update_of_fields ~id kvs in
       Ok (Update u)
     else
-      let* r = parse_request line in
+      let* r = solve_of_fields ~id kvs in
       Ok (Solve r)
   | Ok _ -> Error "request line is not a JSON object"
 
 let update_to_line u =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\"id\":";
-  add_json_string buf u.u_id;
-  Buffer.add_string buf ",\"session\":";
-  add_json_string buf u.u_session;
-  Buffer.add_string buf ",\"delta\":";
-  add_json_string buf u.u_delta;
-  (match u.u_deadline_ms with
-  | None -> ()
-  | Some d -> Printf.bprintf buf ",\"deadline_ms\":%.17g" d);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  to_line ~size:256 u.u_id (fun buf ->
+      add_string_field buf "session" u.u_session;
+      add_string_field buf "delta" u.u_delta;
+      add_deadline buf u.u_deadline_ms)
 
 (* ---- resolution ---- *)
 
@@ -435,6 +415,8 @@ type updated = {
 type outcome = Solved of solved | Updated of updated | Failed of Hgp_error.t
 
 type response = { id : string; outcome : outcome; queue_ms : float; solve_ms : float }
+
+let failed id e = { id; outcome = Failed e; queue_ms = 0.; solve_ms = 0. }
 
 let response_to_line resp =
   let buf = Buffer.create 256 in

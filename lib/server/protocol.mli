@@ -13,7 +13,7 @@
     v}
     Only ["id"] and one of ["instance"] / ["path"] are required; the other
     fields default as shown.  Floats are serialized with ["%.17g"], so a
-    request that round-trips through {!request_to_line} / {!parse_request}
+    request that round-trips through {!request_to_line} / {!parse_any}
     resolves to the {e same} {!Hgp_util.Fingerprint.t} — the scheduler's
     shard affinity and the artifact caches depend on this (property-tested).
 
@@ -97,8 +97,6 @@ val inline_request :
   Hgp_core.Instance.t ->
   request
 
-val parse_request : string -> (request, string) result
-
 (** One line, no trailing newline. *)
 val request_to_line : request -> string
 
@@ -114,7 +112,7 @@ val request_to_line : request -> string
 type update_request = {
   u_id : string;
   u_session : string;  (** must match a solve request's [session] *)
-  u_delta : string;  (** [Hgp_core.Delta] text, parsed at execution *)
+  u_delta : string;  (** [Hgp_core.Delta] text, parsed at admission *)
   u_deadline_ms : float option;
 }
 
@@ -123,7 +121,9 @@ val update_request :
 
 type any_request = Solve of request | Update of update_request
 
-(** [parse_any line] dispatches on the presence of a ["delta"] field. *)
+(** [parse_any line] parses one request line, solve or update: the JSON
+    once, the fields both kinds share ([id], [deadline_ms]) once, then the
+    kind's own fields — an update iff the line carries a ["delta"] field. *)
 val parse_any : string -> (any_request, string) result
 
 (** One line, no trailing newline; round-trips through {!parse_any}. *)
@@ -190,6 +190,10 @@ type response = {
   queue_ms : float;  (** admission → dispatch (or rejection) *)
   solve_ms : float;  (** 0 for rejections and coalesced followers *)
 }
+
+(** [failed id e] answers request [id] with error [e] and zero timings —
+    the response of a request that never ran (rejected, or unparsable). *)
+val failed : string -> Hgp_error.t -> response
 
 (** One line, no trailing newline.  Field order is fixed (golden-tested). *)
 val response_to_line : response -> string

@@ -54,21 +54,23 @@ let zero_stats =
     updates = 0;
   }
 
-type pending = { resolved : Protocol.resolved; submit_ns : int64; index : int }
+(* One admitted request of either kind: a solve carries its resolved
+   instance, an update its session name and the delta parsed at admission. *)
+type work = Solve of Protocol.resolved | Update of (string * Delta.t)
 
-type pending_update = {
-  update : Protocol.update_request;
-  delta : Delta.t;  (* parsed at admission, like [resolve] for solves *)
-  u_submit_ns : int64;
-  u_index : int;
+type 'w pending = {
+  id : string;
+  deadline_ms : float option;
+  work : 'w;
+  submit_ns : int64;
+  index : int;  (* submission order, shared by both kinds *)
 }
 
 type t = {
   config : config;
   pool : Domain_pool.t;
   mutex : Mutex.t;
-  mutable queue : pending list;  (* newest first *)
-  mutable update_queue : pending_update list;  (* newest first *)
+  mutable queue : work pending list;  (* newest first *)
   mutable queued : int;
   mutable next_index : int;
   mutable stopping : bool;
@@ -87,7 +89,6 @@ let create ?(config = default_config) () =
     pool = Domain_pool.create ~size:(config.workers - 1);
     mutex = Mutex.create ();
     queue = [];
-    update_queue = [];
     queued = 0;
     next_index = 0;
     stopping = false;
@@ -124,11 +125,19 @@ let render_stats (s : stats) =
 
 (* ---- admission ---- *)
 
-let rejected_response (req : Protocol.request) e =
-  { Protocol.id = req.Protocol.id; outcome = Protocol.Failed e; queue_ms = 0.; solve_ms = 0. }
+let ms_between t0 t1 = Int64.to_float (Int64.sub t1 t0) /. 1e6
 
-let submit t (req : Protocol.request) =
+(* Both kinds share one admission budget and index space, so responses
+   interleave in submission order and back-pressure covers all work.  The
+   slot is reserved under the lock; the (possibly expensive) instance or
+   delta parse happens outside it.  The queue-wait clock starts here. *)
+let submit_any t (req : Protocol.any_request) =
   Obs.count "server.requests" 1;
+  let id, deadline_ms =
+    match req with
+    | Protocol.Solve r -> (r.Protocol.id, r.Protocol.deadline_ms)
+    | Protocol.Update u -> (u.Protocol.u_id, u.Protocol.u_deadline_ms)
+  in
   let verdict =
     with_lock t (fun () ->
         t.stats <- { t.stats with submitted = t.stats.submitted + 1 };
@@ -137,8 +146,6 @@ let submit t (req : Protocol.request) =
           `Full t.queued
         end
         else begin
-          (* Reserve the slot now; the (possibly expensive) instance parse
-             happens outside the lock. *)
           t.queued <- t.queued + 1;
           let index = t.next_index in
           t.next_index <- index + 1;
@@ -149,78 +156,56 @@ let submit t (req : Protocol.request) =
   | `Full queued ->
     Obs.count "server.rejected.overloaded" 1;
     `Rejected
-      (rejected_response req (Hgp_error.Overloaded { queued; limit = t.config.queue_limit }))
+      (Protocol.failed id (Hgp_error.Overloaded { queued; limit = t.config.queue_limit }))
   | `Reserved index -> (
     let submit_ns = Obs.now_ns () in
-    match Protocol.resolve req with
+    let work =
+      match req with
+      | Protocol.Solve r -> Result.map (fun res -> Solve res) (Protocol.resolve r)
+      | Protocol.Update u -> (
+        match Delta.of_string u.Protocol.u_delta with
+        | exception Hgp_error.Error e -> Error e
+        | delta -> Ok (Update (u.Protocol.u_session, delta)))
+    in
+    match work with
     | Error e ->
       with_lock t (fun () ->
           t.queued <- t.queued - 1;
           t.stats <- { t.stats with rejected_resolve = t.stats.rejected_resolve + 1 });
       Obs.count "server.rejected.resolve" 1;
-      `Rejected (rejected_response req e)
-    | Ok resolved ->
+      `Rejected (Protocol.failed id e)
+    | Ok work ->
       with_lock t (fun () ->
-          t.queue <- { resolved; submit_ns; index } :: t.queue;
+          t.queue <- { id; deadline_ms; work; submit_ns; index } :: t.queue;
           t.stats <- { t.stats with admitted = t.stats.admitted + 1 });
       Obs.count "server.admitted" 1;
       `Admitted)
-
-let rejected_update (u : Protocol.update_request) e =
-  {
-    Protocol.id = u.Protocol.u_id;
-    outcome = Protocol.Failed e;
-    queue_ms = 0.;
-    solve_ms = 0.;
-  }
-
-(* Updates share the solve queue's admission budget and index space, so
-   responses interleave in submission order and back-pressure covers both
-   kinds of work. *)
-let submit_update t (u : Protocol.update_request) =
-  Obs.count "server.requests" 1;
-  let verdict =
-    with_lock t (fun () ->
-        t.stats <- { t.stats with submitted = t.stats.submitted + 1 };
-        if t.stopping || t.queued >= t.config.queue_limit then begin
-          t.stats <- { t.stats with rejected_overloaded = t.stats.rejected_overloaded + 1 };
-          `Full t.queued
-        end
-        else begin
-          t.queued <- t.queued + 1;
-          let index = t.next_index in
-          t.next_index <- index + 1;
-          `Reserved index
-        end)
-  in
-  match verdict with
-  | `Full queued ->
-    Obs.count "server.rejected.overloaded" 1;
-    `Rejected
-      (rejected_update u (Hgp_error.Overloaded { queued; limit = t.config.queue_limit }))
-  | `Reserved u_index -> (
-    let u_submit_ns = Obs.now_ns () in
-    match Delta.of_string u.Protocol.u_delta with
-    | exception Hgp_error.Error e ->
-      with_lock t (fun () ->
-          t.queued <- t.queued - 1;
-          t.stats <- { t.stats with rejected_resolve = t.stats.rejected_resolve + 1 });
-      Obs.count "server.rejected.resolve" 1;
-      `Rejected (rejected_update u e)
-    | delta ->
-      with_lock t (fun () ->
-          t.update_queue <- { update = u; delta; u_submit_ns; u_index } :: t.update_queue;
-          t.stats <- { t.stats with admitted = t.stats.admitted + 1 });
-      Obs.count "server.admitted" 1;
-      `Admitted)
-
-let submit_any t = function
-  | Protocol.Solve r -> submit t r
-  | Protocol.Update u -> submit_update t u
 
 (* ---- dispatch ---- *)
 
-type group = { key : Fingerprint.t; members : pending list; priority : int }
+let respond p ~queue_ms ~solve_ms outcome =
+  (p.index, { Protocol.id = p.id; outcome; queue_ms; solve_ms })
+
+(* The queue wait of [p] at [dispatch_ns], or — when its budget ran out
+   while it waited — its structured deadline response: it is not run. *)
+let dequeue ~dispatch_ns p =
+  let queue_ms = ms_between p.submit_ns dispatch_ns in
+  Obs.gauge_max "server.queue_wait_max_ms" queue_ms;
+  match p.deadline_ms with
+  | Some budget_ms when queue_ms >= budget_ms ->
+    Either.Right
+      (respond p ~queue_ms ~solve_ms:0.
+         (Protocol.Failed
+            (Hgp_error.Deadline_exceeded
+               { budget_ms; elapsed_ms = queue_ms; stage = "queue" })))
+  | _ -> Either.Left (p, queue_ms)
+
+(* The budget [p] has left when its work starts at [now_ns]. *)
+let budget_left p ~now_ns =
+  Deadline.of_budget_ms
+    (Option.map (fun d -> d -. ms_between p.submit_ns now_ns) p.deadline_ms)
+
+type group = { key : Fingerprint.t; members : Protocol.resolved pending list; priority : int }
 
 (* Session-bearing solves go through [Pipeline.start_session] fail-fast,
    under the request's remaining budget, so the registered session state
@@ -234,7 +219,7 @@ type group = { key : Fingerprint.t; members : pending list; priority : int }
    so answering the group from the first is sound. *)
 let register_sessions t ~deadline ~inst ~options alive =
   let names =
-    List.filter_map (fun p -> p.resolved.Protocol.request.Protocol.session) alive
+    List.filter_map (fun (p, _) -> p.work.Protocol.request.Protocol.session) alive
     |> List.sort_uniq compare
   in
   List.fold_left
@@ -247,154 +232,74 @@ let register_sessions t ~deadline ~inst ~options alive =
         (match acc with None -> Some sol | some -> some))
     None names
 
-(* Runs on a shard worker.  Answers every member of one coalesced group:
-   queue-expired members get their structured deadline error, the survivors
-   share one solve — a session open, else the supervised ladder — under the
-   leader's remaining budget. *)
+(* Runs on a shard worker, whose per-item fence catches what escapes.
+   Answers every member of one coalesced group: queue-expired members get
+   their structured deadline error, the survivors share one solve — a
+   session open, else the supervised ladder — under the leader's remaining
+   budget. *)
 let handle t group =
   let dispatch_ns = Obs.now_ns () in
-  let queue_ms p = Int64.to_float (Int64.sub dispatch_ns p.submit_ns) /. 1e6 in
-  List.iter
-    (fun p -> Obs.gauge_max "server.queue_wait_max_ms" (queue_ms p))
-    group.members;
-  let expired, alive =
-    List.partition
-      (fun p ->
-        match p.resolved.Protocol.request.Protocol.deadline_ms with
-        | Some d -> queue_ms p >= d
-        | None -> false)
-      group.members
-  in
-  let expired_responses =
-    List.map
-      (fun p ->
-        let req = p.resolved.Protocol.request in
-        let budget = Option.value ~default:0. req.Protocol.deadline_ms in
-        ( p.index,
-          {
-            Protocol.id = req.Protocol.id;
-            outcome =
-              Protocol.Failed
-                (Hgp_error.Deadline_exceeded
-                   { budget_ms = budget; elapsed_ms = queue_ms p; stage = "queue" });
-            queue_ms = queue_ms p;
-            solve_ms = 0.;
-          } ))
-      expired
-  in
+  let alive, expired = List.partition_map (dequeue ~dispatch_ns) group.members in
   match alive with
-  | [] -> expired_responses
-  | leader :: followers ->
+  | [] -> expired
+  | (leader, leader_queue_ms) :: followers ->
     if followers <> [] then begin
       Atomic.fetch_and_add t.coalesced_live (List.length followers) |> ignore;
       Obs.count "server.coalesced" (List.length followers)
     end;
-    let { Protocol.inst; options; request; _ } = leader.resolved in
-    let deadline =
-      Deadline.of_budget_ms
-        (Option.map (fun d -> d -. queue_ms leader) request.Protocol.deadline_ms)
-    in
+    let { Protocol.inst; options; _ } = leader.work in
+    let deadline = budget_left leader ~now_ns:dispatch_ns in
     let t0 = Obs.now_ns () in
     let result =
       Obs.span "server.solve" (fun () ->
           match register_sessions t ~deadline ~inst ~options alive with
-          | Some sol -> `Session sol
-          | None -> (
-            try
-              `Ladder
-                (Solver.solve_supervised ~options
-                   ?deadline_ms:(Deadline.remaining_ms deadline)
-                   ~fallbacks:
-                     (B.Portfolio.ladder ~slack:t.config.slack ~seed:options.Solver.seed)
-                   inst)
-            with exn ->
-              (* [solve_supervised] promises not to raise; fence anyway so a
-                 broken promise poisons one response, not the batch. *)
-              `Ladder
-                (Error
-                   (Hgp_error.Internal
-                      { stage = "server.solve"; msg = Hgp_error.message_of_exn exn }))))
+          | Some sol -> Ok (sol, "ensemble", false, 0)
+          | None ->
+            Solver.solve_supervised ~options
+              ?deadline_ms:(Deadline.remaining_ms deadline)
+              ~fallbacks:(B.Portfolio.ladder ~slack:t.config.slack ~seed:options.Solver.seed)
+              inst
+            |> Result.map (fun (s : Solver.supervised) ->
+                   ( s.Solver.solution,
+                     s.Solver.rung,
+                     s.Solver.degraded,
+                     List.length s.Solver.tree_failures )))
     in
-    let solve_ms = Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e6 in
-    let outcome_of ~follower =
+    let solve_ms = ms_between t0 (Obs.now_ns ()) in
+    let outcome ~follower =
       match result with
-      | `Session sol ->
+      | Error e -> Protocol.Failed e
+      | Ok (sol, rung, degraded, tree_failures) ->
         Protocol.Solved
           {
             cost = sol.Solver.cost;
             violation = sol.Solver.max_violation;
-            rung = "ensemble";
-            degraded = false;
-            tree_failures = 0;
+            rung;
+            degraded;
+            tree_failures;
             cache_hit =
               follower || (sol.Solver.dp_states = 0 && sol.Solver.cached_dp_states > 0);
             dp_states = sol.Solver.dp_states;
             cached_dp_states = sol.Solver.cached_dp_states;
             assignment = sol.Solver.assignment;
           }
-      | `Ladder (Ok s) ->
-        let sol = s.Solver.solution in
-        Protocol.Solved
-          {
-            cost = sol.Solver.cost;
-            violation = sol.Solver.max_violation;
-            rung = s.Solver.rung;
-            degraded = s.Solver.degraded;
-            tree_failures = List.length s.Solver.tree_failures;
-            cache_hit =
-              follower || (sol.Solver.dp_states = 0 && sol.Solver.cached_dp_states > 0);
-            dp_states = sol.Solver.dp_states;
-            cached_dp_states = sol.Solver.cached_dp_states;
-            assignment = sol.Solver.assignment;
-          }
-      | `Ladder (Error e) -> Protocol.Failed e
     in
-    ( leader.index,
-      {
-        Protocol.id = request.Protocol.id;
-        outcome = outcome_of ~follower:false;
-        queue_ms = queue_ms leader;
-        solve_ms;
-      } )
+    respond leader ~queue_ms:leader_queue_ms ~solve_ms (outcome ~follower:false)
     :: List.map
-         (fun p ->
-           ( p.index,
-             {
-               Protocol.id = p.resolved.Protocol.request.Protocol.id;
-               outcome = outcome_of ~follower:true;
-               queue_ms = queue_ms p;
-               solve_ms = 0.;
-             } ))
+         (fun (p, queue_ms) -> respond p ~queue_ms ~solve_ms:0. (outcome ~follower:true))
          followers
-    @ expired_responses
+    @ expired
 
 (* Runs on the drain thread, after the solve batch: sessions opened by
    same-batch solves are visible, and per-session serialization (the
-   [Pipeline.resolve_delta] contract) comes for free. *)
-let run_update t (pu : pending_update) ~dispatch_ns =
-  let u = pu.update in
-  let queue_ms = Int64.to_float (Int64.sub dispatch_ns pu.u_submit_ns) /. 1e6 in
-  Obs.gauge_max "server.queue_wait_max_ms" queue_ms;
-  let expired =
-    match u.Protocol.u_deadline_ms with Some d -> queue_ms >= d | None -> false
-  in
-  if expired then
-    ( pu.u_index,
-      {
-        Protocol.id = u.Protocol.u_id;
-        outcome =
-          Protocol.Failed
-            (Hgp_error.Deadline_exceeded
-               {
-                 budget_ms = Option.value ~default:0. u.Protocol.u_deadline_ms;
-                 elapsed_ms = queue_ms;
-                 stage = "queue";
-               });
-        queue_ms;
-        solve_ms = 0.;
-      } )
-  else begin
-    let sess = with_slock t (fun () -> Hashtbl.find_opt t.sessions u.Protocol.u_session) in
+   [Pipeline.resolve_delta] contract) comes for free.  The [try] is the
+   update's fence, as the scheduler's is a group's. *)
+let run_update t ~dispatch_ns p =
+  match dequeue ~dispatch_ns p with
+  | Either.Right expired -> expired
+  | Either.Left (p, queue_ms) ->
+    let name, delta = p.work in
+    let sess = with_slock t (fun () -> Hashtbl.find_opt t.sessions name) in
     let t0 = Obs.now_ns () in
     let outcome =
       match sess with
@@ -407,19 +312,13 @@ let run_update t (pu : pending_update) ~dispatch_ns =
                  Printf.sprintf
                    "unknown session %S (open one with a solve request carrying \
                     \"session\")"
-                   u.Protocol.u_session;
+                   name;
              })
       | Some sess -> (
         Obs.span "server.update" @@ fun () ->
-        (* The budget left when the update starts, like a solve's. *)
-        let deadline =
-          Deadline.of_budget_ms
-            (Option.map
-               (fun d -> d -. (Int64.to_float (Int64.sub t0 pu.u_submit_ns) /. 1e6))
-               u.Protocol.u_deadline_ms)
-        in
+        let deadline = budget_left p ~now_ns:t0 in
         try
-          match Pipeline.resolve_delta ~deadline sess pu.delta with
+          match Pipeline.resolve_delta ~deadline sess delta with
           | Some r ->
             let sol = r.Pipeline.u_solution in
             Protocol.Updated
@@ -452,135 +351,136 @@ let run_update t (pu : pending_update) ~dispatch_ns =
             (Hgp_error.Internal
                { stage = "server.update"; msg = Hgp_error.message_of_exn exn }))
     in
-    let solve_ms = Int64.to_float (Int64.sub (Obs.now_ns ()) t0) /. 1e6 in
-    (pu.u_index, { Protocol.id = u.Protocol.u_id; outcome; queue_ms; solve_ms })
-  end
+    respond p ~queue_ms ~solve_ms:(ms_between t0 (Obs.now_ns ())) outcome
 
+(* One pass over the drained responses feeds both [stats] and the
+   [server.*] counters. *)
 let tally t (responses : Protocol.response list) steals =
+  let bump name = Obs.count name 1 in
+  let add (s : stats) (r : Protocol.response) =
+    match r.Protocol.outcome with
+    | Protocol.Solved sol ->
+      bump "server.responses.ok";
+      let s = { s with ok = s.ok + 1 } in
+      let s =
+        if sol.Protocol.degraded then (
+          bump "server.degraded";
+          { s with degraded = s.degraded + 1 })
+        else s
+      in
+      if sol.Protocol.cache_hit then (
+        bump "server.cache_hits";
+        { s with cache_hits = s.cache_hits + 1 })
+      else s
+    | Protocol.Updated _ ->
+      bump "server.responses.ok";
+      bump "server.updates";
+      { s with ok = s.ok + 1; updates = s.updates + 1 }
+    | Protocol.Failed (Hgp_error.Deadline_exceeded _) ->
+      bump "server.responses.error";
+      bump "server.deadline_expired";
+      { s with errors = s.errors + 1; deadline_expired = s.deadline_expired + 1 }
+    | Protocol.Failed _ ->
+      bump "server.responses.error";
+      { s with errors = s.errors + 1 }
+  in
   with_lock t (fun () ->
-      let s = ref { t.stats with steals = t.stats.steals + steals } in
-      List.iter
-        (fun (r : Protocol.response) ->
-          match r.Protocol.outcome with
-          | Protocol.Solved sol ->
-            s := { !s with ok = !s.ok + 1 };
-            if sol.Protocol.degraded then s := { !s with degraded = !s.degraded + 1 };
-            if sol.Protocol.cache_hit then s := { !s with cache_hits = !s.cache_hits + 1 }
-          | Protocol.Updated _ ->
-            s := { !s with ok = !s.ok + 1; updates = !s.updates + 1 }
-          | Protocol.Failed (Hgp_error.Deadline_exceeded _) ->
-            s :=
-              { !s with errors = !s.errors + 1; deadline_expired = !s.deadline_expired + 1 }
-          | Protocol.Failed _ -> s := { !s with errors = !s.errors + 1 })
-        responses;
-      t.stats <- !s);
+      t.stats <- List.fold_left add { t.stats with steals = t.stats.steals + steals } responses)
+
+(* Coalesce solves by affinity key, preserving first-seen order so the
+   response order and the shard layout are both deterministic. *)
+let groups_of solves =
+  let tbl : (Fingerprint.t, Protocol.resolved pending list ref) Hashtbl.t =
+    Hashtbl.create 32
+  in
+  let order = ref [] in
   List.iter
-    (fun (r : Protocol.response) ->
-      match r.Protocol.outcome with
-      | Protocol.Solved sol ->
-        Obs.count "server.responses.ok" 1;
-        if sol.Protocol.degraded then Obs.count "server.degraded" 1;
-        if sol.Protocol.cache_hit then Obs.count "server.cache_hits" 1
-      | Protocol.Updated _ ->
-        Obs.count "server.responses.ok" 1;
-        Obs.count "server.updates" 1
-      | Protocol.Failed (Hgp_error.Deadline_exceeded _) ->
-        Obs.count "server.responses.error" 1;
-        Obs.count "server.deadline_expired" 1
-      | Protocol.Failed _ -> Obs.count "server.responses.error" 1)
-    responses
+    (fun p ->
+      let k = p.work.Protocol.key in
+      match Hashtbl.find_opt tbl k with
+      | None ->
+        Hashtbl.add tbl k (ref [ p ]);
+        order := k :: !order
+      | Some r -> r := p :: !r)
+    solves;
+  !order
+  |> List.rev_map (fun k ->
+         let members = List.rev !(Hashtbl.find tbl k) in
+         let priority =
+           List.fold_left
+             (fun a p -> max a p.work.Protocol.request.Protocol.priority)
+             min_int members
+         in
+         { key = k; members; priority })
+  |> List.rev
+  |> Array.of_list
 
 let drain t =
-  let batch, updates =
+  let grabbed =
     with_lock t (fun () ->
         let grabbed = List.rev t.queue in
-        let upds = List.rev t.update_queue in
         t.queue <- [];
-        t.update_queue <- [];
-        t.queued <- t.queued - List.length grabbed - List.length upds;
-        (grabbed, upds))
+        t.queued <- t.queued - List.length grabbed;
+        grabbed)
   in
-  if batch = [] && updates = [] then []
+  if grabbed = [] then []
   else begin
     with_lock t (fun () -> t.stats <- { t.stats with batches = t.stats.batches + 1 });
     Obs.count "server.batches" 1;
-    Obs.gauge "server.queue_depth"
-      (float_of_int (List.length batch + List.length updates));
+    Obs.gauge "server.queue_depth" (float_of_int (List.length grabbed));
     Obs.span "server.drain" @@ fun () ->
-    let responses = ref [] in
-    let steals = ref 0 in
-    if batch <> [] then begin
-      (* Coalesce by affinity key, preserving first-seen order so the response
-         order and the shard layout are both deterministic. *)
-      let tbl : (Fingerprint.t, pending list ref) Hashtbl.t = Hashtbl.create 32 in
-      let order = ref [] in
-      List.iter
+    let solves, updates =
+      List.partition_map
         (fun p ->
-          let k = p.resolved.Protocol.key in
-          match Hashtbl.find_opt tbl k with
-          | None ->
-            Hashtbl.add tbl k (ref [ p ]);
-            order := k :: !order
-          | Some r -> r := p :: !r)
-        batch;
-      let groups =
-        !order
-        |> List.rev_map (fun k ->
-               let members = List.rev !(Hashtbl.find tbl k) in
-               let priority =
-                 List.fold_left
-                   (fun a p -> max a p.resolved.Protocol.request.Protocol.priority)
-                   min_int members
-               in
-               { key = k; members; priority })
-        |> List.rev
-        |> Array.of_list
-      in
-      Log.info (fun m ->
-          m "drain: %d requests in %d groups over %d workers" (List.length batch)
-            (Array.length groups) t.config.workers);
-      let results, sstats =
-        Scheduler.run ~pool:t.pool ~shards:t.config.workers
-          ~shard_of:(fun g -> g.key)
-          ~priority_of:(fun g -> g.priority)
-          ~f:(handle t) groups
-      in
-      steals := sstats.Scheduler.steals;
-      Array.iteri
-        (fun gi slot ->
-          match slot with
-          | Ok rs -> responses := rs @ !responses
-          | Error exn ->
-            (* The per-group fence failed — answer every member structurally
-               rather than dropping them. *)
-            let msg = Hgp_error.message_of_exn exn in
-            List.iter
-              (fun p ->
-                responses :=
-                  ( p.index,
-                    {
-                      Protocol.id = p.resolved.Protocol.request.Protocol.id;
-                      outcome =
-                        Protocol.Failed
-                          (Hgp_error.Internal { stage = "server.dispatch"; msg });
-                      queue_ms = 0.;
-                      solve_ms = 0.;
-                    } )
-                  :: !responses)
-              groups.(gi).members)
-        results
-    end;
-    if updates <> [] then begin
-      Log.info (fun m -> m "drain: %d updates" (List.length updates));
-      let dispatch_ns = Obs.now_ns () in
-      List.iter
-        (fun pu -> responses := run_update t pu ~dispatch_ns :: !responses)
-        (List.sort (fun a b -> compare a.u_index b.u_index) updates)
-    end;
-    let ordered =
-      List.sort (fun (a, _) (b, _) -> compare a b) !responses |> List.map snd
+          match p.work with
+          | Solve r -> Either.Left { p with work = r }
+          | Update u -> Either.Right { p with work = u })
+        grabbed
     in
-    tally t ordered !steals;
+    let solved, steals =
+      if solves = [] then ([], 0)
+      else begin
+        let groups = groups_of solves in
+        Log.info (fun m ->
+            m "drain: %d requests in %d groups over %d workers" (List.length solves)
+              (Array.length groups) t.config.workers);
+        let results, sstats =
+          Scheduler.run ~pool:t.pool ~shards:t.config.workers
+            ~shard_of:(fun g -> g.key)
+            ~priority_of:(fun g -> g.priority)
+            ~f:(handle t) groups
+        in
+        ( List.concat
+            (List.mapi
+               (fun gi slot ->
+                 match slot with
+                 | Ok rs -> rs
+                 | Error exn ->
+                   (* The group's fence caught a raise: answer every member
+                      structurally rather than dropping them. *)
+                   let e =
+                     Hgp_error.Internal
+                       { stage = "server.dispatch"; msg = Hgp_error.message_of_exn exn }
+                   in
+                   List.map
+                     (fun p -> respond p ~queue_ms:0. ~solve_ms:0. (Protocol.Failed e))
+                     groups.(gi).members)
+               (Array.to_list results)),
+          sstats.Scheduler.steals )
+      end
+    in
+    let updated =
+      if updates = [] then []
+      else begin
+        Log.info (fun m -> m "drain: %d updates" (List.length updates));
+        let dispatch_ns = Obs.now_ns () in
+        List.map (run_update t ~dispatch_ns) updates
+      end
+    in
+    let ordered =
+      List.sort (fun (a, _) (b, _) -> compare a b) (solved @ updated) |> List.map snd
+    in
+    tally t ordered steals;
     ordered
   end
 

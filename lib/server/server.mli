@@ -1,7 +1,8 @@
 (** Long-running batch solve service over the artifact caches.
 
-    The service model is {e windowed batching}: requests are admitted into a
-    bounded queue ({!submit}) and dispatched as a batch ({!drain}) onto a
+    The service model is {e windowed batching}: requests of both kinds —
+    solves and session updates — are admitted into one bounded queue
+    ({!submit_any}) and dispatched as a batch ({!drain}) onto a
     dedicated worker-domain pool through the cache-affine {!Scheduler}.  The
     process-wide [Ensemble_cache] and packed-solution LRUs are shared by the
     whole fleet, so a graph that has been embedded once is never embedded
@@ -69,41 +70,37 @@ val config : t -> config
 (** Requests admitted but not yet drained. *)
 val pending : t -> int
 
-(** [submit t req] resolves the request (parsing the embedded instance,
-    computing the affinity key) and admits it, or returns the ready-to-send
-    rejection response ([overloaded], [parse], [io], ...).  The queue-wait
-    clock starts here. *)
-val submit : t -> Protocol.request -> [ `Admitted | `Rejected of Protocol.response ]
+(** [submit_any t req] is the one admission entry, for solves and updates
+    alike.  It counts the request, reserves a slot in the bounded queue
+    (or rejects with [Overloaded] once [queue_limit] requests are pending,
+    or after {!shutdown}), then resolves the work outside the lock: a solve's
+    instance is parsed or loaded and its affinity key computed, an update's
+    delta is parsed.  A request that does not resolve releases its slot and
+    is rejected with its structured [Parse] / [Io_error] error.  Otherwise it
+    is admitted, and its queue-wait clock starts.  Solves and updates share
+    the queue budget and one submission index, so {!drain} answers both in
+    submission order.
 
-(** {1 Incremental sessions}
+    {b Incremental sessions.}  A solve carrying [session = Some name] is
+    solved fail-fast through [Pipeline.start_session]: the response and the
+    registered session embody the same bit-identical pipeline solution, and
+    later updates naming the session re-solve only the dirty cone of the
+    delta (docs/INCREMENTAL.md).  If the fail-fast solve is infeasible or
+    raises, the request falls back to the supervised degradation ladder and
+    {e no} session is registered — a fallback-rung answer has no DP
+    snapshots to update.  Re-using a name replaces the session.  The session
+    open runs under the request's remaining [deadline_ms] budget: an open
+    that expires registers nothing and falls back to the ladder with what is
+    left of the budget.
 
-    A solve request carrying [session = Some name] is solved fail-fast
-    through [Pipeline.start_session]: the response and the registered
-    session embody the same bit-identical pipeline solution, and later
-    {!submit_update} requests naming the session re-solve only the dirty
-    cone of the delta (docs/INCREMENTAL.md).  If the fail-fast solve is
-    infeasible or raises, the request falls back to the supervised
-    degradation ladder and {e no} session is registered — a fallback-rung
-    answer has no DP snapshots to update.  Re-using a name replaces the
-    session.  The session open runs under the request's remaining
-    [deadline_ms] budget: an open that expires registers nothing and falls
-    back to the ladder with what is left of the budget. *)
-
-(** [submit_update t u] admits a delta against a named session under the
-    same bounded queue ([Overloaded] past the limit); a malformed delta is
-    rejected at admission with its structured [Parse] error.  Updates
-    execute during {!drain}, {e after} the solve batch (so a session opened
-    in the same batch is visible) and in submission order; responses
-    interleave with solve responses by submission index.  Failure modes per
-    update: unknown session → [Invalid_input]; queue-expired deadline →
-    [Deadline_exceeded] with stage ["queue"]; a re-solve that outlives the
-    remaining budget → [Deadline_exceeded] naming the stage that noticed;
-    post-delta infeasibility → [Infeasible].  On every failure the session
-    keeps its pre-delta state. *)
-val submit_update :
-  t -> Protocol.update_request -> [ `Admitted | `Rejected of Protocol.response ]
-
-(** Dispatches on the request kind. *)
+    Updates execute during {!drain}, {e after} the solve batch (so a session
+    opened in the same batch is visible, even by an update submitted before
+    it) and in submission order.  Failure modes per update: unknown session
+    → [Invalid_input]; a re-solve that outlives the remaining budget →
+    [Deadline_exceeded] naming the stage that noticed; post-delta
+    infeasibility → [Infeasible].  On every failure the session keeps its
+    pre-delta state.  Either kind whose budget expired while it was queued
+    is answered [Deadline_exceeded] with stage ["queue"] without running. *)
 val submit_any :
   t -> Protocol.any_request -> [ `Admitted | `Rejected of Protocol.response ]
 

@@ -59,6 +59,13 @@ let test_parse_json_errors () =
 
 (* ---- request round-trip ---- *)
 
+(* A solve line parsed through the one request parser. *)
+let parse_solve line =
+  match Protocol.parse_any line with
+  | Ok (Protocol.Solve r) -> Ok r
+  | Ok (Protocol.Update _) -> Error "classified as an update"
+  | Error e -> Error e
+
 let test_request_roundtrip_record () =
   let inst = mk_instance 3 in
   let r =
@@ -67,19 +74,19 @@ let test_request_roundtrip_record () =
   in
   let line = Protocol.request_to_line r in
   Alcotest.(check bool) "one line" true (not (String.contains line '\n'));
-  (match Protocol.parse_request line with
+  (match parse_solve line with
   | Ok r' -> Alcotest.(check bool) "record round-trips" true (r = r')
   | Error e -> Alcotest.failf "re-parse failed: %s" e);
   (* Path-sourced request too, with a path that needs escaping. *)
   let rp = Protocol.request ~id:"p1" (Protocol.Path "dir\\file \"x\".hgp") in
-  match Protocol.parse_request (Protocol.request_to_line rp) with
+  match parse_solve (Protocol.request_to_line rp) with
   | Ok rp' -> Alcotest.(check bool) "path round-trips" true (rp = rp')
   | Error e -> Alcotest.failf "path re-parse failed: %s" e
 
 let test_request_defaults_and_unknown_fields () =
   let inst_text = String.concat "" [ "not parsed here" ] in
   match
-    Protocol.parse_request
+    parse_solve
       (Printf.sprintf
          {|{"id":"d","instance":%s,"future_field":[1,2],"priority":3}|}
          (let b = Buffer.create 32 in
@@ -102,7 +109,7 @@ let test_request_defaults_and_unknown_fields () =
 let test_request_rejects () =
   List.iter
     (fun s ->
-      match Protocol.parse_request s with
+      match parse_solve s with
       | Ok _ -> Alcotest.failf "accepted bad request %S" s
       | Error _ -> ())
     [
@@ -240,7 +247,7 @@ let test_update_roundtrip_and_parse_any () =
   | Error e -> Alcotest.failf "parse failed: %s" e);
   (* Session survives the solve-request round trip. *)
   let r = Protocol.request ~id:"s" ~session:"sx" (Protocol.Path "p.hgp") in
-  (match Protocol.parse_request (Protocol.request_to_line r) with
+  (match parse_solve (Protocol.request_to_line r) with
   | Ok r' -> Alcotest.(check bool) "session round-trips" true (r = r')
   | Error e -> Alcotest.failf "session re-parse failed: %s" e);
   (* Malformed updates reject with a reason. *)
@@ -329,7 +336,7 @@ let prop_fingerprint_stable_over_wire =
   Test_support.qtest ~count:60
     "serialize/re-parse preserves the affinity fingerprint" gen_request (fun r ->
       let k = key_of_request r in
-      match Protocol.parse_request (Protocol.request_to_line r) with
+      match parse_solve (Protocol.request_to_line r) with
       | Error _ -> false
       | Ok r' ->
         r = r' && k = key_of_request r'
@@ -339,7 +346,7 @@ let prop_fingerprint_stable_over_wire =
 let prop_double_roundtrip_fixpoint =
   Test_support.qtest ~count:30 "request_to_line is a fixpoint after one round trip"
     gen_request (fun r ->
-      match Protocol.parse_request (Protocol.request_to_line r) with
+      match parse_solve (Protocol.request_to_line r) with
       | Error _ -> false
       | Ok r' -> Protocol.request_to_line r' = Protocol.request_to_line r)
 

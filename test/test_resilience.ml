@@ -53,7 +53,6 @@ let all_errors : E.t list =
     E.Infeasible { resolution = 8; retried = true; msg = "overloaded" };
     E.Deadline_exceeded { budget_ms = 50.; elapsed_ms = 51.; stage = "tree_dp" };
     E.Tree_failure { tree_index = 2; stage = "dp"; msg = "boom" };
-    E.Domain_crash { tree_index = 1; msg = "died" };
     E.Fault_injected { site = "feasible.pack"; msg = "armed" };
     E.Internal { stage = "ensemble"; msg = "surprise" };
   ]
@@ -62,10 +61,10 @@ let test_labels_and_exit_codes () =
   Alcotest.(check (list string))
     "labels"
     [ "parse"; "io"; "invalid-input"; "infeasible"; "deadline"; "tree-failure";
-      "domain-crash"; "fault"; "internal" ]
+      "fault"; "internal" ]
     (List.map E.label all_errors);
   Alcotest.(check (list int))
-    "exit codes" [ 65; 66; 65; 69; 75; 70; 70; 70; 70 ]
+    "exit codes" [ 65; 66; 65; 69; 75; 70; 70; 70 ]
     (List.map E.exit_code all_errors)
 
 let test_rendering () =

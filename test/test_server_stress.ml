@@ -185,10 +185,11 @@ let test_duplicate_requests_under_storm () =
     for dup = 0 to 3 do
       for i = 0 to 3 do
         match
-          Server.submit server
-            (Protocol.inline_request
-               ~id:(Printf.sprintf "i%d-d%d" i dup)
-               ~trees:2 ~seed:(50 + i) (mk_instance (50 + i)))
+          Server.submit_any server
+            (Protocol.Solve
+               (Protocol.inline_request
+                  ~id:(Printf.sprintf "i%d-d%d" i dup)
+                  ~trees:2 ~seed:(50 + i) (mk_instance (50 + i))))
         with
         | `Admitted -> ()
         | `Rejected r ->
