@@ -28,6 +28,7 @@ module Tablefmt = Hgp_util.Tablefmt
 module Obs = Hgp_obs.Obs
 module Hgp_error = Hgp_resilience.Hgp_error
 module Faults = Hgp_resilience.Faults
+module Reader = Hgp_resilience.Reader
 open Cmdliner
 
 (* The hierarchy argument stays a raw string through cmdliner and is parsed
@@ -156,17 +157,12 @@ let generate_cmd =
    or a full instance file produced by [Instance_io] (auto-detected by its
    "%hgp-instance" header; -H and --load are then ignored). *)
 let load_instance path hierarchy load seed =
-  let ic = open_in path in
-  let first = try input_line ic with End_of_file -> "" in
-  close_in ic;
-  if String.length first >= 13 && String.sub first 0 13 = "%hgp-instance" then
-    Hgp_core.Instance_io.load path
-  else begin
-    let g = Io.load path in
+  match Hgp_core.Instance_io.load_any path with
+  | `Instance inst -> inst
+  | `Graph g ->
     let rng = Prng.create seed in
     let g = Hgp_graph.Traversal.ensure_connected g rng in
     Instance.uniform_demands g hierarchy ~load_factor:load
-  end
 
 let graph_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"GRAPH" ~doc:"METIS graph file.")
@@ -454,6 +450,25 @@ let compare_cmd =
 
 (* ---- validate ---- *)
 
+(* "vertex leaf" lines as [solve] prints them; '#' lines and further fields
+   are ignored.  An out-of-range leaf is left for the certificate to report. *)
+let read_assignment path n =
+  let r =
+    Reader.of_string
+      (Reader.format ~comment:'#' (fun ~line msg ->
+           Hgp_error.Parse { line = Some line; context = "assignment"; msg }))
+      (Reader.load path)
+  in
+  let p = Array.make n (-1) in
+  while Reader.next_line r do
+    if Reader.tokens r < 2 then Reader.fail r "expected 'vertex leaf'";
+    let v = Reader.int r (Printf.sprintf "vertex %S is not an integer") in
+    let leaf = Reader.int r (Printf.sprintf "leaf %S is not an integer") in
+    if v < 0 || v >= n then Reader.fail r "vertex %d outside 0..%d" v (n - 1);
+    p.(v) <- leaf
+  done;
+  p
+
 let validate_cmd =
   let assignment_arg =
     Arg.(required & pos 1 (some file) None & info [] ~docv:"ASSIGNMENT" ~doc:"'vertex leaf' lines.")
@@ -462,19 +477,7 @@ let validate_cmd =
     handle_errors @@ fun () ->
     let hierarchy = resolve_hierarchy hierarchy in
     let inst = load_instance path hierarchy load seed in
-    let p = Array.make (Instance.n inst) (-1) in
-    let ic = open_in assignment_path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          while true do
-            let line = input_line ic in
-            let line = String.trim line in
-            if line <> "" && line.[0] <> '#' then
-              Scanf.sscanf line "%d %d" (fun v leaf -> p.(v) <- leaf)
-          done
-        with End_of_file -> ());
+    let p = read_assignment assignment_path (Instance.n inst) in
     let report = Hgp_core.Verify.certify inst p ~eps:0.25 in
     Format.printf "%a" Hgp_core.Verify.pp report;
     Printf.printf "valid at %.2f slack    : %b\n" slack (Cost.is_valid inst p ~slack);
@@ -645,9 +648,8 @@ let drift_cmd =
              step bit-identical — the CI incremental-smoke gate."
           ~docv:"RATIO")
   in
-  let run hierarchy load seed slack n_sources depth steps edits magnitude structural_every
+  let run hierarchy load seed n_sources depth steps edits magnitude structural_every
       cold_every trees multilevel assert_amortized metrics =
-    ignore slack;
     handle_errors @@ fun () ->
     let hierarchy = resolve_hierarchy hierarchy in
     with_metrics metrics @@ fun () ->
@@ -710,9 +712,9 @@ let drift_cmd =
   in
   let term =
     Term.(
-      const run $ hierarchy_arg $ load_arg $ seed_arg $ slack_arg $ n_sources $ depth
-      $ steps $ edits $ magnitude $ structural_every $ cold_every $ trees $ multilevel
-      $ assert_amortized $ metrics_arg)
+      const run $ hierarchy_arg $ load_arg $ seed_arg $ n_sources $ depth $ steps $ edits
+      $ magnitude $ structural_every $ cold_every $ trees $ multilevel $ assert_amortized
+      $ metrics_arg)
   in
   Cmd.v
     (Cmd.info "drift"
@@ -820,27 +822,16 @@ let batch_cmd =
   let run workers queue_limit slack metrics server_stats path =
     handle_errors @@ fun () ->
     with_metrics metrics @@ fun () ->
-    let ic, close =
-      if path = "-" then (stdin, Fun.id)
-      else begin
-        if not (Sys.file_exists path) then
-          Hgp_error.error (Hgp_error.Io_error { path; msg = "no such file" });
-        let ic = open_in path in
-        (ic, fun () -> close_in ic)
-      end
+    let r =
+      Reader.of_string
+        (Reader.format (fun ~line msg ->
+             Hgp_error.Parse { line = Some line; context = "request"; msg }))
+        (if path = "-" then In_channel.input_all stdin else Reader.load path)
     in
     let window = ref [] in
-    let lineno = ref 0 in
-    Fun.protect
-      ~finally:(fun () -> close ())
-      (fun () ->
-        try
-          while true do
-            let line = input_line ic in
-            incr lineno;
-            if String.trim line <> "" then window := (!lineno, line) :: !window
-          done
-        with End_of_file -> ());
+    while Reader.next_line r do
+      window := (Reader.line r, Reader.text r) :: !window
+    done;
     let server = mk_server workers queue_limit slack in
     run_window server (List.rev !window);
     finish server server_stats

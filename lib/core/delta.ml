@@ -2,6 +2,7 @@ module Graph = Hgp_graph.Graph
 module Io = Hgp_graph.Io
 module Hierarchy = Hgp_hierarchy.Hierarchy
 module E = Hgp_resilience.Hgp_error
+module Reader = Hgp_resilience.Reader
 
 type edit =
   | Reweight_edge of int * int * float
@@ -202,79 +203,51 @@ let to_string delta =
     delta;
   Buffer.contents buf
 
-let parse_error ~line fmt =
-  Printf.ksprintf
-    (fun msg ->
-      E.error (E.Parse { line = Some line; context = "delta"; msg }))
-    fmt
+let format =
+  Reader.format ~comment:'#' ~magic:"%hgp-delta" (fun ~line msg ->
+      E.Parse { line = Some line; context = "delta"; msg })
 
 let of_string s =
-  let int ~line what tok =
-    match int_of_string_opt tok with
-    | Some v -> v
-    | None -> parse_error ~line "%s %S is not an integer" what tok
-  in
-  let num ~line what tok =
-    match float_of_string_opt tok with
-    | Some v -> v
-    | None -> parse_error ~line "%s %S is not a number" what tok
-  in
-  let rec neighbors ~line = function
-    | [] -> []
-    | [ u ] ->
-      parse_error ~line "neighbor %S is missing its weight" u
-    | u :: w :: tl ->
-      (int ~line "neighbor id" u, num ~line "neighbor weight" w)
-      :: neighbors ~line tl
+  let r = Reader.of_string format s in
+  let int what = Reader.int r (fun tok -> Printf.sprintf "%s %S is not an integer" what tok) in
+  let num what = Reader.float r (fun tok -> Printf.sprintf "%s %S is not a number" what tok) in
+  let pair () =
+    let u = int "vertex" in
+    (u, int "vertex")
   in
   let edits = ref [] in
-  String.split_on_char '\n' s
-  |> List.iteri (fun i raw ->
-         let line = i + 1 in
-         let l =
-           let len = String.length raw in
-           String.trim
-             (if len > 0 && raw.[len - 1] = '\r' then String.sub raw 0 (len - 1)
-              else raw)
-         in
-         if l = "" || l.[0] = '#' || l = "%hgp-delta 1" then ()
-         else
-           let toks =
-             String.split_on_char ' ' l |> List.filter (fun t -> t <> "")
-           in
-           let edit =
-             match toks with
-             | [ "reweight"; u; v; w ] ->
-               Reweight_edge
-                 (int ~line "vertex" u, int ~line "vertex" v, num ~line "weight" w)
-             | [ "add-edge"; u; v; w ] ->
-               Add_edge
-                 (int ~line "vertex" u, int ~line "vertex" v, num ~line "weight" w)
-             | [ "remove-edge"; u; v ] ->
-               Remove_edge (int ~line "vertex" u, int ~line "vertex" v)
-             | "add-vertex" :: d :: nbrs ->
-               Add_vertex (num ~line "demand" d, neighbors ~line nbrs)
-             | [ "remove-vertex"; v ] -> Remove_vertex (int ~line "vertex" v)
-             | op :: _ ->
-               parse_error ~line
-                 "unknown or malformed edit %S (expected reweight/add-edge/\
-                  remove-edge/add-vertex/remove-vertex)"
-                 op
-             | [] -> assert false
-           in
-           edits := edit :: !edits);
+  while Reader.next_line r do
+    let k = Reader.tokens r in
+    let edit =
+      match Reader.token r with
+      | "reweight" when k = 4 ->
+        let u, v = pair () in
+        Reweight_edge (u, v, num "weight")
+      | "add-edge" when k = 4 ->
+        let u, v = pair () in
+        Add_edge (u, v, num "weight")
+      | "remove-edge" when k = 3 ->
+        let u, v = pair () in
+        Remove_edge (u, v)
+      | "add-vertex" when k >= 2 ->
+        let d = num "demand" in
+        let nbrs = ref [] in
+        for _ = 1 to (k - 2) / 2 do
+          let u = int "neighbor id" in
+          nbrs := (u, num "neighbor weight") :: !nbrs
+        done;
+        if Reader.more r then
+          Reader.fail r "neighbor %S is missing its weight" (Reader.token r);
+        Add_vertex (d, List.rev !nbrs)
+      | "remove-vertex" when k = 2 -> Remove_vertex (int "vertex")
+      | op ->
+        Reader.fail r
+          "unknown or malformed edit %S (expected reweight/add-edge/\
+           remove-edge/add-vertex/remove-vertex)"
+          op
+    in
+    edits := edit :: !edits
+  done;
   List.rev !edits
 
-let save delta path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string delta))
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      of_string (really_input_string ic len))
+let load path = of_string (Reader.load path)

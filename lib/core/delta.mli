@@ -78,7 +78,5 @@ val to_string : t -> string
     with a 1-based line number on malformed input. *)
 val of_string : string -> t
 
-(** [save delta path] / [load path] — file round-trip of the text format. *)
-val save : t -> string -> unit
-
+(** [load path] parses the file [path] ([Io_error] if it cannot be read). *)
 val load : string -> t

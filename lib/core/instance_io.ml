@@ -3,6 +3,7 @@ module Topology = Hgp_hierarchy.Topology
 module Io = Hgp_graph.Io
 module Hgp_error = Hgp_resilience.Hgp_error
 module Faults = Hgp_resilience.Faults
+module Reader = Hgp_resilience.Reader
 
 let to_string (inst : Instance.t) =
   let buf = Buffer.create 4096 in
@@ -29,125 +30,85 @@ let parse_error ?line ~context fmt =
     (fun msg -> Hgp_error.error (Hgp_error.Parse { line; context; msg }))
     fmt
 
-(* Wrap a section parser so that stringly failures from the underlying
-   parsers (Topology.parse, float_of_string) surface as [Parse] errors
-   anchored at [line]. *)
-let in_context ~line ~context f =
-  try f () with
-  | Hgp_error.Error _ as e -> raise e
-  | Failure msg | Invalid_argument msg -> parse_error ~line ~context "%s" msg
-
 let of_string s =
   Faults.fire "instance_io.parse";
-  let lines =
-    (* Accept CRLF input (files written on Windows, or piped through tools
-       that rewrite line endings): a carriage return before the newline is
-       never meaningful in this format. *)
-    String.split_on_char '\n' s
-    |> List.map (fun l ->
-           let len = String.length l in
-           if len > 0 && l.[len - 1] = '\r' then String.sub l 0 (len - 1) else l)
+  (* Errors name the section of the line being read. *)
+  let section = ref "instance" in
+  let r =
+    Reader.of_string
+      (Reader.format ~comment:'#' ~magic:"%hgp-instance" (fun ~line msg ->
+           Hgp_error.Parse { line = Some line; context = !section; msg }))
+      s
   in
-  (* [parse] walks the header section; returns the graph section's starting
-     line number along with its lines. *)
-  let rec parse lines lineno hierarchy demands =
-    match lines with
-    | [] -> parse_error ~context:"instance" "missing graph section"
-    | line :: rest -> (
-      let line_t = String.trim line in
-      if line_t = "" || line_t.[0] = '#' || line_t = "%hgp-instance 1" then
-        parse rest (lineno + 1) hierarchy demands
-      else
-        match String.index_opt line_t ' ' with
-        | _ when line_t = "graph" -> (hierarchy, demands, rest, lineno + 1)
-        | Some _ when String.length line_t > 10 && String.sub line_t 0 10 = "hierarchy " -> (
-          if Option.is_some hierarchy then
-            parse_error ~line:lineno ~context:"hierarchy" "duplicate hierarchy line";
-          let spec = String.sub line_t 10 (String.length line_t - 10) in
-          match String.split_on_char ' ' spec with
-          | [ topo; "capacity"; cap ] ->
-            let h =
-              in_context ~line:lineno ~context:"hierarchy" (fun () ->
-                  let base = Topology.parse topo in
-                  let cap =
-                    match float_of_string_opt cap with
-                    | Some c -> c
-                    | None ->
-                      parse_error ~line:lineno ~context:"hierarchy"
-                        "leaf capacity %S is not a number" cap
-                  in
-                  if not (Hierarchy.is_regular base) then
-                    parse_error ~line:lineno ~context:"hierarchy"
-                      "a ragged hierarchy spec embeds per-leaf capacities; \
-                       'capacity' only applies to regular specs";
-                  Hierarchy.create ~degs:(Hierarchy.degs base)
-                    ~cm:(Array.init (Hierarchy.height base + 1) (Hierarchy.cm base))
-                    ~leaf_capacity:cap)
-            in
-            parse rest (lineno + 1) (Some h) demands
-          | [ topo ] ->
-            let h =
-              in_context ~line:lineno ~context:"hierarchy" (fun () -> Topology.parse topo)
-            in
-            parse rest (lineno + 1) (Some h) demands
-          | _ ->
-            parse_error ~line:lineno ~context:"hierarchy"
-              "expected 'hierarchy SPEC [capacity C]', got %S" line_t)
-        | Some _ when String.length line_t > 8 && String.sub line_t 0 8 = "demands " ->
-          if Option.is_some demands then
-            parse_error ~line:lineno ~context:"demands" "duplicate demands line";
-          let ds =
-            String.sub line_t 8 (String.length line_t - 8)
-            |> String.split_on_char ' '
-            |> List.filter (fun x -> x <> "")
-            |> List.mapi (fun field x ->
-                   match float_of_string_opt x with
-                   | Some d -> d
-                   | None ->
-                     parse_error ~line:lineno ~context:"demands"
-                       "field %d: %S is not a number" (field + 1) x)
-            |> Array.of_list
-          in
-          parse rest (lineno + 1) hierarchy (Some ds)
+  (* Stringly failures of the parsers a line is handed to are that line's. *)
+  let guard f = try f () with Failure msg | Invalid_argument msg -> Reader.fail r "%s" msg in
+  (* [header] walks the lines before the graph section; returns the graph
+     section's first line number along with the parsed fields. *)
+  let rec header hierarchy demands =
+    if not (Reader.next_line r) then parse_error ~context:"instance" "missing graph section";
+    let k = Reader.tokens r in
+    section := "instance";
+    match Reader.token r with
+    | "graph" when k = 1 -> (hierarchy, demands, Reader.line r + 1)
+    | "hierarchy" when k > 1 ->
+      section := "hierarchy";
+      if Option.is_some hierarchy then Reader.fail r "duplicate hierarchy line";
+      let topo = Reader.token r in
+      let h =
+        match (k, Reader.token r) with
+        | 2, _ -> guard (fun () -> Topology.parse topo)
+        | 4, "capacity" ->
+          let base = guard (fun () -> Topology.parse topo) in
+          let cap = Reader.float r (Printf.sprintf "leaf capacity %S is not a number") in
+          if not (Hierarchy.is_regular base) then
+            Reader.fail r
+              "a ragged hierarchy spec embeds per-leaf capacities; 'capacity' only applies \
+               to regular specs";
+          guard (fun () ->
+              Hierarchy.create ~degs:(Hierarchy.degs base)
+                ~cm:(Array.init (Hierarchy.height base + 1) (Hierarchy.cm base))
+                ~leaf_capacity:cap)
         | _ ->
-          parse_error ~line:lineno ~context:"instance" "unexpected line %S" line_t)
+          Reader.fail r "expected 'hierarchy SPEC [capacity C]', got %S"
+            (String.trim (Reader.text r))
+      in
+      header (Some h) demands
+    | "demands" when k > 1 ->
+      section := "demands";
+      if Option.is_some demands then Reader.fail r "duplicate demands line";
+      let field i =
+        Reader.float r (fun tok -> Printf.sprintf "field %d: %S is not a number" (i + 1) tok)
+      in
+      header hierarchy (Some (Array.init (k - 1) field))
+    | _ -> Reader.fail r "unexpected line %S" (String.trim (Reader.text r))
   in
-  let hierarchy, demands, graph_lines, graph_line = parse lines 1 None None in
+  let hierarchy, demands, graph_line = header None None in
   let graph =
-    in_context ~line:graph_line ~context:"graph" (fun () ->
-        try Io.of_string ~first_line:graph_line (String.concat "\n" graph_lines)
-        with Hgp_error.Error (Hgp_error.Invalid_input { msg; _ }) ->
-          parse_error ~line:graph_line ~context:"graph" "%s" msg)
+    try Io.read r with
+    | Hgp_error.Error (Hgp_error.Invalid_input { msg; _ }) | Failure msg | Invalid_argument msg ->
+      parse_error ~line:graph_line ~context:"graph" "%s" msg
   in
   match (hierarchy, demands) with
-  | Some h, Some d ->
+  | Some h, Some d -> (
     (* Corrupt action: one demand becomes NaN, as a bit flip would; instance
        validation must refuse it with a structured error. *)
     (match Faults.corrupt_index "instance_io.parse" ~len:(Array.length d) with
     | Some i -> d.(i) <- Float.nan
     | None -> ());
-    in_context ~line:graph_line ~context:"instance" (fun () ->
-        Instance.create graph ~demands:d h)
+    try Instance.create graph ~demands:d h
+    with Failure msg | Invalid_argument msg ->
+      parse_error ~line:graph_line ~context:"instance" "%s" msg)
   | None, _ -> parse_error ~context:"hierarchy" "missing hierarchy line"
   | _, None -> parse_error ~context:"demands" "missing demands line"
 
-let save inst path =
-  try
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (to_string inst))
-  with Sys_error msg -> Hgp_error.error (Hgp_error.Io_error { path; msg })
-
 let load path =
   Faults.fire "instance_io.load";
-  try
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        of_string (really_input_string ic len))
-  with
-  | Sys_error msg | Failure msg -> Hgp_error.error (Hgp_error.Io_error { path; msg })
-  | End_of_file -> Hgp_error.error (Hgp_error.Io_error { path; msg = "short read" })
+  of_string (Reader.load path)
+
+let load_any path =
+  let text = Reader.load path in
+  if String.starts_with ~prefix:"%hgp-instance" text then begin
+    Faults.fire "instance_io.load";
+    `Instance (of_string text)
+  end
+  else `Graph (Io.of_string text)

@@ -8,13 +8,13 @@
     graph
     <METIS graph text>
     v}
-    Comment lines starting with ['#'] are ignored before the [graph]
-    section.
+    Blank lines and comment lines starting with ['#'] are ignored before
+    the [graph] section, which {!Hgp_graph.Io.read} reads in place.
 
     All parse failures raise {!Hgp_resilience.Hgp_error.Error} with a
     [Parse] payload carrying the 1-based line number (when attributable) and
     the section or field in which the problem was found; file-system
-    failures in {!load}/{!save} carry an [Io_error] payload.  Fault sites
+    failures in {!load} carry an [Io_error] payload.  Fault sites
     ["instance_io.parse"] and ["instance_io.load"] are wired in for
     resilience testing (see [docs/ROBUSTNESS.md]). *)
 
@@ -26,9 +26,9 @@ val to_string : Instance.t -> string
     malformed input. *)
 val of_string : string -> Instance.t
 
-(** [save inst path] / [load path]: file variants.
-    @raise Hgp_resilience.Hgp_error.Error with an [Io_error] payload when
-    the OS refuses, in addition to {!of_string}'s parse errors. *)
-val save : Instance.t -> string -> unit
-
+(** [load path] parses the file [path] ([Io_error] if it cannot be read). *)
 val load : string -> Instance.t
+
+(** [load_any path] reads [path] once: an instance as {!load} if it starts
+    with the [%hgp-instance] header, else a METIS graph. *)
+val load_any : string -> [ `Instance of Instance.t | `Graph of Hgp_graph.Graph.t ]

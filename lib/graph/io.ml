@@ -16,108 +16,54 @@ let to_string g =
   done;
   Buffer.contents buf
 
-let tokens_of_line line =
-  (* '\r' is a separator so CRLF files parse identically to LF files. *)
-  String.split_on_char ' ' line
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.concat_map (String.split_on_char '\r')
-  |> List.filter (fun s -> s <> "")
+module Reader = Hgp_resilience.Reader
 
-let invalid ~line fmt =
-  Printf.ksprintf
-    (fun msg ->
-      E.error
-        (E.Invalid_input { context = "io.of_string"; msg = Printf.sprintf "line %d: %s" line msg }))
-    fmt
+let metis =
+  Reader.format ~comment:'%' ~blank_lines:true (fun ~line msg ->
+      E.Invalid_input { context = "io.of_string"; msg = Printf.sprintf "line %d: %s" line msg })
+
+let bad_integer tok = Printf.sprintf "bad integer %S" tok
+let bad_weight tok = Printf.sprintf "bad weight %S" tok
 
 (* METIS: an "n m [fmt]" header, then exactly n adjacency lines, one per
    vertex in order; an empty line is an isolated vertex.  Only '%' comment
    lines are dropped, so line numbers in errors are the file's own. *)
-let of_string ?(first_line = 1) s =
-  (* A final newline ends the last line; it does not start another. *)
-  let raw =
-    String.split_on_char '\n'
-      (if String.ends_with ~suffix:"\n" s then String.sub s 0 (String.length s - 1) else s)
+let read r =
+  let r = Reader.switch metis r in
+  let first = Reader.line r + 1 in
+  let rec header () = Reader.next_line r && (Reader.more r || header ()) in
+  if not (header ()) then Reader.fail ~line:first r "empty input: no header";
+  let hl = Reader.line r in
+  let k = Reader.tokens r in
+  if k <> 2 && k <> 3 then Reader.fail r "malformed header (expected \"n m [fmt]\")";
+  let n = Reader.int r bad_integer in
+  let m = Reader.int r bad_integer in
+  let weighted = k = 3 && (match Reader.token r with "1" | "001" -> true | _ -> false) in
+  if n < 0 || m < 0 then Reader.fail r "negative vertex or edge count";
+  let b = Graph.Builder.create n in
+  let edge u v w =
+    if v < 1 || v > n then Reader.fail r "neighbour %d outside 1..%d" v n;
+    if v - 1 > u then
+      try Graph.Builder.add_edge b u (v - 1) w
+      with Invalid_argument msg -> Reader.fail r "%s" msg
   in
-  let lines =
-    raw
-    |> List.mapi (fun i l -> (first_line + i, l))
-    |> List.filter (fun (_, l) ->
-           let l = String.trim l in
-           l = "" || l.[0] <> '%')
-  in
-  let blank (_, l) = String.trim l = "" in
-  let int_at line tok =
-    match int_of_string_opt tok with Some v -> v | None -> invalid ~line "bad integer %S" tok
-  in
-  let rec skip_blank = function l :: rest when blank l -> skip_blank rest | ls -> ls in
-  match skip_blank lines with
-  | [] -> invalid ~line:first_line "empty input: no header"
-  | (hl, header) :: rest ->
-    let n, m, weighted =
-      match tokens_of_line header with
-      | [ n; m ] -> (int_at hl n, int_at hl m, false)
-      | [ n; m; fmt ] -> (int_at hl n, int_at hl m, fmt = "1" || fmt = "001")
-      | _ -> invalid ~line:hl "malformed header (expected \"n m [fmt]\")"
-    in
-    if n < 0 || m < 0 then invalid ~line:hl "negative vertex or edge count";
-    let b = Graph.Builder.create n in
-    let vertex u (line, text) =
-      let edge v w =
-        if v < 1 || v > n then invalid ~line "neighbour %d outside 1..%d" v n;
-        if v - 1 > u then
-          try Graph.Builder.add_edge b u (v - 1) w
-          with Invalid_argument msg -> invalid ~line "%s" msg
-      in
-      let rec consume = function
-        | [] -> ()
-        | [ v ] when weighted -> invalid ~line "neighbour %s has no weight" v
-        | v :: w :: tl when weighted ->
-          (match float_of_string_opt w with
-          | Some w -> edge (int_at line v) w
-          | None -> invalid ~line "bad weight %S" w);
-          consume tl
-        | v :: tl ->
-          edge (int_at line v) 1.0;
-          consume tl
-      in
-      consume (tokens_of_line text)
-    in
-    let rec vertices u = function
-      | rest when u = n -> rest
-      | [] ->
-        invalid ~line:(first_line + List.length raw) "expected %d vertex lines, got %d" n u
-      | l :: rest ->
-        vertex u l;
-        vertices (u + 1) rest
-    in
-    (match List.find_opt (fun l -> not (blank l)) (vertices 0 rest) with
-    | Some (line, _) -> invalid ~line "content after the %d vertex lines" n
-    | None -> ());
-    let g = Graph.Builder.build b in
-    if Graph.m g <> m then invalid ~line:hl "header claims %d edges, parsed %d" m (Graph.m g);
-    g
+  for u = 0 to n - 1 do
+    if not (Reader.next_line r) then Reader.fail r "expected %d vertex lines, got %d" n u;
+    while Reader.more r do
+      let v = Reader.int r bad_integer in
+      if not weighted then edge u v 1.0
+      else if Reader.more r then edge u v (Reader.float r bad_weight)
+      else Reader.fail r "neighbour %d has no weight" v
+    done
+  done;
+  while Reader.next_line r do
+    if Reader.more r then Reader.fail r "content after the %d vertex lines" n
+  done;
+  let g = Graph.Builder.build b in
+  if Graph.m g <> m then Reader.fail ~line:hl r "header claims %d edges, parsed %d" m (Graph.m g);
+  g
 
-let save g path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string g))
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      of_string (really_input_string ic len))
-
-let to_edge_list_string g =
-  let buf = Buffer.create 4096 in
-  Graph.iter_edges
-    (fun u v w -> Buffer.add_string buf (Printf.sprintf "%d %d %.17g\n" u v w))
-    g;
-  Buffer.contents buf
+let of_string s = read (Reader.of_string metis s)
 
 let normalize_ids ?(vertices = []) edges =
   let module IS = Set.Make (Int) in
@@ -162,45 +108,3 @@ let normalize_ids ?(vertices = []) edges =
       edges
   in
   (Graph.of_edges (Array.length originals) dense, originals)
-
-let of_edge_list_string ?(normalize = false) s =
-  let lines =
-    String.split_on_char '\n' s
-    |> List.filter (fun l ->
-           let l = String.trim l in
-           l <> "" && l.[0] <> '%')
-  in
-  let parsed =
-    List.map
-      (fun line ->
-        match tokens_of_line line with
-        | [ u; v ] -> (int_of_string u, int_of_string v, 1.0)
-        | [ u; v; w ] -> (int_of_string u, int_of_string v, float_of_string w)
-        | _ -> failwith "Io.of_edge_list_string: malformed line")
-      lines
-  in
-  if normalize then fst (normalize_ids parsed)
-  else begin
-    (* Dense-id contract: every id must name a vertex of the result, so ids
-       are taken literally and n = max id + 1.  Sparse inputs therefore
-       produce isolated padding vertices — callers that want compaction pass
-       [~normalize:true]. *)
-    List.iter
-      (fun (u, v, _) ->
-        if u < 0 || v < 0 then
-          E.error
-            (E.Invalid_input
-               {
-                 context = "io.of_edge_list_string";
-                 msg =
-                   Printf.sprintf
-                     "negative vertex id in edge {%d, %d}; ids must be dense \
-                      0..n-1 (use ~normalize:true to compact)"
-                     u v;
-               }))
-      parsed;
-    let n =
-      List.fold_left (fun acc (u, v, _) -> max acc (max u v + 1)) 0 parsed
-    in
-    Graph.of_edges n parsed
-  end

@@ -11,19 +11,14 @@ val to_string : Graph.t -> string
     After the header come exactly [n] vertex lines; an empty one is an
     isolated vertex, so [of_string (to_string g)] is [g] for every graph.
     Only ['%'] comment lines are skipped.
-    @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _], its message
-    led by the line number, counted from [first_line] (default 1)) on
-    malformed input or a header/content mismatch. *)
-val of_string : ?first_line:int -> string -> Graph.t
+    @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _], context
+    ["io.of_string"], its message led by the line number) on malformed
+    input or a header/content mismatch. *)
+val of_string : string -> Graph.t
 
-(** [save g path] writes [to_string g] to [path]. *)
-val save : Graph.t -> string -> unit
-
-(** [load path] reads a graph from [path]. *)
-val load : string -> Graph.t
-
-(** [to_edge_list_string g] renders one ["u v w"] line per edge (0-based). *)
-val to_edge_list_string : Graph.t -> string
+(** [read r] is {!of_string} on the lines after [r]'s current one (an
+    instance file's graph section), with [r]'s line numbers. *)
+val read : Hgp_resilience.Reader.t -> Graph.t
 
 (** [normalize_ids ?vertices edges] compacts arbitrary non-negative vertex
     ids to the dense [0..k-1] range every other layer (CSR construction,
@@ -37,11 +32,3 @@ val to_edge_list_string : Graph.t -> string
     id. *)
 val normalize_ids :
   ?vertices:int list -> (int * int * float) list -> Graph.t * int array
-
-(** [of_edge_list_string s] parses the edge-list format.  By default ids are
-    taken literally and the vertex count is one plus the largest mentioned
-    id, so sparse ids produce isolated padding vertices; pass
-    [~normalize:true] to compact ids via {!normalize_ids} instead.
-    @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _]) on a negative
-    id. *)
-val of_edge_list_string : ?normalize:bool -> string -> Graph.t

@@ -267,17 +267,11 @@ let test_contract_rejects () =
 
 let test_sparse_id_normalization () =
   let module Io = Hgp_graph.Io in
-  (* Sparse ids: the literal parse pads with isolated vertices, the
-     normalizing parse compacts. *)
-  let text = "10 20 2.5\n20 30 1.5\n" in
-  let literal = Io.of_edge_list_string text in
-  Alcotest.(check int) "literal n" 31 (Graph.n literal);
-  Alcotest.(check int) "literal m" 2 (Graph.m literal);
-  let dense = Io.of_edge_list_string ~normalize:true text in
+  (* Sparse ids compact to dense ones in ascending order. *)
+  let dense, originals = Io.normalize_ids [ (10, 20, 2.5); (20, 30, 1.5) ] in
   Alcotest.(check int) "dense n" 3 (Graph.n dense);
   Alcotest.(check int) "dense m" 2 (Graph.m dense);
   Alcotest.(check (float 0.)) "weight preserved" 2.5 (Graph.edge_weight dense 0 1);
-  let _, originals = Io.normalize_ids [ (10, 20, 2.5); (20, 30, 1.5) ] in
   Alcotest.(check (array int)) "id map" [| 10; 20; 30 |] originals;
   (* Already-dense input: normalization is the identity. *)
   let g = Gen.gnp_connected (Prng.create 5) 12 0.3 in
@@ -286,11 +280,8 @@ let test_sparse_id_normalization () =
   in
   Alcotest.(check bool) "identity on dense" true (graphs_equal g dense');
   Alcotest.(check (array int)) "identity map" (Array.init 12 Fun.id) map;
-  (* Negative ids are a structured input error on both paths. *)
-  (match Io.normalize_ids [ (-1, 2, 1.0) ] with
-  | _ -> Alcotest.fail "expected Invalid_input"
-  | exception E.Error (E.Invalid_input _) -> ());
-  match Io.of_edge_list_string "-1 2\n" with
+  (* A negative id is a structured input error. *)
+  match Io.normalize_ids [ (-1, 2, 1.0) ] with
   | _ -> Alcotest.fail "expected Invalid_input"
   | exception E.Error (E.Invalid_input _) -> ()
 

@@ -215,7 +215,7 @@ let with_fixture_file f =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Instance_io.save (fixture_instance ()) path;
+      write_file path (Instance_io.to_string (fixture_instance ()));
       f path)
 
 (* ---- scenarios ---- *)
@@ -286,7 +286,7 @@ let test_multilevel_clamp_note () =
       in
       Alcotest.(check int) "generate exit 0" 0 code;
       let fine =
-        Instance.uniform_demands (Hgp_graph.Io.load path) H.Presets.dual_socket
+        Instance.uniform_demands (Hgp_graph.Io.of_string (read_file path)) H.Presets.dual_socket
           ~load_factor:0.7
       in
       Alcotest.(check bool) "the fine instance is clamped" true
@@ -390,6 +390,66 @@ let test_metis_isolated_and_truncated () =
           ("--load 1.5", [ "--load"; "1.5" ], "load factor 1.5 is outside (0, 1]");
         ])
 
+(* Every input file goes through one loader: a path the OS will not read
+   (here a directory) is an io error, exit 66, naming the path, whichever
+   command and argument reads it. *)
+let test_unreadable_inputs_exit_66 () =
+  let dir = Filename.temp_dir "hgp_dir" "" in
+  let path = Filename.temp_file "hgp_io" ".graph" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.rmdir dir;
+      Sys.remove path)
+    (fun () ->
+      let code, _, _ =
+        run_cli [ "generate"; "--kind"; "gnp"; "-n"; "60"; "--seed"; "3"; "-o"; path ]
+      in
+      Alcotest.(check int) "generate exit 0" 0 code;
+      List.iter
+        (fun args ->
+          let what = String.concat " " (List.map (fun a -> if a = dir then "DIR" else a) args) in
+          let code, out, err = run_cli args in
+          Alcotest.(check int) (what ^ ": exit 66") 66 code;
+          Alcotest.(check string) (what ^ ": no stdout") "" out;
+          Alcotest.(check bool) (what ^ ": io error naming the path") true
+            (find_substring err ("io error on " ^ dir) <> None))
+        [
+          [ "solve"; dir ];
+          [ "solve"; path; "--delta"; dir ];
+          [ "batch"; dir ];
+          [ "validate"; path; dir ];
+        ])
+
+(* [validate]'s assignment reader: a malformed field or a vertex the
+   instance lacks is a parse error naming the line (exit 65); a leaf out of
+   range is the certificate's to report (incomplete, exit 1). *)
+let test_validate_bad_assignment () =
+  let path = Filename.temp_file "hgp_val" ".graph" in
+  let assignment = Filename.temp_file "hgp_val" ".assign" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove path;
+      Sys.remove assignment)
+    (fun () ->
+      let code, _, _ =
+        run_cli [ "generate"; "--kind"; "gnp"; "-n"; "60"; "--seed"; "3"; "-o"; path ]
+      in
+      Alcotest.(check int) "generate exit 0" 0 code;
+      List.iter
+        (fun (text, line) ->
+          write_file assignment text;
+          let code, _, err = run_cli [ "validate"; path; assignment ] in
+          Alcotest.(check int) (String.escaped text ^ ": exit 65") 65 code;
+          Alcotest.(check bool) (String.escaped text ^ ": parse error naming the line") true
+            (find_substring err (Printf.sprintf "parse error at line %d (assignment)" line)
+            <> None))
+        [ ("0 x\n", 1); ("# header\n0 1\n999 2\n", 3) ];
+      write_file assignment "0 999\n";
+      let code, out, _ = run_cli [ "validate"; path; assignment ] in
+      Alcotest.(check int) "leaf out of range: exit 1" 1 code;
+      Alcotest.(check bool) "leaf out of range: incomplete" true
+        (find_substring out "assignment complete : false" <> None))
+
 let test_batch_response_schema () =
   with_fixture_file @@ fun inst ->
   let req ~id ~seed = Protocol.request ~id ~trees:2 ~seed (Protocol.Path inst) in
@@ -472,5 +532,8 @@ let () =
             test_metis_isolated_and_truncated;
           Alcotest.test_case "--multilevel refuses --deadline-ms" `Quick
             test_multilevel_refuses_deadline;
+          Alcotest.test_case "unreadable inputs exit 66" `Quick test_unreadable_inputs_exit_66;
+          Alcotest.test_case "validate: bad assignment lines exit 65" `Quick
+            test_validate_bad_assignment;
         ] );
     ]

@@ -141,7 +141,8 @@ let test_instance_io_file () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Instance_io.save inst path;
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (Instance_io.to_string inst));
       let inst' = Instance_io.load path in
       Alcotest.(check int) "n" 4 (Instance.n inst'))
 
