@@ -1235,7 +1235,8 @@ let e20_fm_refinement () =
 (* cache-disabled cold solve on the post-delta instance — the cold run  *)
 (* doubles as the bit-identity oracle, and every re-solve must come     *)
 (* back certified.  Part B: drift streams (reweights + periodic         *)
-(* structural edits) through Des.run_drift on both session backends,    *)
+(* structural edits) through Des.run_drift, on exact sessions (V-cycle  *)
+(* threshold max_int, never coarsening) and multilevel ones,            *)
 (* with the amortized incremental/cold ratio in the ledger.  The        *)
 (* timing gate itself lives in CI (hgp_cli drift --assert-amortized);   *)
 (* here only a conservative 5x tripwire guards the 1e5 speedup claim    *)
@@ -1320,12 +1321,12 @@ let e21_incremental () =
   in
   let drift_rows =
     List.map
-      (fun (kind, label, n_sources, backend, params) ->
+      (fun (kind, label, n_sources, options, params) ->
         let inst = make n_sources in
         let n = Instance.n inst in
         Pipeline.clear_caches ();
         let rng = Prng.create (77 + n_sources) in
-        let r = Des.run_drift ~params rng inst backend in
+        let r = Des.run_drift ~params rng inst options in
         if not r.Des.d_all_identical then
           failwith (Printf.sprintf "E21 drift %s: diverged from cold" label);
         if not r.Des.d_all_certified then
@@ -1343,15 +1344,15 @@ let e21_incremental () =
         ])
       [
         ( "exact", "1e3", 180,
-          Des.Exact solver,
+          { vopts with V.threshold = max_int },
           { Des.default_drift_params with Des.steps = 8; structural_every = 4;
             cold_every = 4 } );
         ( "vcycle", "1e4", 1830,
-          Des.Multilevel vopts,
+          vopts,
           { Des.default_drift_params with Des.steps = 10; structural_every = 5;
             cold_every = 5 } );
         ( "vcycle", "1e5", 18300,
-          Des.Multilevel vopts,
+          vopts,
           { Des.default_drift_params with Des.steps = 10; magnitude = 0.05;
             cold_every = 5 } );
       ]

@@ -272,7 +272,8 @@ let solve_cmd =
     in
     (* Surface the silent tractability clamp: when eps stops binding the
        default resolution of the instance the exact solve runs on, say so
-       once on stderr.  Under --multilevel that is the coarse instance. *)
+       once on stderr.  Under --multilevel that is the coarse instance;
+       under --delta, the one the post-delta solve ran on. *)
     let clamp_note inst =
       if Solver.resolution_clamped inst options then
         Printf.eprintf
@@ -281,113 +282,88 @@ let solve_cmd =
           (Solver.resolution_of inst options)
           options.Solver.eps
     in
-    if multilevel = None then clamp_note inst;
-    (match (delta_file, multilevel) with
-     | Some dfile, Some threshold ->
-       (* Incremental multilevel: open a V-cycle session on the base
-          instance, stream the delta through the dirty-cone path. *)
-       let module V = Hgp_multilevel.Vcycle in
-       let mopts =
-         { V.default_options with V.threshold; refine_algo = multilevel_refine; solver = options }
-       in
-       let delta = Hgp_core.Delta.load dfile in
-       let sess, _ = V.start_session ~options:mopts inst in
-       let u = V.resolve_delta sess delta in
-       let r = u.V.u_result in
-       clamp_note r.V.coarse_instance;
-       let sol = r.V.solution in
-       Printf.printf "# cost %.6g\n# violation %.4f\n# tree %d\n# dp-states %d\n" sol.cost
-         sol.max_violation sol.tree_index sol.dp_states;
-       Printf.printf "# multilevel levels=%d coarse-n=%d ratio=%.2f cached=%b\n" r.V.levels
-         (Instance.n r.V.coarse_instance) r.V.coarsening_ratio r.V.hierarchy_cached;
-       Printf.printf
-         "# incremental resolved=%d reused=%d reused-levels=%d/%d churn=%.4f \
-          certified=%b incremental=%b\n"
-         u.V.u_resolved_subtrees u.V.u_reused_subtrees u.V.u_reused_levels
-         u.V.u_total_levels u.V.u_churn u.V.u_certified u.V.u_incremental;
-       Array.iteri (fun v leaf -> Printf.printf "%d %d\n" v leaf) sol.assignment
-     | Some dfile, None -> (
-       (* Incremental exact: a pipeline session plus one delta re-solve. *)
-       let delta = Hgp_core.Delta.load dfile in
-       let infeasible msg =
-         Hgp_error.error
-           (Hgp_error.Infeasible
-              { resolution = Solver.resolution_of inst options; retried = false; msg })
-       in
-       let deadline = Hgp_resilience.Deadline.of_budget_ms deadline_ms in
-       match Pipeline.start_session ~deadline inst options with
-       | None -> infeasible "base instance infeasible; incremental sessions do not retry"
-       | Some (sess, _) -> (
-         match Pipeline.resolve_delta ~deadline sess delta with
-         | None -> infeasible "post-delta instance infeasible at this resolution"
-         | Some u ->
-           let sol = u.Pipeline.u_solution in
-           Printf.printf "# cost %.6g\n# violation %.4f\n# tree %d\n# dp-states %d\n"
-             sol.cost sol.max_violation sol.tree_index sol.dp_states;
-           Printf.printf "# cached-dp-states %d\n" sol.cached_dp_states;
-           Printf.printf "# incremental resolved=%d reused=%d churn=%.4f certified=%b\n"
-             u.Pipeline.resolved_subtrees u.Pipeline.reused_subtrees u.Pipeline.churn
-             u.Pipeline.certified;
-           Array.iteri (fun v leaf -> Printf.printf "%d %d\n" v leaf) sol.assignment))
-     | None, Some threshold ->
-       let module V = Hgp_multilevel.Vcycle in
-       let mopts =
-         { V.default_options with V.threshold; refine_algo = multilevel_refine; solver = options }
-       in
-       let solve_once () = V.solve ~options:mopts inst in
-       let r = ref (solve_once ()) in
-       for _ = 2 to max 1 repeat do
-         r := solve_once ()
-       done;
-       let r = !r in
-       clamp_note r.V.coarse_instance;
-       let sol = r.V.solution in
-       Printf.printf "# cost %.6g\n# violation %.4f\n# tree %d\n# dp-states %d\n" sol.cost
-         sol.max_violation sol.tree_index sol.dp_states;
-       Printf.printf "# cached-dp-states %d\n" sol.cached_dp_states;
-       Printf.printf "# multilevel levels=%d coarse-n=%d ratio=%.2f cached=%b\n" r.V.levels
-         (Instance.n r.V.coarse_instance) r.V.coarsening_ratio r.V.hierarchy_cached;
-       let cert = r.V.coarse_certificate in
-       Printf.printf "# coarse-certified within-band=%b violation=%.4f bound=%.4f\n"
-         cert.Hgp_core.Verify.within_theorem_bound cert.Hgp_core.Verify.max_violation
-         cert.Hgp_core.Verify.theorem_bound;
-       (* Describe line only in FM modes — the greedy output (and its golden)
-          stays byte-identical. *)
-       (match multilevel_refine with
-        | Hgp_multilevel.Refine.Greedy -> ()
-        | Hgp_multilevel.Refine.Fm { hill_climb } ->
-          let rollbacks =
-            List.fold_left (fun acc (lr : V.level_report) -> acc + lr.V.rollbacks) 0
-              r.V.level_reports
-          in
-          Printf.printf "# multilevel-refine engine=fm hill-climb=%b rollbacks=%d\n" hill_climb
-            rollbacks);
-       List.iter
-         (fun (lr : V.level_report) ->
-           Printf.printf "# refine level=%d n=%d moves=%d gain=%.6g\n" lr.V.level lr.V.n
-             lr.V.moves lr.V.gain)
-         r.V.level_reports;
-       Array.iteri (fun v leaf -> Printf.printf "%d %d\n" v leaf) sol.assignment
-     | None, None ->
-       let fallbacks = B.Portfolio.ladder ~slack ~seed in
-       let solve_once () =
-         match Solver.solve_supervised ~options ?deadline_ms ~fallbacks inst with
-         | Error e -> Hgp_error.error e
-         | Ok s -> s
-       in
-       let s = ref (solve_once ()) in
-       for _ = 2 to max 1 repeat do
-         s := solve_once ()
-       done;
-       let s = !s in
-       let sol = s.Solver.solution in
-       Printf.printf "# cost %.6g\n# violation %.4f\n# tree %d\n# dp-states %d\n" sol.cost
-         sol.max_violation sol.tree_index sol.dp_states;
-       Printf.printf "# cached-dp-states %d\n" sol.cached_dp_states;
-       Printf.printf "# rung %s\n# degraded %b\n# tree-failures %d\n" s.Solver.rung
-         s.Solver.degraded
-         (List.length s.Solver.tree_failures);
-       Array.iteri (fun v leaf -> Printf.printf "%d %d\n" v leaf) sol.assignment);
+    let module V = Hgp_multilevel.Vcycle in
+    let vcycle_options threshold =
+      { V.default_options with V.threshold; refine_algo = multilevel_refine; solver = options }
+    in
+    let print_solution (sol : Solver.solution) =
+      Printf.printf "# cost %.6g\n# violation %.4f\n# tree %d\n# dp-states %d\n" sol.cost
+        sol.max_violation sol.tree_index sol.dp_states;
+      Printf.printf "# cached-dp-states %d\n" sol.cached_dp_states
+    in
+    let print_vcycle (r : V.result) =
+      clamp_note r.V.coarse_instance;
+      print_solution r.V.solution;
+      Printf.printf "# multilevel levels=%d coarse-n=%d ratio=%.2f cached=%b\n" r.V.levels
+        (Instance.n r.V.coarse_instance) r.V.coarsening_ratio r.V.hierarchy_cached
+    in
+    let assignment =
+      match (delta_file, multilevel) with
+      | Some dfile, _ ->
+        (* Incremental: open a session on the base instance and stream the
+           delta through the dirty-cone path.  Without --multilevel the
+           session is exact: a V-cycle that never coarsens. *)
+        let options = vcycle_options (Option.value multilevel ~default:max_int) in
+        let delta = Hgp_core.Delta.load dfile in
+        let deadline = Hgp_resilience.Deadline.of_budget_ms deadline_ms in
+        let sess, _ = V.start_session ~deadline ~options inst in
+        let u = V.resolve_delta ~deadline sess delta in
+        print_vcycle u.V.u_result;
+        Printf.printf
+          "# incremental resolved=%d reused=%d reused-levels=%d/%d churn=%.4f \
+           certified=%b incremental=%b\n"
+          u.V.u_resolved_subtrees u.V.u_reused_subtrees u.V.u_reused_levels
+          u.V.u_total_levels u.V.u_churn u.V.u_certified u.V.u_incremental;
+        u.V.u_result.V.solution.assignment
+      | None, Some threshold ->
+        let solve_once () = V.solve ~options:(vcycle_options threshold) inst in
+        let r = ref (solve_once ()) in
+        for _ = 2 to max 1 repeat do
+          r := solve_once ()
+        done;
+        let r = !r in
+        print_vcycle r;
+        let cert = r.V.coarse_certificate in
+        Printf.printf "# coarse-certified within-band=%b violation=%.4f bound=%.4f\n"
+          cert.Hgp_core.Verify.within_theorem_bound cert.Hgp_core.Verify.max_violation
+          cert.Hgp_core.Verify.theorem_bound;
+        (* Describe line only in FM modes — the greedy output (and its golden)
+           stays byte-identical. *)
+        (match multilevel_refine with
+         | Hgp_multilevel.Refine.Greedy -> ()
+         | Hgp_multilevel.Refine.Fm { hill_climb } ->
+           let rollbacks =
+             List.fold_left (fun acc (lr : V.level_report) -> acc + lr.V.rollbacks) 0
+               r.V.level_reports
+           in
+           Printf.printf "# multilevel-refine engine=fm hill-climb=%b rollbacks=%d\n"
+             hill_climb rollbacks);
+        List.iter
+          (fun (lr : V.level_report) ->
+            Printf.printf "# refine level=%d n=%d moves=%d gain=%.6g\n" lr.V.level lr.V.n
+              lr.V.moves lr.V.gain)
+          r.V.level_reports;
+        r.V.solution.assignment
+      | None, None ->
+        clamp_note inst;
+        let fallbacks = B.Portfolio.ladder ~slack ~seed in
+        let solve_once () =
+          match Solver.solve_supervised ~options ?deadline_ms ~fallbacks inst with
+          | Error e -> Hgp_error.error e
+          | Ok s -> s
+        in
+        let s = ref (solve_once ()) in
+        for _ = 2 to max 1 repeat do
+          s := solve_once ()
+        done;
+        let s = !s in
+        print_solution s.Solver.solution;
+        Printf.printf "# rung %s\n# degraded %b\n# tree-failures %d\n" s.Solver.rung
+          s.Solver.degraded
+          (List.length s.Solver.tree_failures);
+        s.Solver.solution.assignment
+    in
+    Array.iteri (fun v leaf -> Printf.printf "%d %d\n" v leaf) assignment;
     if cache_stats then prerr_string (Pipeline.render_cache_stats ())
   in
   let term =
@@ -659,13 +635,12 @@ let drift_cmd =
         { Hgp_workloads.Stream_dag.default_params with n_sources; pipeline_depth = depth }
     in
     let inst = Hgp_workloads.Stream_dag.to_instance w hierarchy ~load_factor:load in
-    let options = { Solver.default_options with ensemble_size = trees; seed } in
-    let backend =
-      match multilevel with
-      | None -> D.Exact options
-      | Some threshold ->
-        let module V = Hgp_multilevel.Vcycle in
-        D.Multilevel { V.default_options with V.threshold; solver = options }
+    let options =
+      {
+        Hgp_multilevel.Vcycle.default_options with
+        threshold = Option.value multilevel ~default:max_int;
+        solver = { Solver.default_options with ensemble_size = trees; seed };
+      }
     in
     let params =
       {
@@ -676,9 +651,9 @@ let drift_cmd =
         cold_every;
       }
     in
-    let r = D.run_drift ~params rng inst backend in
+    let r = D.run_drift ~params rng inst options in
     Printf.printf "# drift n=%d steps=%d edits=%d backend=%s\n" r.D.d_final_n steps edits
-      (match backend with D.Exact _ -> "exact" | D.Multilevel _ -> "multilevel");
+      (if multilevel = None then "exact" else "multilevel");
     Printf.printf "# step edits structural incr-ms cold-ms churn certified identical\n";
     List.iter
       (fun (s : D.drift_step) ->

@@ -39,8 +39,8 @@ val apply : Instance.t -> t -> Instance.t
 
 (** [apply_mapped inst delta] additionally returns the map from each
     {e original} vertex id to its id in the new instance, or [-1] if the
-    vertex was removed.  Used for churn accounting
-    ({!Pipeline.resolve_delta}). *)
+    vertex was removed.  Used for churn accounting by the session's
+    [Hgp_multilevel.Vcycle.resolve_delta]. *)
 val apply_mapped : Instance.t -> t -> Instance.t * int array
 
 (** [check_connected inst' delta] raises {!Hgp_resilience.Hgp_error.Error}
@@ -52,8 +52,9 @@ val apply_mapped : Instance.t -> t -> Instance.t * int array
 val check_connected : Instance.t -> t -> unit
 
 (** [is_reweight_only delta] is true when every edit is [Reweight_edge] —
-    the structure-preserving case the multilevel incremental path
-    accepts ({!Hgp_multilevel} [Vcycle.resolve_delta]). *)
+    the structure-preserving case a session re-solves incrementally
+    ([Hgp_multilevel.Vcycle.resolve_delta]); other deltas re-solve the
+    session from scratch. *)
 val is_reweight_only : t -> bool
 
 (** {1 Text format}

@@ -431,7 +431,7 @@ let solve_on_decomposition inst d ~options =
     let assignment = pack_tree p d tr in
     finish inst assignment tr.dp.Tree_dp.cost 0 tr.dp.Tree_dp.states_explored
 
-(* ---- incremental re-solve: per-subtree DP snapshots + sessions ----
+(* ---- incremental re-solve: per-subtree DP snapshots ----
 
    The snapshot cache is keyed by decomposition-tree SHAPE (parents array +
    slot-determining option fields): the per-node Merkle keys inside the
@@ -492,87 +492,3 @@ let run_incremental ?(deadline = Deadline.none) inst options =
   |> Option.map (fun sol ->
          Obs.count "solver.solves" 1;
          (sol, (!resolved, !reused)))
-
-(* ---- sessions: named solve state for delta streams ---- *)
-
-type session = {
-  mutable s_inst : Instance.t;
-  s_options : options;
-  mutable s_assignment : int array;
-}
-
-type update_report = {
-  u_solution : solution;
-  churn : float;
-  resolved_subtrees : int;
-  reused_subtrees : int;
-  certified : bool;
-  cert_violation : float;
-  cert_bound : float;
-}
-
-let start_session ?deadline inst options =
-  match run_incremental ?deadline inst options with
-  | None -> None
-  | Some (sol, _) ->
-    Some
-      ( {
-          s_inst = inst;
-          s_options = options;
-          s_assignment = Array.copy sol.assignment;
-        },
-        sol )
-
-let session_instance s = s.s_inst
-let session_options s = s.s_options
-let session_assignment s = Array.copy s.s_assignment
-
-(* Churn = exact fraction of the NEW instance's vertices whose leaf differs
-   from the session's previous assignment; vertices that did not exist
-   before count as changed, removed vertices are out of the denominator. *)
-let churn_of ~mapping ~old_assignment ~assignment ~n_new =
-  let changed = ref 0 in
-  let covered = Array.make (max 1 n_new) false in
-  Array.iteri
-    (fun old_v new_v ->
-      if new_v >= 0 then begin
-        covered.(new_v) <- true;
-        if old_assignment.(old_v) <> assignment.(new_v) then incr changed
-      end)
-    mapping;
-  for v = 0 to n_new - 1 do
-    if not covered.(v) then incr changed
-  done;
-  float_of_int !changed /. float_of_int (max 1 n_new)
-
-let resolve_delta ?deadline (s : session) delta =
-  let inst', mapping = Delta.apply_mapped s.s_inst delta in
-  Delta.check_connected inst' delta;
-  match run_incremental ?deadline inst' s.s_options with
-  | None -> None
-  | Some (sol, (resolved_subtrees, reused_subtrees)) ->
-    let churn =
-      churn_of ~mapping ~old_assignment:s.s_assignment ~assignment:sol.assignment
-        ~n_new:(Instance.n inst')
-    in
-    let cert = Verify.certify inst' sol.assignment ~eps:s.s_options.eps in
-    s.s_inst <- inst';
-    s.s_assignment <- Array.copy sol.assignment;
-    Obs.count "incremental.updates" 1;
-    Obs.count "incremental.dirty_subtrees" resolved_subtrees;
-    Obs.count "incremental.reused_subtrees" reused_subtrees;
-    Obs.gauge "incremental.churn" churn;
-    Log.info (fun m ->
-        m "incremental update: resolved=%d reused=%d churn=%.4f certified=%b"
-          resolved_subtrees reused_subtrees churn
-          cert.Verify.within_theorem_bound);
-    Some
-      {
-        u_solution = sol;
-        churn;
-        resolved_subtrees;
-        reused_subtrees;
-        certified = cert.Verify.within_theorem_bound;
-        cert_violation = cert.Verify.max_violation;
-        cert_bound = cert.Verify.theorem_bound;
-      }

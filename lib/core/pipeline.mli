@@ -37,6 +37,11 @@
     are bypassed (reads and writes): every [HGP_FAULT_PLAN] site still fires
     at its stage boundary and no faulted artifact is ever retained.
 
+    Delta streams have one session type, [Hgp_multilevel.Vcycle.session]:
+    {!run_incremental} is its coarse solve, and an exact session is a
+    V-cycle session whose [threshold] is [max_int], so it never coarsens
+    and every update runs this pipeline on the whole instance.
+
     This module owns {!options} / {!solution} (declared once, in {!Types});
     {!Solver} re-exports them, so existing code and tests compile unchanged
     against [Solver.*]. *)
@@ -149,11 +154,10 @@ val solve_on_decomposition :
 
 (** {1 Incremental re-solve}
 
-    Sessions thread solve state across a delta stream: the per-subtree DP
-    snapshot cache (registered as [subtree_dp] in {!cache_stats}) lets each
-    re-solve recompute only the dirty cone of every decomposition tree,
-    splicing clean-subtree tables back in bit-identically
-    (docs/INCREMENTAL.md). *)
+    The relax stage can run through a per-subtree DP snapshot cache
+    (registered as [subtree_dp] in {!cache_stats}): each re-solve
+    recomputes only the dirty cone of every decomposition tree, splicing
+    clean-subtree tables back in bit-identically (docs/INCREMENTAL.md). *)
 
 (** [run_incremental ?deadline inst options] is the fail-fast {!run} with
     the relax stage routed through the per-subtree snapshot cache.  The packed-
@@ -171,65 +175,6 @@ val run_incremental :
   Instance.t ->
   options ->
   (solution * (int * int)) option
-
-(** A named incremental-solve session: the current instance, pinned
-    options, and the last assignment (for churn accounting). *)
-type session
-
-type update_report = {
-  u_solution : solution;
-  churn : float;
-      (** exact fraction of the new instance's vertices whose leaf changed
-          vs the session's previous assignment (new vertices count as
-          changed; removed vertices leave the denominator) *)
-  resolved_subtrees : int;  (** tree nodes recomputed (the dirty cone) *)
-  reused_subtrees : int;  (** tree nodes spliced from snapshots *)
-  certified : bool;  (** {!Verify.certify} within the (1+eps)(1+h) band *)
-  cert_violation : float;
-  cert_bound : float;
-}
-
-(** [start_session ?deadline inst options] solves cold with
-    {!run_incremental} (warming the snapshot cache) and opens a session;
-    [None] when every tree is infeasible.
-    @raise Hgp_resilience.Hgp_error.Error whatever a lost tree raised —
-    [Deadline_exceeded _] once [deadline] expires. *)
-val start_session :
-  ?deadline:Hgp_resilience.Deadline.t -> Instance.t -> options -> (session * solution) option
-
-(** [resolve_delta ?deadline session delta] applies the delta
-    ({!Delta.apply_mapped}), re-solves incrementally, re-certifies with
-    {!Verify.certify}, updates the session state, and bumps the
-    [incremental.{updates,dirty_subtrees,reused_subtrees}] counters and the
-    [incremental.churn] gauge.  [None] when the post-delta instance is
-    infeasible at this resolution (the session is left unchanged — callers
-    fall back to a cold {!Solver.solve}, which retries at higher
-    resolution).
-    @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _]) when the
-    delta does not validate against the session's instance or leaves its
-    graph disconnected ({!Delta.check_connected}), and whatever a lost
-    tree raised — [Deadline_exceeded _], naming the stage that noticed,
-    once [deadline] expires.  Either way the session is left unchanged. *)
-val resolve_delta :
-  ?deadline:Hgp_resilience.Deadline.t -> session -> Delta.t -> update_report option
-
-(** [churn_of ~mapping ~old_assignment ~assignment ~n_new] is the exact
-    fraction of the new instance's vertices whose leaf assignment changed:
-    [mapping] is {!Delta.apply_mapped}'s old-id -> new-id map (new vertices,
-    i.e. ids not in its range, count as changed; removed old vertices are
-    out of the denominator).  Shared with the multilevel session layer. *)
-val churn_of :
-  mapping:int array ->
-  old_assignment:int array ->
-  assignment:int array ->
-  n_new:int ->
-  float
-
-val session_instance : session -> Instance.t
-val session_options : session -> options
-
-(** The session's current assignment (a fresh copy). *)
-val session_assignment : session -> int array
 
 (** {1 Cache control and introspection}
 

@@ -45,7 +45,7 @@ let retry_options inst options =
   if r' <= r && options.rounding = Demand.Floor then None
   else Some ({ options with resolution = Some r'; rounding = Demand.Floor }, r')
 
-let solve ?(options = default_options) inst =
+let solve ?(options = default_options) ?deadline inst =
   Obs.span "solver.total"
     ~attrs:
       [
@@ -54,7 +54,7 @@ let solve ?(options = default_options) inst =
       ]
   @@ fun () ->
   let run options =
-    Pipeline.run inst options
+    Pipeline.run ?deadline inst options
     |> Option.map (fun s ->
            Obs.count "solver.solves" 1;
            s)

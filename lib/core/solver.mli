@@ -44,8 +44,9 @@ val resolution_of : Instance.t -> options -> int
     Also counted under [solver.resolution_clamped]; the CLI prints a note. *)
 val resolution_clamped : Instance.t -> options -> bool
 
-(** [solve ?options inst] runs the full pipeline.  The instance's graph must
-    be connected (preprocess with {!Hgp_graph.Traversal.ensure_connected}).
+(** [solve ?options ?deadline inst] runs the full pipeline.  The instance's
+    graph must be connected (preprocess with
+    {!Hgp_graph.Traversal.ensure_connected}).
 
     When the quantized instance is infeasible, the solve is retried once at
     a finer resolution with floor rounding (finer units shrink the rounding
@@ -53,11 +54,14 @@ val resolution_clamped : Instance.t -> options -> bool
     [Demand.Ceil]); the retry reuses the cached ensemble, since the ensemble
     key does not involve the resolution; only then is the failure surfaced.
     A lost tree stops the solve ({!Pipeline.run}'s default handler): the
-    error it raised propagates.  Counted under [solver.solves].
+    error it raised propagates.  [deadline] (default
+    {!Hgp_resilience.Deadline.none}) covers both attempts; an expired one
+    is such an error.  Counted under [solver.solves].
     @raise Hgp_resilience.Hgp_error.Error with an [Infeasible] payload
     ([retried = true] when the retry also failed), or whatever a lost tree
     raised. *)
-val solve : ?options:options -> Instance.t -> solution
+val solve :
+  ?options:options -> ?deadline:Hgp_resilience.Deadline.t -> Instance.t -> solution
 
 (** [solve_on_decomposition inst d ~options] solves on one given tree;
     exposed for ensemble ablations.

@@ -221,10 +221,27 @@ let level_capacity_units t ~resolution =
 
 (* ---- constructors ---- *)
 
+let max_table_entries = 1 lsl 22
+
+let too_large fn =
+  invalid_arg
+    (Printf.sprintf
+       "%s: hierarchy too large: its (h+1)*k leaf-ancestor table would exceed %d entries"
+       fn max_table_entries)
+
 let create ~degs ~cm ~leaf_capacity =
   let h = Array.length degs in
   if Array.length cm <> h + 1 then invalid_arg "Hierarchy.create: cm must have length h+1";
   Array.iter (fun d -> if d < 1 then invalid_arg "Hierarchy.create: degree must be >= 1") degs;
+  (* The size check runs before anything is allocated.  The running leaf
+     count keeps [(h+1) * leaves <= max_table_entries], so no product
+     below can overflow. *)
+  let leaves = ref 1 in
+  Array.iter
+    (fun d ->
+      if d > max_table_entries / (h + 1) / !leaves then too_large "Hierarchy.create";
+      leaves := !leaves * d)
+    degs;
   for j = 0 to h - 1 do
     if cm.(j) < cm.(j + 1) then invalid_arg "Hierarchy.create: cm must be non-increasing"
   done;
@@ -302,8 +319,14 @@ let rec spec_depth = function
       ds;
     d0 + 1
 
+let rec spec_leaves = function
+  | Leaf _ -> 1
+  | Node { children; _ } -> List.fold_left (fun acc c -> acc + spec_leaves c) 0 children
+
 let create_ragged sp =
   let h = spec_depth sp in
+  (* The size check runs before any array is allocated. *)
+  if h + 1 > max_table_entries / spec_leaves sp then too_large "Hierarchy.create_ragged";
   (* Count nodes per level. *)
   let counts = Array.make (h + 1) 0 in
   let rec count lvl = function

@@ -28,17 +28,27 @@ type spec =
   | Leaf of { capacity : float; cm : float }
   | Node of { cm : float; children : spec list }
 
+(** The size limit of a hierarchy: its [(h+1) * k] leaf-ancestor table
+    (height [h], [k] leaves) may hold at most this many entries, [2^22]
+    (32 MiB of ints).  Every per-node array is no larger than that table,
+    so the bound covers them all.  {!create} and {!create_ragged} check it
+    before allocating anything. *)
+val max_table_entries : int
+
 (** [create ~degs ~cm ~leaf_capacity] builds a {e regular} hierarchy of
     height [Array.length degs]; [degs.(j)] is the fan-out of Level-(j) nodes
     and [cm] must have length [height + 1] and be non-increasing with
     [cm.(j) >= 0].  [degs = [||]] gives the trivial single-leaf hierarchy.
-    Requires every [degs.(j) >= 1] and [leaf_capacity > 0.]. *)
+    Requires every [degs.(j) >= 1], [leaf_capacity > 0.] and a shape within
+    {!max_table_entries}.
+    @raise Invalid_argument otherwise. *)
 val create : degs:int array -> cm:float array -> leaf_capacity:float -> t
 
 (** [create_ragged spec] builds an irregular hierarchy.  Requires all
     leaves at the same depth, every internal node non-empty, capacities
     positive, and multipliers non-negative and non-increasing along every
-    root-to-leaf path.  A spec that happens to be perfectly regular
+    root-to-leaf path, and a shape within {!max_table_entries}.  A spec
+    that happens to be perfectly regular
     (uniform fan-outs, multipliers and capacities per level) is rebuilt
     through {!create}, so equal content always means equal
     {!fingerprint}.

@@ -7,6 +7,7 @@ module Verify = Hgp_core.Verify
 module Cost = Hgp_core.Cost
 module Obs = Hgp_obs.Obs
 module Artifact_cache = Hgp_resilience.Artifact_cache
+module Deadline = Hgp_resilience.Deadline
 module Fingerprint = Hgp_util.Fingerprint
 module Prng = Hgp_util.Prng
 
@@ -169,7 +170,7 @@ type run = {
   reused_levels : int;
 }
 
-let vcycle mode ~options (inst : Instance.t) =
+let vcycle mode ~deadline ~options (inst : Instance.t) =
   let hy = inst.Instance.hierarchy in
   let eps = options.solver.Pipeline.eps in
   let seed = options.solver.Pipeline.seed in
@@ -241,17 +242,17 @@ let vcycle mode ~options (inst : Instance.t) =
       (p.p_coarse_sol, 0, p.p_total_nodes)
     | Cold, _ ->
       ( Obs.span "multilevel.coarse_solve" (fun () ->
-            Solver.solve ~options:options.solver coarse_inst),
+            Solver.solve ~options:options.solver ~deadline coarse_inst),
         0,
         0 )
     | Session _, _ -> (
       Obs.span "multilevel.coarse_solve" @@ fun () ->
-      match Pipeline.run_incremental coarse_inst options.solver with
+      match Pipeline.run_incremental ~deadline coarse_inst options.solver with
       | Some (sol, (res, reu)) -> (sol, res, reu)
       | None ->
         (* infeasible at the base resolution: the retrying solver replicates
            the cold path bit-for-bit *)
-        (Solver.solve ~options:options.solver coarse_inst, 0, 0))
+        (Solver.solve ~options:options.solver ~deadline coarse_inst, 0, 0))
   in
   let coarse_certificate = Verify.certify coarse_inst coarse_sol.Pipeline.assignment ~eps in
   let slack = coarse_certificate.Verify.theorem_bound in
@@ -277,6 +278,7 @@ let vcycle mode ~options (inst : Instance.t) =
     Obs.span "multilevel.refine" @@ fun () ->
     List.fold_left
       (fun (level, parts) (lvl : Coarsen.level) ->
+        Deadline.check deadline ~stage:"refine";
         let parts, cost =
           match since with
           | Some (p, rb) when !clean && rb.Coarsen.r_fine_clean.(level) ->
@@ -375,7 +377,7 @@ let vcycle mode ~options (inst : Instance.t) =
 
 let solve ?(options = default_options) (inst : Instance.t) =
   Obs.span "multilevel.solve" @@ fun () ->
-  let r = (vcycle Cold ~options inst).result in
+  let r = (vcycle Cold ~deadline:Deadline.none ~options inst).result in
   Obs.count "multilevel.solves" 1;
   r
 
@@ -399,9 +401,9 @@ type update_report = {
   u_cert_bound : float;
 }
 
-let start_session ?(options = default_options) inst =
+let start_session ?(deadline = Deadline.none) ?(options = default_options) inst =
   Obs.span "multilevel.solve" @@ fun () ->
-  let run = vcycle (Session None) ~options inst in
+  let run = vcycle (Session None) ~deadline ~options inst in
   Obs.count "multilevel.solves" 1;
   ( {
       v_options = options;
@@ -411,7 +413,25 @@ let start_session ?(options = default_options) inst =
     },
     run.result )
 
-let resolve_delta (s : session) (delta : Delta.t) =
+(* Churn = exact fraction of the NEW instance's vertices whose leaf differs
+   from the session's previous assignment; vertices that did not exist
+   before count as changed, removed vertices are out of the denominator. *)
+let churn_of ~mapping ~old_assignment ~assignment ~n_new =
+  let changed = ref 0 in
+  let covered = Array.make (max 1 n_new) false in
+  Array.iteri
+    (fun old_v new_v ->
+      if new_v >= 0 then begin
+        covered.(new_v) <- true;
+        if old_assignment.(old_v) <> assignment.(new_v) then incr changed
+      end)
+    mapping;
+  for v = 0 to n_new - 1 do
+    if not covered.(v) then incr changed
+  done;
+  float_of_int !changed /. float_of_int (max 1 n_new)
+
+let resolve_delta ?(deadline = Deadline.none) (s : session) (delta : Delta.t) =
   Obs.span "multilevel.incremental" @@ fun () ->
   let incremental = Delta.is_reweight_only delta in
   let inst', mapping =
@@ -435,10 +455,10 @@ let resolve_delta (s : session) (delta : Delta.t) =
   in
   (* [Delta.apply_mapped] already patched the graph's weights in place
      (structure-sharing), and attaching the demands to it is O(n). *)
-  let run = vcycle (Session since) ~options:s.v_options inst' in
+  let run = vcycle (Session since) ~deadline ~options:s.v_options inst' in
   let sol = run.result.solution in
   let churn =
-    Pipeline.churn_of ~mapping ~old_assignment:s.v_assignment
+    churn_of ~mapping ~old_assignment:s.v_assignment
       ~assignment:sol.Pipeline.assignment ~n_new:(Instance.n inst')
   in
   s.v_inst <- inst';
@@ -464,5 +484,4 @@ let resolve_delta (s : session) (delta : Delta.t) =
   }
 
 let session_instance s = s.v_inst
-let session_options s = s.v_options
 let session_assignment s = Array.copy s.v_assignment

@@ -101,16 +101,21 @@ val solve : ?options:options -> Hgp_core.Instance.t -> result
 
 (** {1 Incremental re-solve}
 
-    Multilevel sessions thread a delta stream through the whole V-cycle:
-    cached chain suffixes are spliced back once the mapped weight delta
-    contracts away, the coarse exact solve goes through
-    {!Hgp_core.Pipeline.run_incremental} (per-subtree DP snapshots) or is
-    skipped when the coarsest graph is unchanged, and refinement re-runs
-    only from the first dirty level down.  Sessions and {!solve} share one
-    coarsen → solve → refine driver that differs only in how it gets the
-    chain and how it solves the coarsest graph.  Every update is
+    A session is the one solve state for delta streams.  It threads each
+    delta through the whole V-cycle: cached chain suffixes are spliced back
+    once the mapped weight delta contracts away, the coarse exact solve goes
+    through {!Hgp_core.Pipeline.run_incremental} (per-subtree DP snapshots)
+    or is skipped when the coarsest graph is unchanged, and refinement
+    re-runs only from the first dirty level down.  Sessions and {!solve}
+    share one coarsen → solve → refine driver that differs only in how it
+    gets the chain and how it solves the coarsest graph.  Every update is
     bit-identical to a cold {!solve} on the post-delta instance
-    (docs/INCREMENTAL.md). *)
+    (docs/INCREMENTAL.md).
+
+    An {e exact} session is one whose [threshold] is [max_int]: it never
+    coarsens, so it opens and updates with the Theorem-1 pipeline on the
+    whole instance — the session behind [solve --delta], the drift
+    simulator's exact runs and the server's named sessions. *)
 
 type session
 
@@ -125,32 +130,50 @@ type update_report = {
   u_reused_levels : int;  (** refinement levels spliced without re-running *)
   u_total_levels : int;
   u_incremental : bool;
-      (** [false] when a structural delta forced a cold re-solve *)
+      (** [false] when a structural delta forced a re-solve from an empty
+          chain *)
   u_certified : bool;  (** coarse certificate within the (1+eps)(1+h) band *)
   u_cert_violation : float;
   u_cert_bound : float;
 }
 
-(** [start_session ?options inst] solves cold (warming chain and DP
-    snapshots) and opens a session.  Raises like {!solve}. *)
-val start_session : ?options:options -> Hgp_core.Instance.t -> session * result
+(** [start_session ?deadline ?options inst] solves cold (warming chain and
+    DP snapshots) and opens a session.  The coarse solve retries an
+    instance that is infeasible at the base resolution, as {!solve} does,
+    so such an instance still opens a session.  [deadline] (default
+    {!Hgp_resilience.Deadline.none}) reaches the coarse solve and its
+    retry; the refinement walk checks it once per level (stage
+    ["refine"]).
+    @raise Hgp_resilience.Hgp_error.Error like {!solve} —
+    [Deadline_exceeded _], naming the stage that noticed, once [deadline]
+    expires. *)
+val start_session :
+  ?deadline:Hgp_resilience.Deadline.t ->
+  ?options:options ->
+  Hgp_core.Instance.t ->
+  session * result
 
-(** [resolve_delta session delta] applies the delta and re-solves, reusing
-    chain suffixes, DP snapshots and clean refinement levels; reweight-only
-    deltas take the incremental path, structural ones fall back to a cold
-    solve (reported via [u_incremental]).  Updates the session and bumps
+(** [resolve_delta ?deadline session delta] applies the delta and
+    re-solves, reusing chain suffixes, DP snapshots and clean refinement
+    levels; reweight-only deltas take the incremental path, structural ones
+    re-solve the session from an empty chain (reported via
+    [u_incremental]).  [deadline] is honoured as in {!start_session}.
+    Updates the session and bumps
     [incremental.{updates,dirty_subtrees,reused_subtrees}] /
     [multilevel.incremental.reused_levels] counters and the
     [incremental.churn] gauge.  Sessions are not thread-safe; serialize
     updates per session (the server drains them in submission order).
     @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _]) on a delta
     that does not validate against the session's instance or leaves its
-    graph disconnected ({!Hgp_core.Delta.check_connected}); raises like
-    {!solve} when the post-delta coarse instance is infeasible. *)
-val resolve_delta : session -> Hgp_core.Delta.t -> update_report
+    graph disconnected ({!Hgp_core.Delta.check_connected});
+    [Infeasible _] when the post-delta coarse instance is infeasible after
+    the retry; [Deadline_exceeded _] once [deadline] expires; and whatever
+    else the coarse solve raises.  On every error the session is left
+    unchanged. *)
+val resolve_delta :
+  ?deadline:Hgp_resilience.Deadline.t -> session -> Hgp_core.Delta.t -> update_report
 
 val session_instance : session -> Hgp_core.Instance.t
-val session_options : session -> options
 
 (** The session's current fine assignment (a fresh copy). *)
 val session_assignment : session -> int array

@@ -4,8 +4,8 @@ module Obs = Hgp_obs.Obs
 module Hgp_error = Hgp_resilience.Hgp_error
 module Deadline = Hgp_resilience.Deadline
 module Solver = Hgp_core.Solver
-module Pipeline = Hgp_core.Pipeline
 module Delta = Hgp_core.Delta
+module Vcycle = Hgp_multilevel.Vcycle
 module B = Hgp_baselines
 
 let log_src = Logs.Src.create "hgp.server" ~doc:"HGP batch solve service"
@@ -77,7 +77,7 @@ type t = {
   mutable stats : stats;
   coalesced_live : int Atomic.t;  (* bumped on worker domains, folded in [stats] *)
   smutex : Mutex.t;  (* guards [sessions]; never held with [mutex] *)
-  sessions : (string, Pipeline.session) Hashtbl.t;
+  sessions : (string, Vcycle.session) Hashtbl.t;
 }
 
 let create ?(config = default_config) () =
@@ -207,11 +207,12 @@ let budget_left p ~now_ns =
 
 type group = { key : Fingerprint.t; members : Protocol.resolved pending list; priority : int }
 
-(* Session-bearing solves go through [Pipeline.start_session] fail-fast,
-   under the request's remaining budget, so the registered session state
-   and the response embody the same bit-identical pipeline solution.  On
-   infeasibility or a structured error (an expired deadline, an injected
-   fault) the group falls back to the supervised ladder below with nothing
+(* Session-bearing solves open an exact session (a V-cycle that never
+   coarsens) fail-fast, under the request's remaining budget, so the
+   registered session state and the response embody the same bit-identical
+   pipeline solution.  On a structured error (infeasible after the retry,
+   an expired deadline, an injected fault) the open is counted and logged,
+   and the group falls back to the supervised ladder below with nothing
    registered — a fallback-rung answer has no DP snapshots to update
    incrementally.
    Distinct session names in one coalesced group each get their own session
@@ -222,14 +223,20 @@ let register_sessions t ~deadline ~inst ~options alive =
     List.filter_map (fun (p, _) -> p.work.Protocol.request.Protocol.session) alive
     |> List.sort_uniq compare
   in
+  let options = { Vcycle.default_options with threshold = max_int; solver = options } in
   List.fold_left
     (fun acc name ->
-      match Pipeline.start_session ~deadline inst options with
-      | exception Hgp_error.Error _ | None -> acc
-      | Some (sess, sol) ->
+      match Vcycle.start_session ~deadline ~options inst with
+      | exception Hgp_error.Error e ->
+        Obs.count "server.sessions.open_failed" 1;
+        Log.warn (fun m ->
+            m "session %S not opened, answering from the ladder: %s" name
+              (Hgp_error.to_string e));
+        acc
+      | sess, r ->
         with_slock t (fun () -> Hashtbl.replace t.sessions name sess);
         Obs.count "server.sessions.opened" 1;
-        (match acc with None -> Some sol | some -> some))
+        (match acc with None -> Some r.Vcycle.solution | some -> some))
     None names
 
 (* Runs on a shard worker, whose per-item fence catches what escapes.
@@ -292,7 +299,7 @@ let handle t group =
 
 (* Runs on the drain thread, after the solve batch: sessions opened by
    same-batch solves are visible, and per-session serialization (the
-   [Pipeline.resolve_delta] contract) comes for free.  The [try] is the
+   [Vcycle.resolve_delta] contract) comes for free.  The [try] is the
    update's fence, as the scheduler's is a group's. *)
 let run_update t ~dispatch_ns p =
   match dequeue ~dispatch_ns p with
@@ -318,32 +325,19 @@ let run_update t ~dispatch_ns p =
         Obs.span "server.update" @@ fun () ->
         let deadline = budget_left p ~now_ns:t0 in
         try
-          match Pipeline.resolve_delta ~deadline sess delta with
-          | Some r ->
-            let sol = r.Pipeline.u_solution in
-            Protocol.Updated
-              {
-                up_cost = sol.Solver.cost;
-                up_violation = sol.Solver.max_violation;
-                up_churn = r.Pipeline.churn;
-                up_resolved_subtrees = r.Pipeline.resolved_subtrees;
-                up_reused_subtrees = r.Pipeline.reused_subtrees;
-                up_incremental = true;
-                up_certified = r.Pipeline.certified;
-                up_assignment = sol.Solver.assignment;
-              }
-          | None ->
-            let inst = Pipeline.session_instance sess in
-            let options = Pipeline.session_options sess in
-            Protocol.Failed
-              (Hgp_error.Infeasible
-                 {
-                   resolution = Pipeline.resolution_of inst options;
-                   retried = false;
-                   msg =
-                     "post-delta instance is infeasible at the session's \
-                      resolution; submit a fresh solve request";
-                 })
+          let r = Vcycle.resolve_delta ~deadline sess delta in
+          let sol = r.Vcycle.u_result.Vcycle.solution in
+          Protocol.Updated
+            {
+              up_cost = sol.Solver.cost;
+              up_violation = sol.Solver.max_violation;
+              up_churn = r.Vcycle.u_churn;
+              up_resolved_subtrees = r.Vcycle.u_resolved_subtrees;
+              up_reused_subtrees = r.Vcycle.u_reused_subtrees;
+              up_incremental = r.Vcycle.u_incremental;
+              up_certified = r.Vcycle.u_certified;
+              up_assignment = sol.Solver.assignment;
+            }
         with
         | Hgp_error.Error e -> Protocol.Failed e
         | exn ->

@@ -81,25 +81,30 @@ val pending : t -> int
     the queue budget and one submission index, so {!drain} answers both in
     submission order.
 
-    {b Incremental sessions.}  A solve carrying [session = Some name] is
-    solved fail-fast through [Pipeline.start_session]: the response and the
-    registered session embody the same bit-identical pipeline solution, and
-    later updates naming the session re-solve only the dirty cone of the
-    delta (docs/INCREMENTAL.md).  If the fail-fast solve is infeasible or
-    raises, the request falls back to the supervised degradation ladder and
-    {e no} session is registered — a fallback-rung answer has no DP
-    snapshots to update.  Re-using a name replaces the session.  The session
-    open runs under the request's remaining [deadline_ms] budget: an open
-    that expires registers nothing and falls back to the ladder with what is
-    left of the budget.
+    {b Incremental sessions.}  A solve carrying [session = Some name] opens
+    an exact [Hgp_multilevel.Vcycle] session — threshold [max_int], so it
+    never coarsens — fail-fast: the response and the registered session
+    embody the same bit-identical pipeline solution, and later updates
+    naming the session re-solve only the dirty cone of the delta
+    (docs/INCREMENTAL.md).  An instance infeasible at the base resolution
+    opens its session through the solver's retry.  If the open still
+    raises (infeasible after the retry, an expired budget, a fault), it is
+    counted under [server.sessions.open_failed] and logged at warning
+    level, the request falls back to the supervised degradation ladder,
+    and {e no} session is registered — a fallback-rung answer has no DP
+    snapshots to update.  Re-using a name replaces the session.  The
+    session open runs under the request's remaining [deadline_ms] budget,
+    and the ladder gets what is left of it.
 
     Updates execute during {!drain}, {e after} the solve batch (so a session
     opened in the same batch is visible, even by an update submitted before
     it) and in submission order.  Failure modes per update: unknown session
     → [Invalid_input]; a re-solve that outlives the remaining budget →
     [Deadline_exceeded] naming the stage that noticed; post-delta
-    infeasibility → [Infeasible].  On every failure the session keeps its
-    pre-delta state.  Either kind whose budget expired while it was queued
+    infeasibility after the retry → [Infeasible].  On every failure the
+    session keeps its pre-delta state.  An [updated] response's
+    [incremental] field is [false] for a structural delta, which re-solves
+    the session from scratch.  Either kind whose budget expired while it was queued
     is answered [Deadline_exceeded] with stage ["queue"] without running. *)
 val submit_any :
   t -> Protocol.any_request -> [ `Admitted | `Rejected of Protocol.response ]

@@ -232,8 +232,6 @@ type drift_params = {
 let default_drift_params =
   { steps = 20; edits_per_step = 2; magnitude = 0.5; structural_every = 0; cold_every = 5 }
 
-type drift_backend = Exact of Pipeline.options | Multilevel of Vcycle.options
-
 type drift_step = {
   d_step : int;
   d_edits : int;
@@ -329,30 +327,9 @@ let drift_delta rng inst ~edits ~magnitude ~structural =
     in
     reweights @ [ edit ]
 
-type drift_session = S_exact of Pipeline.session | S_ml of Vcycle.session
-
-let run_drift ?(params = default_drift_params) rng inst backend =
+let run_drift ?(params = default_drift_params) rng inst options =
   let ms t0 t1 = Int64.to_float (Int64.sub t1 t0) /. 1e6 in
-  let sess =
-    match backend with
-    | Exact options -> (
-      match Pipeline.start_session inst options with
-      | Some (s, _) -> S_exact s
-      | None -> invalid_arg "Des.run_drift: instance is infeasible")
-    | Multilevel options ->
-      let s, _ = Vcycle.start_session ~options inst in
-      S_ml s
-  in
-  let current_instance () =
-    match sess with
-    | S_exact s -> Pipeline.session_instance s
-    | S_ml s -> Vcycle.session_instance s
-  in
-  let current_assignment () =
-    match sess with
-    | S_exact s -> Pipeline.session_assignment s
-    | S_ml s -> Vcycle.session_assignment s
-  in
+  let sess, _ = Vcycle.start_session ~options inst in
   (* Cache-independent cold oracle: switching caching off bypasses every
      artifact cache, the coarsening-chain cache included, while leaving
      the session's subtree snapshots in place. *)
@@ -360,14 +337,7 @@ let run_drift ?(params = default_drift_params) rng inst backend =
     Artifact_cache.set_enabled false;
     Fun.protect
       ~finally:(fun () -> Artifact_cache.set_enabled true)
-      (fun () ->
-        match backend with
-        | Exact options -> (
-          match Pipeline.run inst' options with
-          | Some sol -> sol.Pipeline.assignment
-          | None -> invalid_arg "Des.run_drift: cold re-solve infeasible")
-        | Multilevel options ->
-          (Vcycle.solve ~options inst').Vcycle.solution.Pipeline.assignment)
+      (fun () -> (Vcycle.solve ~options inst').Vcycle.solution.Pipeline.assignment)
   in
   let steps = ref [] in
   for step = 1 to params.steps do
@@ -375,32 +345,17 @@ let run_drift ?(params = default_drift_params) rng inst backend =
       params.structural_every > 0 && step mod params.structural_every = 0
     in
     let delta =
-      drift_delta rng (current_instance ()) ~edits:params.edits_per_step
+      drift_delta rng (Vcycle.session_instance sess) ~edits:params.edits_per_step
         ~magnitude:params.magnitude ~structural
     in
     let t0 = Obs.now_ns () in
-    let churn, certified, resolved, reused =
-      match sess with
-      | S_exact s -> (
-        match Pipeline.resolve_delta s delta with
-        | Some r ->
-          ( r.Pipeline.churn,
-            r.Pipeline.certified,
-            r.Pipeline.resolved_subtrees,
-            r.Pipeline.reused_subtrees )
-        | None -> invalid_arg "Des.run_drift: delta made the instance infeasible")
-      | S_ml s ->
-        let r = Vcycle.resolve_delta s delta in
-        (r.Vcycle.u_churn, r.Vcycle.u_certified, r.Vcycle.u_resolved_subtrees,
-         r.Vcycle.u_reused_subtrees)
-    in
+    let r = Vcycle.resolve_delta sess delta in
     let incr_ms = ms t0 (Obs.now_ns ()) in
     let cold_ms, identical =
       if params.cold_every > 0 && step mod params.cold_every = 0 then begin
-        let inst' = current_instance () in
         let c0 = Obs.now_ns () in
-        let cold = cold_solve inst' in
-        (ms c0 (Obs.now_ns ()), cold = current_assignment ())
+        let cold = cold_solve (Vcycle.session_instance sess) in
+        (ms c0 (Obs.now_ns ()), cold = Vcycle.session_assignment sess)
       end
       else (nan, true)
     in
@@ -412,10 +367,10 @@ let run_drift ?(params = default_drift_params) rng inst backend =
         d_incr_ms = incr_ms;
         d_cold_ms = cold_ms;
         d_identical = identical;
-        d_churn = churn;
-        d_certified = certified;
-        d_resolved = resolved;
-        d_reused = reused;
+        d_churn = r.Vcycle.u_churn;
+        d_certified = r.Vcycle.u_certified;
+        d_resolved = r.Vcycle.u_resolved_subtrees;
+        d_reused = r.Vcycle.u_reused_subtrees;
       }
       :: !steps
   done;
@@ -426,7 +381,7 @@ let run_drift ?(params = default_drift_params) rng inst backend =
   let d_mean_cold_ms = mean (fun s -> s.d_cold_ms) sampled in
   {
     d_steps = steps;
-    d_final_n = Instance.n (current_instance ());
+    d_final_n = Instance.n (Vcycle.session_instance sess);
     d_mean_incr_ms;
     d_mean_cold_ms;
     d_amortized = d_mean_incr_ms /. d_mean_cold_ms;

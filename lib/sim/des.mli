@@ -85,17 +85,14 @@ type drift_params = {
           stream reweight-only (the multilevel fast path) *)
   cold_every : int;
       (** sample a cache-bypassing cold solve (timing + bit-identity check)
-          every k-th step; [0] disables — note a multilevel cold sample
-          clears the process-wide caches (sessions keep their own state) *)
+          every k-th step; [0] disables.  The sample switches caching off
+          rather than clearing the caches, so the session's subtree
+          snapshots survive it *)
 }
 
 (** [{steps = 20; edits_per_step = 2; magnitude = 0.5; structural_every = 0;
      cold_every = 5}] *)
 val default_drift_params : drift_params
-
-type drift_backend =
-  | Exact of Hgp_core.Pipeline.options  (** flat pipeline session *)
-  | Multilevel of Hgp_multilevel.Vcycle.options  (** V-cycle session *)
 
 type drift_step = {
   d_step : int;  (** 1-based *)
@@ -136,14 +133,18 @@ val drift_delta :
   structural:bool ->
   Hgp_core.Delta.t
 
-(** [run_drift rng inst backend] opens a session on [inst], streams
-    [params.steps] drift deltas through it, and reports per-step and
-    aggregate metrics.  Raises [Invalid_argument] if the initial instance or
-    any drifted instance is infeasible (drift magnitudes that keep weights
-    positive cannot change feasibility — demands are untouched). *)
+(** [run_drift rng inst options] opens a {!Hgp_multilevel.Vcycle} session
+    on [inst] — an exact one when [options.threshold] is [max_int] —
+    streams [params.steps] drift deltas through it, and reports per-step
+    and aggregate metrics; a sampled cold solve is
+    {!Hgp_multilevel.Vcycle.solve} with the same options.  Raises what the
+    session raises, e.g.
+    [Infeasible _] for an instance infeasible after the retry (drift
+    magnitudes that keep weights positive cannot change feasibility —
+    demands are untouched). *)
 val run_drift :
   ?params:drift_params ->
   Hgp_util.Prng.t ->
   Hgp_core.Instance.t ->
-  drift_backend ->
+  Hgp_multilevel.Vcycle.options ->
   drift_report

@@ -133,3 +133,22 @@ let perf_budget key =
     incr stop
   done;
   float_of_string (String.trim (String.sub text start (!stop - start)))
+
+(* Hierarchy specs past [Hierarchy.max_table_entries]: a regular one with
+   10^10 leaves, and a ragged chain of [depth] single-child nodes whose
+   innermost node holds [leaves] leaves ([depth] = [leaves] = 10^5 by
+   default, ~600 KB of text). *)
+let huge_regular_spec = "100000x100000@1,1,0"
+
+let deep_chain_spec ?(depth = 100_000) ?(leaves = 100_000) () =
+  let b = Buffer.create ((5 * depth) + (2 * leaves)) in
+  for _ = 1 to depth do
+    Buffer.add_string b "[1,"
+  done;
+  for l = 1 to leaves do
+    Buffer.add_string b (if l = 1 then "1" else ",1")
+  done;
+  for _ = 1 to depth do
+    Buffer.add_char b ']'
+  done;
+  Buffer.contents b

@@ -161,6 +161,37 @@ let test_disconnected_parses () =
   let inst = Instance_io.of_string (Instance_io.to_string (instance disconnected regular)) in
   Alcotest.(check int) "instance n" 7 (Instance.n inst)
 
+(* A hierarchy spec too large to build is refused before anything is
+   allocated: by the spec parser, and as a structured exit-65 error when it
+   is an instance file's hierarchy line. *)
+let mentions hay needle =
+  let n = String.length needle in
+  let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let test_oversized_hierarchies () =
+  let regular_text = Instance_io.to_string (instance connected regular) in
+  let with_hierarchy spec =
+    lines regular_text
+    |> Array.map (fun l ->
+           if String.starts_with ~prefix:"hierarchy " l then "hierarchy " ^ spec else l)
+    |> unlines
+  in
+  List.iter
+    (fun (what, spec) ->
+      (match Hgp_hierarchy.Topology.parse_result spec with
+      | Ok _ -> Alcotest.failf "%s: spec accepted" what
+      | Error msg ->
+        Alcotest.(check bool) (what ^ ": names the limit") true
+          (mentions msg "hierarchy too large"));
+      match Instance_io.of_string (with_hierarchy spec) with
+      | _ -> Alcotest.failf "%s: instance accepted" what
+      | exception E.Error e -> Alcotest.(check int) (what ^ ": exit code") 65 (E.exit_code e))
+    [
+      ("regular 100000x100000", Test_support.huge_regular_spec);
+      ("ragged chain", Test_support.deep_chain_spec ());
+    ]
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -172,5 +203,10 @@ let () =
           Alcotest.test_case "%hgp-delta" `Quick (check_reader "delta" Delta.of_string seeds_delta);
           Alcotest.test_case "request lines" `Quick check_requests;
         ] );
-      ("seeds", [ Alcotest.test_case "disconnected graph parses" `Quick test_disconnected_parses ]);
+      ( "seeds",
+        [
+          Alcotest.test_case "disconnected graph parses" `Quick test_disconnected_parses;
+          Alcotest.test_case "oversized hierarchies are input errors" `Quick
+            test_oversized_hierarchies;
+        ] );
     ]

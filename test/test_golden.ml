@@ -420,6 +420,35 @@ let test_unreadable_inputs_exit_66 () =
           [ "validate"; path; dir ];
         ])
 
+(* A hierarchy too large to build is invalid input (exit 65), refused
+   before anything is allocated: as a -H spec and as an instance file's
+   hierarchy line, regular (10^10 leaves) or a deep ragged chain. *)
+let test_oversized_hierarchy_exit_65 () =
+  let expect_65 what args =
+    let code, out, err = run_cli args in
+    Alcotest.(check int) (what ^ ": exit 65") 65 code;
+    Alcotest.(check string) (what ^ ": no stdout") "" out;
+    Alcotest.(check bool) (what ^ ": names the limit") true
+      (find_substring err "hierarchy too large" <> None)
+  in
+  expect_65 "describe -H" [ "describe"; "-H"; Test_support.huge_regular_spec ];
+  let base = Instance_io.to_string (fixture_instance ()) in
+  List.iter
+    (fun (what, spec) ->
+      let path = Filename.temp_file "hgp_huge" ".hgp" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          String.split_on_char '\n' base
+          |> List.map (fun l ->
+                 if String.starts_with ~prefix:"hierarchy " l then "hierarchy " ^ spec else l)
+          |> String.concat "\n" |> write_file path;
+          expect_65 what [ "solve"; path ]))
+    [
+      ("instance, regular spec", Test_support.huge_regular_spec);
+      ("instance, ragged chain", Test_support.deep_chain_spec ());
+    ]
+
 (* [validate]'s assignment reader: a malformed field or a vertex the
    instance lacks is a parse error naming the line (exit 65); a leaf out of
    range is the certificate's to report (incomplete, exit 1). *)
@@ -533,6 +562,8 @@ let () =
           Alcotest.test_case "--multilevel refuses --deadline-ms" `Quick
             test_multilevel_refuses_deadline;
           Alcotest.test_case "unreadable inputs exit 66" `Quick test_unreadable_inputs_exit_66;
+          Alcotest.test_case "oversized hierarchy exits 65" `Quick
+            test_oversized_hierarchy_exit_65;
           Alcotest.test_case "validate: bad assignment lines exit 65" `Quick
             test_validate_bad_assignment;
         ] );

@@ -1,11 +1,12 @@
 (* Incremental re-solve (docs/INCREMENTAL.md).
 
    The contract under test: incrementality is invisible.  For ANY delta,
-   [Pipeline.resolve_delta] must produce an answer bit-identical to a cold
+   [Vcycle.resolve_delta] must produce an answer bit-identical to a cold
    full solve on the post-delta instance — same assignment, same cost bits,
    same violation, same winning tree, same DP work counter — across regular
-   and ragged hierarchies, every ensemble strategy, and the multilevel
-   V-cycle front-end.  Churn must be the exact fraction of vertices whose
+   and ragged hierarchies, every ensemble strategy, exact sessions (a
+   V-cycle whose threshold is [max_int], so it never coarsens) and
+   coarsening ones.  Churn must be the exact fraction of vertices whose
    leaf moved, and a zero-delta update must reuse every subtree. *)
 
 module Graph = Hgp_graph.Graph
@@ -23,6 +24,7 @@ module Vcycle = Hgp_multilevel.Vcycle
 module Ensemble = Hgp_racke.Ensemble
 module Decomposition = Hgp_racke.Decomposition
 module Prng = Hgp_util.Prng
+module Deadline = Hgp_resilience.Deadline
 
 (* ---- fixtures ---- *)
 
@@ -59,6 +61,12 @@ let strategies =
 
 let options strategy =
   { Pipeline.default_options with ensemble_size = 2; strategy; seed = 7 }
+
+(* An exact session: a V-cycle that never coarsens. *)
+let exact solver = { Vcycle.default_options with threshold = max_int; solver }
+
+let open_exact inst opts = Vcycle.start_session ~options:(exact opts) inst
+let solution_of (r : Vcycle.update_report) = r.Vcycle.u_result.Vcycle.solution
 
 (* A deterministic random delta against [inst]: reweights, and optionally
    structural edits (edge add/remove, vertex add/remove). *)
@@ -123,21 +131,13 @@ let check_same_solution ctx (a : Pipeline.solution) (b : Pipeline.solution) =
    solve of the post-delta instance.  Returns the update report. *)
 let differential_case ctx inst opts delta =
   Pipeline.clear_caches ();
-  let session, _ =
-    match Pipeline.start_session inst opts with
-    | Some s -> s
-    | None -> Alcotest.failf "%s: base solve infeasible" ctx
-  in
-  let report =
-    match Pipeline.resolve_delta session delta with
-    | Some r -> r
-    | None -> Alcotest.failf "%s: incremental solve infeasible" ctx
-  in
+  let session, _ = open_exact inst opts in
+  let report = Vcycle.resolve_delta session delta in
   let inst' = Delta.apply inst delta in
   (match cold_solve inst' opts with
-  | Some cold -> check_same_solution ctx report.Pipeline.u_solution cold
+  | Some cold -> check_same_solution ctx (solution_of report) cold
   | None -> Alcotest.failf "%s: cold solve infeasible" ctx);
-  Alcotest.(check bool) (ctx ^ ": certified") true report.Pipeline.certified;
+  Alcotest.(check bool) (ctx ^ ": certified") true report.Vcycle.u_certified;
   report
 
 (* ---- differential suites ---- *)
@@ -177,20 +177,16 @@ let test_differential_stream () =
   let opts = options Ensemble.Mixed in
   let inst = mk_instance 42 in
   Pipeline.clear_caches ();
-  let session, _ = Option.get (Pipeline.start_session inst opts) in
+  let session, _ = open_exact inst opts in
   let rng = Prng.create 4242 in
   let current = ref inst in
   for step = 1 to 10 do
     let delta = random_delta ~structural:(step mod 3 = 0) rng !current in
     let ctx = Printf.sprintf "stream step %d" step in
-    let report =
-      match Pipeline.resolve_delta session delta with
-      | Some r -> r
-      | None -> Alcotest.failf "%s: infeasible" ctx
-    in
+    let report = Vcycle.resolve_delta session delta in
     current := Delta.apply !current delta;
     (match cold_solve !current opts with
-    | Some cold -> check_same_solution ctx report.Pipeline.u_solution cold
+    | Some cold -> check_same_solution ctx (solution_of report) cold
     | None -> Alcotest.failf "%s: cold infeasible" ctx)
   done
 
@@ -342,9 +338,9 @@ let test_ml_zero_delta () =
   Alcotest.(check bool) "certified" true r.Vcycle.u_certified
 
 (* A structural delta that cuts a vertex off: [Delta.apply] accepts the
-   disconnected result, but both session paths must reject it as invalid
-   input (exit class 65) before the decomposition sees it, and leave the
-   session usable. *)
+   disconnected result, but exact and coarsening sessions must both reject
+   it as invalid input (exit class 65) before the decomposition sees it,
+   and stay usable. *)
 let isolate_vertex (inst : Instance.t) v =
   List.map
     (fun (u, _) -> Delta.Remove_edge (v, u))
@@ -363,14 +359,90 @@ let test_disconnecting_delta_rejected () =
   Alcotest.(check bool) "the delta disconnects" false
     (Hgp_graph.Traversal.is_connected (Delta.apply inst cut).Instance.graph);
   Pipeline.clear_caches ();
-  let session, _ = Option.get (Pipeline.start_session inst (options Ensemble.Mixed)) in
-  expect_disconnected "pipeline session" (fun () -> Pipeline.resolve_delta session cut);
-  Alcotest.(check bool) "pipeline session still usable" true
-    (Pipeline.resolve_delta session [] <> None);
+  let session, _ = open_exact inst (options Ensemble.Mixed) in
+  expect_disconnected "exact session" (fun () -> Vcycle.resolve_delta session cut);
+  Alcotest.(check bool) "exact session still usable" true
+    (Vcycle.resolve_delta session []).Vcycle.u_certified;
   let vsession, _ = Vcycle.start_session ~options:(vc_options Ensemble.Mixed) inst in
   expect_disconnected "multilevel session" (fun () -> Vcycle.resolve_delta vsession cut);
   Alcotest.(check bool) "multilevel session still usable" true
     (Vcycle.resolve_delta vsession []).Vcycle.u_certified
+
+(* ---- one session type: the retry and deadlines ---- *)
+
+(* Eight jobs of 0.5 on four unit leaves: at resolution 1 with Ceil every
+   job rounds up to a whole leaf, so the base resolution is infeasible and
+   only the solver's retry (4x resolution, Floor) packs two jobs per leaf.
+   The session's coarse solve retries too, so such an instance opens a
+   session, and each update is bit-identical to a cache-disabled cold
+   [Solver.solve], which retries the same way. *)
+let test_retry_opens_session () =
+  let rng = Prng.create 31 in
+  let g = Gen.randomize_weights rng (Gen.gnp_connected rng 8 0.5) ~lo:1.0 ~hi:9.0 in
+  let inst = Instance.create g ~demands:(Array.make 8 0.5) (regular ()) in
+  let opts =
+    { (options Ensemble.Mixed) with resolution = Some 1; rounding = Hgp_core.Demand.Ceil }
+  in
+  let cold inst =
+    Artifact_cache.set_enabled false;
+    Fun.protect
+      ~finally:(fun () -> Artifact_cache.set_enabled true)
+      (fun () -> Solver.solve ~options:opts inst)
+  in
+  Pipeline.clear_caches ();
+  Alcotest.(check bool) "infeasible at the base resolution" true
+    (Pipeline.run_incremental inst opts = None);
+  Pipeline.clear_caches ();
+  let session, opened = open_exact inst opts in
+  check_same_solution "open" opened.Vcycle.solution (cold inst);
+  let rng = Prng.create 3131 in
+  for step = 1 to 6 do
+    let ctx = Printf.sprintf "retry step %d" step in
+    let delta = random_delta rng (Vcycle.session_instance session) in
+    let r = Vcycle.resolve_delta session delta in
+    check_same_solution ctx (solution_of r) (cold (Vcycle.session_instance session));
+    Alcotest.(check bool) (ctx ^ ": certified") true r.Vcycle.u_certified
+  done
+
+(* An expired deadline makes [start_session] and [resolve_delta] raise
+   [Deadline_exceeded], on an exact session (threshold above n) and on a
+   coarsening one (threshold below n), and a failed update leaves the
+   session as it was: same instance, same assignment, and the next update
+   without a deadline is still bit-identical to a cold V-cycle.  On the
+   coarsening session an empty delta skips the coarse solve, so only the
+   refinement walk's per-level check can notice. *)
+let test_expired_deadline_leaves_session () =
+  let expect_deadline what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expired deadline accepted" what
+    | exception E.Error (E.Deadline_exceeded _) -> ()
+  in
+  List.iter
+    (fun (label, threshold) ->
+      let opts = { (vc_options Ensemble.Mixed) with threshold } in
+      let inst = mk_instance ~n:60 13 in
+      let rng = Prng.create 1313 in
+      Pipeline.clear_caches ();
+      expect_deadline (label ^ ": start_session") (fun () ->
+          Vcycle.start_session ~deadline:(Deadline.of_ms 0.) ~options:opts inst);
+      let session, opened = Vcycle.start_session ~options:opts inst in
+      List.iter
+        (fun (what, delta) ->
+          let ctx = label ^ ": " ^ what in
+          expect_deadline (ctx ^ ": resolve_delta") (fun () ->
+              Vcycle.resolve_delta ~deadline:(Deadline.of_ms 0.) session delta);
+          Alcotest.(check bool) (ctx ^ ": instance unchanged") true
+            (Vcycle.session_instance session == inst);
+          Alcotest.(check (array int)) (ctx ^ ": assignment unchanged")
+            opened.Vcycle.solution.Pipeline.assignment
+            (Vcycle.session_assignment session))
+        ([ ("reweight", random_delta rng inst);
+           ("structural", random_delta ~structural:true rng inst) ]
+        @ if threshold < Instance.n inst then [ ("empty", []) ] else []);
+      let delta = random_delta rng inst in
+      let r = Vcycle.resolve_delta session delta in
+      check_same_result label r.Vcycle.u_result (cold_vcycle (Delta.apply inst delta) opts))
+    [ ("threshold above n", max_int); ("threshold below n", 16) ]
 
 (* ---- zero-delta and churn ---- *)
 
@@ -378,12 +450,12 @@ let test_zero_delta_full_reuse () =
   let opts = options Ensemble.Mixed in
   let inst = mk_instance 7 in
   Pipeline.clear_caches ();
-  let session, _ = Option.get (Pipeline.start_session inst opts) in
-  let r = Option.get (Pipeline.resolve_delta session []) in
-  Alcotest.(check int) "no dirty subtrees" 0 r.Pipeline.resolved_subtrees;
-  Alcotest.(check bool) "some reuse" true (r.Pipeline.reused_subtrees > 0);
-  check_bits "churn 0" 0.0 r.Pipeline.churn;
-  Alcotest.(check bool) "certified" true r.Pipeline.certified
+  let session, _ = open_exact inst opts in
+  let r = Vcycle.resolve_delta session [] in
+  Alcotest.(check int) "no dirty subtrees" 0 r.Vcycle.u_resolved_subtrees;
+  Alcotest.(check bool) "some reuse" true (r.Vcycle.u_reused_subtrees > 0);
+  check_bits "churn 0" 0.0 r.Vcycle.u_churn;
+  Alcotest.(check bool) "certified" true r.Vcycle.u_certified
 
 let test_churn_exact () =
   (* Reported churn must equal the independently-recomputed fraction of
@@ -393,13 +465,14 @@ let test_churn_exact () =
     let opts = options Ensemble.Mixed in
     let inst = mk_instance (300 + seed) in
     Pipeline.clear_caches ();
-    let session, base = Option.get (Pipeline.start_session inst opts) in
+    let session, opened = open_exact inst opts in
+    let base = opened.Vcycle.solution in
     let rng = Prng.create (400 + seed) in
     let structural = seed mod 2 = 0 in
     let delta = random_delta ~structural rng inst in
     let inst', mapping = Delta.apply_mapped inst delta in
-    let r = Option.get (Pipeline.resolve_delta session delta) in
-    let sol = r.Pipeline.u_solution in
+    let r = Vcycle.resolve_delta session delta in
+    let sol = solution_of r in
     let n' = Instance.n inst' in
     let changed = ref 0 in
     let seen = Array.make n' false in
@@ -415,7 +488,7 @@ let test_churn_exact () =
     check_bits
       (Printf.sprintf "churn %d" seed)
       (float_of_int !changed /. float_of_int n')
-      r.Pipeline.churn
+      r.Vcycle.u_churn
   done
 
 (* ---- delta semantics and validation ---- *)
@@ -557,6 +630,12 @@ let () =
           Alcotest.test_case "zero delta" `Quick test_ml_zero_delta;
           Alcotest.test_case "disconnecting delta is invalid input" `Quick
             test_disconnecting_delta_rejected;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "retry opens a session" `Quick test_retry_opens_session;
+          Alcotest.test_case "expired deadline leaves the session unchanged" `Quick
+            test_expired_deadline_leaves_session;
         ] );
       ( "churn",
         [

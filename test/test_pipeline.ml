@@ -385,8 +385,9 @@ let test_degraded_results_not_cached () =
     ((packed_stats ()).Lru.misses > misses0);
   Alcotest.(check bool) "healthy solve did DP work" true (healthy.dp_states > 0)
 
-(* The fail-fast contract: [Solver.solve] and [Pipeline.start_session]
-   stop at the first lost tree and raise what it raised.  Sampling stops at
+(* The fail-fast contract: [Solver.solve] and opening an exact session
+   ([Vcycle.start_session] with threshold [max_int]) stop at the first lost
+   tree and raise what it raised.  Sampling stops at
    the failing build; the relax batch runs every tree, then raises the
    lowest-index error; packing stops at the failing tree.  Every other site
    is armed with a zero delay, so the hit count of each site pins where
@@ -435,9 +436,12 @@ let check_fail_fast entry run () =
 let test_solve_fails_fast =
   check_fail_fast "Solver.solve" (fun inst options -> ignore (Solver.solve ~options inst))
 
+(* An exact session: a V-cycle that never coarsens. *)
+let exact solver = { Hgp_multilevel.Vcycle.default_options with threshold = max_int; solver }
+
 let test_start_session_fails_fast =
-  check_fail_fast "Pipeline.start_session" (fun inst options ->
-      ignore (Pipeline.start_session inst options))
+  check_fail_fast "Vcycle.start_session" (fun inst options ->
+      ignore (Hgp_multilevel.Vcycle.start_session ~options:(exact options) inst))
 
 (* Every artifact cache obeys the one switch and the fault-plan bypass.
    The caches are warmed first, so a lookup that slipped through would
@@ -454,8 +458,8 @@ let test_all_caches_bypassed () =
   let workload () =
     ignore (Pipeline.run inst options);
     ignore (Hgp_multilevel.Vcycle.solve ~options:vopts inst);
-    let session, _ = Option.get (Pipeline.start_session inst options) in
-    ignore (Pipeline.resolve_delta session delta)
+    let session, _ = Hgp_multilevel.Vcycle.start_session ~options:(exact options) inst in
+    ignore (Hgp_multilevel.Vcycle.resolve_delta session delta)
   in
   let snapshot () =
     List.map

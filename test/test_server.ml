@@ -431,17 +431,29 @@ let test_session_update_bit_identical () =
       Alcotest.(check bool) "churn in [0,1]" true
         (up.Protocol.up_churn >= 0. && up.Protocol.up_churn <= 1.);
       Alcotest.(check bool) "some subtrees reused" true
-        (up.Protocol.up_reused_subtrees > 0)
+        (up.Protocol.up_reused_subtrees > 0);
+      Alcotest.(check bool) "a reweight is incremental" true up.Protocol.up_incremental
     | _ -> Alcotest.failf "upd: %s" (Protocol.response_to_line second))
   | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs));
+  (* A structural delta re-solves the session from scratch, and says so. *)
+  submit_update_ok server
+    (Protocol.update_request ~id:"grow" ~session:"s1"
+       (Delta.to_string [ Delta.Add_vertex (0.1, [ (0, 1.0) ]) ]));
+  (match Server.drain server with
+  | [ { Protocol.outcome = Protocol.Updated up; _ } ] ->
+    Alcotest.(check bool) "a structural delta is not incremental" false
+      up.Protocol.up_incremental
+  | [ r ] -> Alcotest.failf "grow: %s" (Protocol.response_to_line r)
+  | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
   Alcotest.(check int) "session registered" 1 (Server.session_count server);
-  Alcotest.(check int) "updates counted" 1 (Server.stats server).Server.updates;
+  Alcotest.(check int) "updates counted" 2 (Server.stats server).Server.updates;
   ignore (Server.shutdown server)
 
 (* A structured error while opening a session (an injected crash in the
    session solve's quantization, the first hit of that site) takes the
-   fallback path: the request is answered by the supervised ladder, and no
-   session is registered, so a later update to it is an unknown session. *)
+   fallback path: the failed open is counted, the request is answered by
+   the supervised ladder, and no session is registered, so a later update
+   to it is an unknown session. *)
 let test_session_open_error_falls_back () =
   Pipeline.clear_caches ();
   let inst = mk_instance 11 in
@@ -452,9 +464,18 @@ let test_session_open_error_falls_back () =
     | Ok p -> p
     | Error e -> Alcotest.failf "bad plan: %s" e
   in
-  (match Faults.with_plan plan (fun () -> Server.drain server) with
+  let was_enabled = Hgp_obs.Obs.enabled () in
+  Hgp_obs.Obs.enable ();
+  let failed0 = Hgp_obs.Obs.counter_value "server.sessions.open_failed" in
+  (match
+     Fun.protect
+       ~finally:(fun () -> if not was_enabled then Hgp_obs.Obs.disable ())
+       (fun () -> Faults.with_plan plan (fun () -> Server.drain server))
+   with
   | [ r ] -> ignore (solved r)
   | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
+  Alcotest.(check int) "failed open counted" 1
+    (Hgp_obs.Obs.counter_value "server.sessions.open_failed" - failed0);
   Alcotest.(check int) "no session registered" 0 (Server.session_count server);
   submit_update_ok server
     (Protocol.update_request ~id:"upd" ~session:"s1"
