@@ -281,6 +281,63 @@ let test_differential_tall () =
       (diff_configs ~cm ~cp_units)
   done
 
+(* A random job tree whose edge weights are drawn from [weights]. *)
+let mk_weighted_instance ~seed ~weights ~n ~h ~cm ~cp_units =
+  let rng = Prng.create seed in
+  let g = Gen.random_tree rng n in
+  let g =
+    Hgp_graph.Graph.of_edges n
+      (List.map
+         (fun (u, v, _) -> (u, v, weights.(Prng.int rng (Array.length weights))))
+         (Array.to_list (Hgp_graph.Graph.edges g)))
+  in
+  let t = Tree.of_graph g ~root:0 in
+  let t, job_leaf = Tree.lift_internal_jobs t in
+  let demand_units = Array.make (Tree.n_nodes t) 0 in
+  Array.iter (fun l -> demand_units.(l) <- 1 + Prng.int rng 2) job_leaf;
+  (t, demand_units, Array.sub cm (2 - h) (h + 1), Array.sub cp_units (2 - h) (h + 1))
+
+(* Float-absorption ties.  Edges of weight 2^53 next to edges of weight
+   0.5..2 put accumulator costs where one ulp is 2, so [costa +. costc]
+   rounds two child states of different cost to the same merged cost.
+   Cutting inside a child costs a little and shrinks its signature, so the
+   costlier child state often has the smaller key and wins the canonical
+   tie-break: a merge that kept only each key's cheapest child state would
+   change kappa here. *)
+let mk_absorb_instance seed =
+  let rng = Prng.create (3000 + seed) in
+  let n = 5 + Prng.int rng 8 and h = 1 + Prng.int rng 2 in
+  mk_weighted_instance ~seed:(3100 + seed) ~n ~h
+    ~weights:[| 0x1p53; 0x1p53; 0.5; 1.; 1.5; 2. |]
+    ~cm:[| 1.; 0.5; 0. |]
+    ~cp_units:[| 4 * n; 5; 3 |]
+
+(* Integer weights and multipliers: many child states reach a merged key
+   at exactly the same cost, so the tie-break decides most backpointers. *)
+let mk_int_tie_instance seed =
+  let rng = Prng.create (4000 + seed) in
+  let n = 6 + Prng.int rng 10 and h = 1 + Prng.int rng 2 in
+  mk_weighted_instance ~seed:(4100 + seed) ~n ~h ~weights:[| 1.; 1.; 2.; 3. |]
+    ~cm:[| 2.; 1.; 0. |]
+    ~cp_units:[| 4 * n; 6; 3 |]
+
+let test_differential_ties () =
+  let heavy = ref 0 in
+  for seed = 1 to 60 do
+    List.iter
+      (fun (tag, (t, demand_units, cm, cp_units)) ->
+        List.iter
+          (fun (name, cfg) ->
+            let flat = Tree_dp.solve t ~demand_units cfg in
+            (match flat with Some r when r.Tree_dp.cost >= 0x1p53 -> incr heavy | _ -> ());
+            let reference = Ref_dp.solve t ~demand_units cfg in
+            check_identical (Printf.sprintf "%s seed %d %s" tag seed name) flat reference)
+          (diff_configs ~cm ~cp_units))
+      [ ("absorb", mk_absorb_instance seed); ("int-tie", mk_int_tie_instance seed) ]
+  done;
+  (* The absorption instances must actually reach the 2^53 regime. *)
+  Alcotest.(check bool) "optima at or above 2^53" true (!heavy > 0)
+
 (* Infeasible leaves: one job is pushed past the leaf capacity; both sides
    must agree the instance is infeasible (and on feasible neighbours). *)
 let test_differential_infeasible_leaves () =
@@ -414,6 +471,8 @@ let () =
             test_differential_seeded;
           Alcotest.test_case "tall two-word signatures, 30 seeds x 5 configs" `Quick
             test_differential_tall;
+          Alcotest.test_case "float-absorption and integer ties, 60 seeds x 5 configs" `Quick
+            test_differential_ties;
           Alcotest.test_case "infeasible leaves" `Quick test_differential_infeasible_leaves;
           Alcotest.test_case "deadline aborts" `Quick test_differential_deadline_abort;
           Alcotest.test_case "shared workspace lease" `Quick
