@@ -57,6 +57,9 @@ type packing = {
   guards : int array;  (** [guards.(w)]: the guard bits of word [w] *)
 }
 
+(** [bit_length c] is the number of bits of the non-negative [c] (0 for 0). *)
+val bit_length : int -> int
+
 (** [packing caps] is the guard-bit layout for signatures whose level
     [j+1] value lies in [0 .. caps.(j)] (e.g. {!t.caps}): one guard bit
     above [ceil(log2(caps.(j) + 1))] value bits per level, no level split

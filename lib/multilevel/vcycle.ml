@@ -171,6 +171,7 @@ type run = {
 }
 
 let vcycle mode ~deadline ~options (inst : Instance.t) =
+  Deadline.check deadline ~stage:"multilevel";
   let hy = inst.Instance.hierarchy in
   let eps = options.solver.Pipeline.eps in
   let seed = options.solver.Pipeline.seed in
@@ -178,31 +179,46 @@ let vcycle mode ~deadline ~options (inst : Instance.t) =
      can host, or projection could strand it on an undersized leaf; on
      regular trees min = max, preserving historical chain cache keys. *)
   let max_weight = Hierarchy.min_leaf_capacity hy in
+  (* An instance no larger than the threshold is never coarsened, so its
+     fine CSR is never built. *)
   let fine =
-    Obs.span "multilevel.csr_build" (fun () ->
-        let before = Gc.allocated_bytes () in
-        let csr = Csr.of_graph ~vwgt:inst.Instance.demands inst.Instance.graph in
-        (* CI's multilevel smoke divides these two counters to enforce the
-           bytes-per-edge ceiling in test/perf_budget.json
-           ("csr.build_bytes_per_edge_max"). *)
-        Obs.count "multilevel.csr_build_bytes"
-          (int_of_float (Gc.allocated_bytes () -. before));
-        Obs.count "multilevel.csr_build_edges" (Graph.m inst.Instance.graph);
-        csr)
+    lazy
+      (Obs.span "multilevel.csr_build" (fun () ->
+           let before = Gc.allocated_bytes () in
+           let csr = Csr.of_graph ~vwgt:inst.Instance.demands inst.Instance.graph in
+           (* CI's multilevel smoke divides these two counters to enforce the
+              bytes-per-edge ceiling in test/perf_budget.json
+              ("csr.build_bytes_per_edge_max"). *)
+           Obs.count "multilevel.csr_build_bytes"
+             (int_of_float (Gc.allocated_bytes () -. before));
+           Obs.count "multilevel.csr_build_edges" (Graph.m inst.Instance.graph);
+           csr))
   in
   let coarsen ~prev ~delta =
     Obs.span "multilevel.coarsen" @@ fun () ->
-    Coarsen.rebuild (Prng.create seed) fine ~prev ~delta ~threshold:options.threshold
-      ~max_levels:options.max_levels ~max_weight
+    Coarsen.rebuild (Prng.create seed) (Lazy.force fine) ~prev ~delta
+      ~threshold:options.threshold ~max_levels:options.max_levels ~max_weight
   in
   let key () =
-    chain_key fine ~threshold:options.threshold ~max_levels:options.max_levels ~seed
-      ~max_weight
+    chain_key (Lazy.force fine) ~threshold:options.threshold ~max_levels:options.max_levels
+      ~seed ~max_weight
   in
   (* [since]: the previous state and this chain's reuse flags against it. *)
   let chain, hierarchy_cached, since =
     match mode with
-    | Cold when Csr.n fine <= options.threshold -> ([], false, None)
+    | Session (Some (p, delta)) when Instance.n inst <= options.threshold ->
+      (* what [coarsen] returns below the threshold: no levels, and a clean
+         coarsest graph iff nothing changed *)
+      let rb =
+        {
+          Coarsen.r_chain = [];
+          r_fine_clean = [||];
+          r_coarse_clean = p.p_chain = [] && delta = [];
+          r_reused_levels = 0;
+        }
+      in
+      ([], false, Some (p, rb))
+    | _ when Instance.n inst <= options.threshold -> ([], false, None)
     | Cold -> (
       let key = key () in
       match Artifact_cache.find cache key with
@@ -220,19 +236,21 @@ let vcycle mode ~deadline ~options (inst : Instance.t) =
          hashing the fine graph on every delta would put an O(m) fingerprint
          on the incremental fast path just to warm a cache nobody in the
          session reads. *)
-      if Csr.n fine > options.threshold then begin
-        let key = Obs.span "multilevel.chain_key" key in
-        Artifact_cache.add cache key rb.Coarsen.r_chain
-      end;
+      let key = Obs.span "multilevel.chain_key" key in
+      Artifact_cache.add cache key rb.Coarsen.r_chain;
       (rb.Coarsen.r_chain, false, None)
     | Session (Some (p, delta)) ->
       let rb = coarsen ~prev:p.p_chain ~delta in
       (rb.Coarsen.r_chain, rb.Coarsen.r_reused_levels > 0, Some (p, rb))
   in
-  let coarsest = Coarsen.coarsest ~fine chain in
-  let coarse_inst =
-    if chain = [] then inst
-    else Instance.create coarsest.Csr.graph ~demands:coarsest.Csr.vwgt hy
+  let coarse_inst, ratio =
+    match chain with
+    | [] -> (inst, 1.)
+    | _ ->
+      let fine = Lazy.force fine in
+      let coarsest = Coarsen.coarsest ~fine chain in
+      ( Instance.create coarsest.Csr.graph ~demands:coarsest.Csr.vwgt hy,
+        float_of_int (Csr.n fine) /. float_of_int (Csr.n coarsest) )
   in
   let coarse_sol, resolved, reused =
     match (mode, since) with
@@ -335,10 +353,6 @@ let vcycle mode ~deadline ~options (inst : Instance.t) =
       (int_of_float (Gc.allocated_bytes () -. refine_bytes_before))
   end;
   Obs.count "multilevel.refine_moves" total_moves;
-  let ratio =
-    if Csr.n coarsest = 0 then 1.
-    else float_of_int (Csr.n fine) /. float_of_int (Csr.n coarsest)
-  in
   Obs.gauge "multilevel.levels" (float_of_int nlev);
   Obs.gauge "multilevel.coarsening_ratio" ratio;
   let solution =

@@ -86,8 +86,9 @@ type result = {
     Raises whatever the exact solver raises on the coarse instance
     ([Infeasible _] after its retry, etc.).
 
-    Telemetry: [multilevel.{csr_build,coarsen,coarse_solve,refine}] spans,
-    [multilevel.solves] / [multilevel.refine_moves] counters,
+    Telemetry: [multilevel.{csr_build,coarsen,coarse_solve,refine}] spans
+    ([csr_build] and [coarsen] only above [threshold], where the fine CSR
+    is built), [multilevel.solves] / [multilevel.refine_moves] counters,
     [cache.hierarchy.{hit,miss,evict}] (with [cache.*]) for the chain
     lookup, which runs only above [threshold] and only while caching is
     active,
@@ -113,9 +114,10 @@ val solve : ?options:options -> Hgp_core.Instance.t -> result
     (docs/INCREMENTAL.md).
 
     An {e exact} session is one whose [threshold] is [max_int]: it never
-    coarsens, so it opens and updates with the Theorem-1 pipeline on the
-    whole instance — the session behind [solve --delta], the drift
-    simulator's exact runs and the server's named sessions. *)
+    coarsens (and never builds the fine CSR), so it opens and updates with
+    the Theorem-1 pipeline on the whole instance — the session behind
+    [solve --delta], the drift simulator's exact runs and the server's
+    named sessions. *)
 
 type session
 
@@ -141,9 +143,9 @@ type update_report = {
     DP snapshots) and opens a session.  The coarse solve retries an
     instance that is infeasible at the base resolution, as {!solve} does,
     so such an instance still opens a session.  [deadline] (default
-    {!Hgp_resilience.Deadline.none}) reaches the coarse solve and its
-    retry; the refinement walk checks it once per level (stage
-    ["refine"]).
+    {!Hgp_resilience.Deadline.none}) is checked once on entry (stage
+    ["multilevel"]), reaches the coarse solve and its retry, and is
+    checked by the refinement walk once per level (stage ["refine"]).
     @raise Hgp_resilience.Hgp_error.Error like {!solve} —
     [Deadline_exceeded _], naming the stage that noticed, once [deadline]
     expires. *)

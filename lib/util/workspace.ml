@@ -14,6 +14,7 @@ type t = {
   back_store : Arena.Ibuf.t;  (* positional backpointer segments, one packed word per state *)
   perm : Arena.Ibuf.t;  (* heap of occupied table slots for the prune scan *)
   sigs : Arena.Ibuf.t;  (* child signatures (entries x h), then packed survivor words *)
+  groups : Arena.Ibuf.t;  (* child states' prefix-sorted order, group ends and leaders *)
   kept : Arena.Ibuf.t;  (* surviving table slots after pruning *)
   mutable uses : int;  (* solves served so far (feeds workspace.reuses) *)
 }
@@ -26,6 +27,7 @@ let create () =
     back_store = Arena.Ibuf.create ~capacity:1024 ();
     perm = Arena.Ibuf.create ~capacity:256 ();
     sigs = Arena.Ibuf.create ~capacity:256 ();
+    groups = Arena.Ibuf.create ~capacity:1024 ();
     kept = Arena.Ibuf.create ~capacity:64 ();
     uses = 0;
   }
@@ -46,6 +48,7 @@ let grows ws =
   + Arena.Ibuf.grows ws.back_store
   + Arena.Ibuf.grows ws.perm
   + Arena.Ibuf.grows ws.sigs
+  + Arena.Ibuf.grows ws.groups
   + Arena.Ibuf.grows ws.kept
 
 (* Per-solve reset: lengths only, capacity (the whole point) is kept. *)
@@ -56,6 +59,7 @@ let reset ws =
   Arena.Ibuf.clear ws.back_store;
   Arena.Ibuf.clear ws.perm;
   Arena.Ibuf.clear ws.sigs;
+  Arena.Ibuf.clear ws.groups;
   Arena.Ibuf.clear ws.kept
 
 type slot = { ws : t; mutable busy : bool }

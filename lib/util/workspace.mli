@@ -2,10 +2,11 @@
 
     A workspace bundles every scratch structure the flat DP kernel of
     [Tree_dp] needs — the merge-accumulator table, packed per-node state
-    and backpointer stores, and the slot heap and survivor buffers of the
-    prune pass.  One lives on each domain (via [Domain.DLS]), so the worker
-    domains of {!Domain_pool} reuse their own scratch across solves and
-    parallel ensemble members never contend for it.
+    and backpointer stores, the merge's prefix groups, and the slot heap
+    and survivor buffers of the prune pass.  One lives on each domain (via
+    [Domain.DLS]), so the worker domains of {!Domain_pool} reuse their own
+    scratch across solves and parallel ensemble members never contend for
+    it.
 
     Ownership rule: a workspace belongs to exactly one in-flight solve on
     its domain.  {!acquire} hands out the domain's resident workspace and
@@ -20,6 +21,8 @@ type t = {
   back_store : Arena.Ibuf.t;  (** positional backpointer segments, one packed word per state *)
   perm : Arena.Ibuf.t;  (** heap of occupied table slots for the prune scan *)
   sigs : Arena.Ibuf.t;  (** child signatures (entries × h), then packed survivor words *)
+  groups : Arena.Ibuf.t;
+      (** the merge's child grouping: prefix-sorted order, group ends and leaders *)
   kept : Arena.Ibuf.t;  (** surviving table slots after pruning *)
   mutable uses : int;  (** solves served so far (feeds [workspace.reuses]) *)
 }

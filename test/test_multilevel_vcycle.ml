@@ -339,6 +339,21 @@ let test_hierarchy_cache_reuse () =
   let stats = List.assoc "hierarchy" (Pipeline.cache_stats ()) in
   Alcotest.(check bool) "hierarchy cache hit recorded" true (stats.Hgp_util.Lru.hits >= 1)
 
+(* ---- sessions ---- *)
+
+(* An exact session (threshold [max_int]) checks its deadline on entry: an
+   empty delta skips the coarse solve and there is no level to refine, so
+   nothing later would notice an expired token. *)
+let test_exact_session_expired_deadline () =
+  let module E = Hgp_resilience.Hgp_error in
+  let g = Gen.gnp_connected (Prng.create 30) 30 0.2 in
+  let inst = instance_of 30 g in
+  let opts = vcycle_options ~threshold:max_int 30 in
+  let session, _ = Vcycle.start_session ~options:opts inst in
+  match Vcycle.resolve_delta ~deadline:(Hgp_resilience.Deadline.of_ms 0.) session [] with
+  | _ -> Alcotest.fail "expired deadline accepted on an empty delta"
+  | exception E.Error (E.Deadline_exceeded _) -> ()
+
 (* ---- scale smoke: a stream DAG three orders beyond the exact solver ---- *)
 
 let test_stream_dag_scale () =
@@ -426,5 +441,10 @@ let () =
         ] );
       ( "cache",
         [ Alcotest.test_case "hierarchy chain reuse" `Quick test_hierarchy_cache_reuse ] );
+      ( "sessions",
+        [
+          Alcotest.test_case "exact session refuses an expired deadline" `Quick
+            test_exact_session_expired_deadline;
+        ] );
       ( "scale", [ Alcotest.test_case "stream DAG 10^4" `Slow test_stream_dag_scale ] );
     ]
