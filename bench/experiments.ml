@@ -646,13 +646,12 @@ let e14_dynamic_churn () =
     let state = ref None in
     let migrations = ref 0 and cost_samples = ref [] in
     let cost () = match !state with Some (inst, p) -> Cost.assignment_cost inst p | None -> 0. in
-    (* A rebalance solves the live tasks cold (patched connected) and keeps
-       the incumbent unless the answer is no dearer on the real edges. *)
+    (* A rebalance solves the live tasks cold and keeps the incumbent
+       unless the answer is no dearer. *)
     let rebalance () =
       match !state with
       | Some ((inst : Instance.t), p) when Instance.n inst >= 2 ->
-        let g = Hgp_graph.Traversal.ensure_connected inst.graph (Prng.create seed) in
-        let q = (Solver.solve ~options (Instance.create g ~demands:inst.demands hy)).assignment in
+        let q = (Solver.solve ~options inst).assignment in
         if Cost.assignment_cost inst q <= Cost.assignment_cost inst p +. 1e-9 then begin
           Array.iteri (fun v l -> if l <> p.(v) then incr migrations) q;
           state := Some (inst, q)

@@ -130,11 +130,8 @@ let generate_cmd =
           rng
     in
     let text =
-      if as_instance then begin
-        let g = Hgp_graph.Traversal.ensure_connected g rng in
-        let inst = Instance.uniform_demands g hierarchy ~load_factor:load in
-        Hgp_core.Instance_io.to_string inst
-      end
+      if as_instance then
+        Hgp_core.Instance_io.to_string (Instance.uniform_demands g hierarchy ~load_factor:load)
       else Io.to_string g
     in
     match out with
@@ -155,14 +152,12 @@ let generate_cmd =
 
 (* Accepts either a METIS graph (demands synthesized uniformly from --load)
    or a full instance file produced by [Instance_io] (auto-detected by its
-   "%hgp-instance" header; -H and --load are then ignored). *)
-let load_instance path hierarchy load seed =
+   "%hgp-instance" header; -H and --load are then ignored).  The graph is
+   solved as given, disconnected or not. *)
+let load_instance path hierarchy load =
   match Hgp_core.Instance_io.load_any path with
   | `Instance inst -> inst
-  | `Graph g ->
-    let rng = Prng.create seed in
-    let g = Hgp_graph.Traversal.ensure_connected g rng in
-    Instance.uniform_demands g hierarchy ~load_factor:load
+  | `Graph g -> Instance.uniform_demands g hierarchy ~load_factor:load
 
 let graph_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"GRAPH" ~doc:"METIS graph file.")
@@ -184,10 +179,9 @@ let solve_cmd =
           ~doc:
             "Soft wall-clock budget in milliseconds; on expiry the solve \
              degrades through cheaper rungs instead of failing (see \
-             docs/ROBUSTNESS.md).  With $(b,--delta) the session solve \
-             and its re-solve share the budget and an expiry exits 75.  \
-             Refused with $(b,--multilevel) (exit 65): the V-cycle takes no \
-             deadline yet.")
+             docs/ROBUSTNESS.md).  With $(b,--multilevel) the V-cycle \
+             honours the budget, and with $(b,--delta) the session solve \
+             and its re-solve share it; an expiry there exits 75.")
   in
   let repeat =
     Arg.(
@@ -255,18 +249,9 @@ let solve_cmd =
   let run path hierarchy load seed ensemble resolution deadline_ms slack metrics repeat
       cache_stats multilevel multilevel_refine delta_file =
     handle_errors @@ fun () ->
-    if multilevel <> None && deadline_ms <> None then
-      Hgp_error.error
-        (Hgp_error.Invalid_input
-           {
-             context = "solve";
-             msg =
-               "--deadline-ms cannot be combined with --multilevel: the V-cycle \
-                takes no deadline yet, so the budget would be silently dropped";
-           });
     let hierarchy = resolve_hierarchy hierarchy in
     with_metrics metrics @@ fun () ->
-    let inst = load_instance path hierarchy load seed in
+    let inst = load_instance path hierarchy load in
     let options =
       { Solver.default_options with ensemble_size = ensemble; seed; resolution }
     in
@@ -297,6 +282,7 @@ let solve_cmd =
       Printf.printf "# multilevel levels=%d coarse-n=%d ratio=%.2f cached=%b\n" r.V.levels
         (Instance.n r.V.coarse_instance) r.V.coarsening_ratio r.V.hierarchy_cached
     in
+    let deadline = Hgp_resilience.Deadline.of_budget_ms deadline_ms in
     let assignment =
       match (delta_file, multilevel) with
       | Some dfile, _ ->
@@ -305,7 +291,6 @@ let solve_cmd =
            session is exact: a V-cycle that never coarsens. *)
         let options = vcycle_options (Option.value multilevel ~default:max_int) in
         let delta = Hgp_core.Delta.load dfile in
-        let deadline = Hgp_resilience.Deadline.of_budget_ms deadline_ms in
         let sess, _ = V.start_session ~deadline ~options inst in
         let u = V.resolve_delta ~deadline sess delta in
         print_vcycle u.V.u_result;
@@ -316,7 +301,7 @@ let solve_cmd =
           u.V.u_total_levels u.V.u_churn u.V.u_certified u.V.u_incremental;
         u.V.u_result.V.solution.assignment
       | None, Some threshold ->
-        let solve_once () = V.solve ~options:(vcycle_options threshold) inst in
+        let solve_once () = V.solve ~deadline ~options:(vcycle_options threshold) inst in
         let r = ref (solve_once ()) in
         for _ = 2 to max 1 repeat do
           r := solve_once ()
@@ -381,7 +366,7 @@ let compare_cmd =
     handle_errors @@ fun () ->
     let hierarchy = resolve_hierarchy hierarchy in
     with_metrics metrics @@ fun () ->
-    let inst = load_instance path hierarchy load seed in
+    let inst = load_instance path hierarchy load in
     let rng = Prng.create seed in
     let k = Hierarchy.num_leaves hierarchy in
     let capacity = slack *. Hierarchy.leaf_capacity hierarchy in
@@ -449,10 +434,10 @@ let validate_cmd =
   let assignment_arg =
     Arg.(required & pos 1 (some file) None & info [] ~docv:"ASSIGNMENT" ~doc:"'vertex leaf' lines.")
   in
-  let run path assignment_path hierarchy load seed slack =
+  let run path assignment_path hierarchy load slack =
     handle_errors @@ fun () ->
     let hierarchy = resolve_hierarchy hierarchy in
-    let inst = load_instance path hierarchy load seed in
+    let inst = load_instance path hierarchy load in
     let p = read_assignment assignment_path (Instance.n inst) in
     let report = Hgp_core.Verify.certify inst p ~eps:0.25 in
     Format.printf "%a" Hgp_core.Verify.pp report;
@@ -460,7 +445,7 @@ let validate_cmd =
     if not report.Hgp_core.Verify.assignment_complete then exit 1
   in
   let term =
-    Term.(const run $ graph_arg $ assignment_arg $ hierarchy_arg $ load_arg $ seed_arg $ slack_arg)
+    Term.(const run $ graph_arg $ assignment_arg $ hierarchy_arg $ load_arg $ slack_arg)
   in
   Cmd.v (Cmd.info "validate" ~doc:"Validate an assignment file for an instance.") term
 
@@ -480,7 +465,7 @@ let portfolio_cmd =
   let run path hierarchy load seed slack =
     handle_errors @@ fun () ->
     let hierarchy = resolve_hierarchy hierarchy in
-    let inst = load_instance path hierarchy load seed in
+    let inst = load_instance path hierarchy load in
     let rng = Prng.create seed in
     let r = B.Portfolio.solve rng inst ~slack ~refine_passes:8 in
     let rows =

@@ -17,16 +17,7 @@ type result = {
 let initial_partition rng g demands k caps =
   let n = Graph.n g in
   let src = Prng.int rng (max 1 n) in
-  let bfs = Hgp_graph.Traversal.bfs_order g src in
-  let order =
-    if Array.length bfs = n then bfs
-    else begin
-      let seen = Array.make n false in
-      Array.iter (fun v -> seen.(v) <- true) bfs;
-      let rest = List.filter (fun v -> not seen.(v)) (List.init n (fun i -> i)) in
-      Array.append bfs (Array.of_list rest)
-    end
-  in
+  let order = Hgp_graph.Traversal.bfs_order_all g src in
   let total = Array.fold_left ( +. ) 0. demands in
   let uniform = Array.for_all (fun c -> c = caps.(0)) caps in
   let cap_tail =

@@ -65,15 +65,7 @@ let vertex_order (inst : Instance.t) = function
       if Graph.weighted_degree inst.graph v > Graph.weighted_degree inst.graph !heaviest
       then heaviest := v
     done;
-    let order = Hgp_graph.Traversal.bfs_order inst.graph !heaviest in
-    if Array.length order = n then order
-    else begin
-      (* Disconnected graph: append unreachable vertices. *)
-      let seen = Array.make n false in
-      Array.iter (fun v -> seen.(v) <- true) order;
-      let rest = List.filter (fun v -> not seen.(v)) (List.init n (fun i -> i)) in
-      Array.append order (Array.of_list rest)
-    end
+    Hgp_graph.Traversal.bfs_order_all inst.graph !heaviest
 
 let greedy (inst : Instance.t) ?(order = Heavy_first) ~slack () =
   let n = Instance.n inst in

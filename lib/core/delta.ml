@@ -161,22 +161,6 @@ let apply inst delta =
   if is_reweight_only delta then apply_reweights inst delta
   else fst (apply_general inst delta)
 
-(* Reweights keep the structure, so only a structural delta can disconnect
-   the graph.  [Delta.apply] accepts a disconnected result (isolated vertices
-   are legal instances), but the decomposition the solver samples is only
-   defined on a connected graph. *)
-let check_connected (inst : Instance.t) delta =
-  if (not (is_reweight_only delta)) && not (Hgp_graph.Traversal.is_connected inst.Instance.graph)
-  then
-    E.error
-      (E.Invalid_input
-         {
-           context = "delta";
-           msg =
-             "the delta leaves the graph disconnected; the solver needs a connected \
-              graph (reconnect or remove the cut-off vertices in the same delta)";
-         })
-
 (* --- text format ------------------------------------------------------- *)
 
 let to_string delta =

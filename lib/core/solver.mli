@@ -44,9 +44,8 @@ val resolution_of : Instance.t -> options -> int
     Also counted under [solver.resolution_clamped]; the CLI prints a note. *)
 val resolution_clamped : Instance.t -> options -> bool
 
-(** [solve ?options ?deadline inst] runs the full pipeline.  The instance's
-    graph must be connected (preprocess with
-    {!Hgp_graph.Traversal.ensure_connected}).
+(** [solve ?options ?deadline inst] runs the full pipeline on the
+    instance's graph as given; a disconnected graph needs no preprocessing.
 
     When the quantized instance is infeasible, the solve is retried once at
     a finer resolution with floor rounding (finer units shrink the rounding

@@ -16,8 +16,9 @@ type t = {
   flow : float array;  (** [flow.(v)]: min-cut value between [v] and parent *)
 }
 
-(** [build g] computes a Gomory–Hu tree of the connected graph [g].
-    Requires [Graph.n g >= 1]. *)
+(** [build g] computes a Gomory–Hu tree of [g].  On a disconnected graph
+    the components are joined by tree edges of flow 0.  Requires
+    [Graph.n g >= 1]. *)
 val build : Hgp_graph.Graph.t -> t
 
 (** [min_cut_between t u v] is the minimum cut value between [u] and [v]:

@@ -39,6 +39,17 @@ let bfs_order g src =
   done;
   Array.of_list (List.rev !order)
 
+let bfs_order_all g src =
+  let n = Graph.n g in
+  let order = bfs_order g src in
+  if Array.length order = n then order
+  else begin
+    let seen = Array.make n false in
+    Array.iter (fun v -> seen.(v) <- true) order;
+    let rest = List.filter (fun v -> not seen.(v)) (List.init n Fun.id) in
+    Array.append order (Array.of_list rest)
+  end
+
 let dijkstra g src ~edge_length =
   let n = Graph.n g in
   let dist = Array.make n infinity in

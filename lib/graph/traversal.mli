@@ -7,6 +7,10 @@ val bfs_hops : Graph.t -> int -> int array
 (** [bfs_order g src] lists reachable vertices in BFS discovery order. *)
 val bfs_order : Graph.t -> int -> int array
 
+(** [bfs_order_all g src] is [bfs_order g src] followed by the vertices it
+    did not reach, in ascending id order: a permutation of every vertex. *)
+val bfs_order_all : Graph.t -> int -> int array
+
 (** [dijkstra g src ~edge_length] computes shortest-path distances from [src]
     under the given per-edge length function (applied to the edge weight).
     Unreachable vertices get [infinity].  Lengths must be nonnegative. *)

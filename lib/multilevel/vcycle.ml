@@ -389,9 +389,9 @@ let vcycle mode ~deadline ~options (inst : Instance.t) =
     reused_levels = !reused_levels;
   }
 
-let solve ?(options = default_options) (inst : Instance.t) =
+let solve ?(deadline = Deadline.none) ?(options = default_options) (inst : Instance.t) =
   Obs.span "multilevel.solve" @@ fun () ->
-  let r = (vcycle Cold ~deadline:Deadline.none ~options inst).result in
+  let r = (vcycle Cold ~deadline ~options inst).result in
   Obs.count "multilevel.solves" 1;
   r
 
@@ -451,7 +451,6 @@ let resolve_delta ?(deadline = Deadline.none) (s : session) (delta : Delta.t) =
   let inst', mapping =
     Obs.span "multilevel.delta_apply" (fun () -> Delta.apply_mapped s.v_inst delta)
   in
-  Delta.check_connected inst' delta;
   let since =
     if incremental then
       Some

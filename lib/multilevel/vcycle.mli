@@ -81,10 +81,13 @@ type result = {
   hierarchy_cached : bool;  (** chain served from the hierarchy cache *)
 }
 
-(** [solve ?options inst] runs the V-cycle.  Instances no larger than
-    [threshold] skip coarsening and behave exactly like [Solver.solve].
-    Raises whatever the exact solver raises on the coarse instance
-    ([Infeasible _] after its retry, etc.).
+(** [solve ?deadline ?options inst] runs the V-cycle.  Instances no larger
+    than [threshold] skip coarsening and behave exactly like
+    [Solver.solve].  [deadline] (default {!Hgp_resilience.Deadline.none})
+    is honoured as in {!start_session}.  Raises whatever the exact solver
+    raises on the coarse instance ([Infeasible _] after its retry, etc.)
+    and [Deadline_exceeded _], naming the stage that noticed, once
+    [deadline] expires.
 
     Telemetry: [multilevel.{csr_build,coarsen,coarse_solve,refine}] spans
     ([csr_build] and [coarsen] only above [threshold], where the fine CSR
@@ -98,7 +101,8 @@ type result = {
     counters and a [refine.fm.cost_delta.levelN] gauge per
     level — emitted {e only} in FM mode so the greedy path's metrics schema
     (and its goldens) stay byte-identical. *)
-val solve : ?options:options -> Hgp_core.Instance.t -> result
+val solve :
+  ?deadline:Hgp_resilience.Deadline.t -> ?options:options -> Hgp_core.Instance.t -> result
 
 (** {1 Incremental re-solve}
 
@@ -166,8 +170,7 @@ val start_session :
     [incremental.churn] gauge.  Sessions are not thread-safe; serialize
     updates per session (the server drains them in submission order).
     @raise Hgp_resilience.Hgp_error.Error ([Invalid_input _]) on a delta
-    that does not validate against the session's instance or leaves its
-    graph disconnected ({!Hgp_core.Delta.check_connected});
+    that does not validate against the session's instance;
     [Infeasible _] when the post-delta coarse instance is infeasible after
     the retry; [Deadline_exceeded _] once [deadline] expires; and whatever
     else the coarse solve raises.  On every error the session is left

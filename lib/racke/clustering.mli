@@ -33,8 +33,9 @@ val partition :
 (** [hierarchical rng g ~edge_length] builds a full hierarchical clustering of
     [g] by repeatedly halving the decomposition radius, starting from the
     (approximate) weighted diameter, until all clusters are singletons.
-    Unary levels (a cluster that did not split) are collapsed.  The graph
-    must be connected. *)
+    Unary levels (a cluster that did not split) are collapsed.  On a
+    disconnected graph no cluster crosses a component, so the first level
+    already separates them. *)
 val hierarchical :
   Hgp_util.Prng.t -> Hgp_graph.Graph.t -> edge_length:(float -> float) -> cluster
 

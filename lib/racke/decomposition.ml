@@ -118,8 +118,6 @@ let of_spanning_shape g ~parents =
   finish g ~root:!root ~parent_arr ~leaf_of_vertex ~vertex_of_node
 
 let build ?(strategy = Low_diameter) rng g =
-  if not (Hgp_graph.Traversal.is_connected g) then
-    invalid_arg "Decomposition.build: graph must be connected";
   Hgp_resilience.Faults.fire "decomposition.build";
   Obs.span "decomposition.build" ~attrs:[ ("strategy", strategy_name strategy) ]
   @@ fun () ->

@@ -36,8 +36,10 @@ val of_clustering : Hgp_graph.Graph.t -> Clustering.cluster -> t
     weights are recomputed as exact induced cuts. *)
 val of_spanning_shape : Hgp_graph.Graph.t -> parents:int array -> t
 
-(** [build ?strategy rng g] samples one decomposition tree of the connected
-    graph [g] (default {!Low_diameter}). *)
+(** [build ?strategy rng g] samples one decomposition tree of [g] (default
+    {!Low_diameter}).  [g] may be disconnected: every tree edge is weighed
+    by its exact G-cut, so Proposition 1 holds for any tree shape, and a
+    subtree spanning several components is joined by edges of cut 0. *)
 val build : ?strategy:strategy -> Hgp_util.Prng.t -> Hgp_graph.Graph.t -> t
 
 (** [tree d] is the underlying rooted tree. *)

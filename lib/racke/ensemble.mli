@@ -19,7 +19,7 @@ type strategy =
 val strategy_name : strategy -> string
 
 (** [sample ?strategy ?deadline ?on_lost rng g ~size] draws [size]
-    independent decomposition trees of the connected graph [g] (default
+    independent decomposition trees of the graph [g] (default
     [Pure Decomposition.Low_diameter]).  Requires [size >= 1].
 
     Each slot is fenced: it checks [deadline] (stage ["ensemble"]), then

@@ -289,39 +289,10 @@ let drift_delta rng inst ~edits ~magnitude ~structural =
         probe 16
       end
       else if m > 1 then begin
-        (* remove an edge that is not a bridge: the exact decomposition
-           requires a connected graph, so a removal that severs it would
-           poison the whole stream.  One DSU pass over the other edges
-           tells whether the candidate's endpoints stay connected. *)
-        let keeps_connected skip =
-          let parent = Array.init n Fun.id in
-          let rec find x =
-            if parent.(x) = x then x
-            else begin
-              parent.(x) <- find parent.(x);
-              parent.(x)
-            end
-          in
-          Array.iteri
-            (fun i (u, v, _) ->
-              if i <> skip then begin
-                let a = find u and b = find v in
-                if a <> b then parent.(a) <- b
-              end)
-            es;
-          let u, v, _ = es.(skip) in
-          find u = find v
-        in
-        let rec probe tries =
-          if tries = 0 then reweight (Prng.int rng m)
-          else
-            let i = Prng.int rng m in
-            if keeps_connected i then
-              let u, v, _ = es.(i) in
-              Delta.Remove_edge (u, v)
-            else probe (tries - 1)
-        in
-        probe 8
+        (* remove a random edge; a bridge may disconnect the graph, which
+           the solver takes as given *)
+        let u, v, _ = es.(Prng.int rng m) in
+        Delta.Remove_edge (u, v)
       end
       else reweight 0
     in

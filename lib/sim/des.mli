@@ -122,9 +122,8 @@ type drift_report = {
 (** [drift_delta rng inst ~edits ~magnitude ~structural] is one drift step's
     delta against [inst]: [min edits m] reweights of distinct edges; when
     [structural], one add/remove-edge edit appended last.  Deterministic in
-    [rng]; always valid for [Delta.apply inst], and removals never pick a
-    bridge (the exact decomposition requires a connected graph, so a
-    disconnecting edit would poison every later step of the stream). *)
+    [rng]; always valid for [Delta.apply inst].  A removal may pick a
+    bridge: sessions solve a disconnected graph as given. *)
 val drift_delta :
   Hgp_util.Prng.t ->
   Hgp_core.Instance.t ->

@@ -43,13 +43,11 @@ let test_missing_vertex_rejected () =
        false
      with Invalid_argument _ -> true)
 
-let test_disconnected_rejected () =
-  let g = Graph.of_edges 3 [ (0, 1, 1.) ] in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (D.build (Prng.create 0) g);
-       false
-     with Invalid_argument _ -> true)
+(* A graph for the properties below: on odd seeds a connected gnp graph,
+   on even seeds a sparse gnp graph that is usually disconnected and often
+   has isolated vertices.  Neither property needs a connected graph. *)
+let any_graph rng ~seed n p =
+  if seed land 1 = 1 then Gen.gnp_connected rng n p else Gen.gnp rng n (1.0 /. float_of_int n)
 
 (* Proposition 1: tree cuts dominate graph cuts — exact by construction,
    for every shape strategy. *)
@@ -59,7 +57,7 @@ let prop_tree_cut_dominates =
       quad (int_bound 100000) (int_range 3 14) (int_bound 10000) (int_range 0 2))
     (fun (seed, n, mask, strat) ->
       let rng = Prng.create seed in
-      let g = Gen.gnp_connected rng n 0.35 in
+      let g = any_graph rng ~seed n 0.35 in
       let g = Gen.randomize_weights rng g ~lo:1.0 ~hi:5.0 in
       let strategy =
         match strat with
@@ -78,7 +76,7 @@ let prop_strategies_leaf_bijection =
     QCheck2.Gen.(pair (int_bound 100000) (int_range 2 16))
     (fun (seed, n) ->
       let rng = Prng.create seed in
-      let g = Gen.gnp_connected rng n 0.4 in
+      let g = any_graph rng ~seed n 0.4 in
       List.for_all
         (fun strategy ->
           let d = D.build ~strategy rng g in
@@ -112,20 +110,23 @@ let prop_tree_edge_weights_are_cuts =
     QCheck2.Gen.(pair (int_bound 100000) (int_range 3 12))
     (fun (seed, n) ->
       let rng = Prng.create seed in
-      let g = Gen.gnp_connected rng n 0.35 in
+      let g = any_graph rng ~seed n 0.35 in
       let g = Gen.randomize_weights rng g ~lo:1.0 ~hi:5.0 in
-      let d = D.build rng g in
-      let t = D.tree d in
       let ok = ref true in
-      for z = 0 to Tree.n_nodes t - 1 do
-        if z <> Tree.root t then begin
-          let below = Tree.subtree_leaves t z in
-          let members = Array.make n false in
-          Array.iter (fun l -> members.(D.vertex_of_leaf d l) <- true) below;
-          let cut = Hgp_graph.Cuts.cut_weight g (fun v -> members.(v)) in
-          if Float.abs (cut -. Tree.edge_weight t z) > 1e-6 then ok := false
-        end
-      done;
+      List.iter
+        (fun strategy ->
+          let d = D.build ~strategy rng g in
+          let t = D.tree d in
+          for z = 0 to Tree.n_nodes t - 1 do
+            if z <> Tree.root t then begin
+              let below = Tree.subtree_leaves t z in
+              let members = Array.make n false in
+              Array.iter (fun l -> members.(D.vertex_of_leaf d l) <- true) below;
+              let cut = Hgp_graph.Cuts.cut_weight g (fun v -> members.(v)) in
+              if Float.abs (cut -. Tree.edge_weight t z) > 1e-6 then ok := false
+            end
+          done)
+        [ D.Low_diameter; D.Bfs_bisection; D.Gomory_hu ];
       !ok)
 
 let test_distortion_sample () =
@@ -166,7 +167,6 @@ let () =
           Alcotest.test_case "leaf bijection" `Quick test_leaf_bijection;
           Alcotest.test_case "explicit weights" `Quick test_explicit_clustering_weights;
           Alcotest.test_case "missing vertex" `Quick test_missing_vertex_rejected;
-          Alcotest.test_case "disconnected" `Quick test_disconnected_rejected;
           Alcotest.test_case "distortion sample" `Quick test_distortion_sample;
           Alcotest.test_case "ensemble" `Quick test_ensemble;
           Alcotest.test_case "mixed ensemble" `Quick test_mixed_ensemble;

@@ -296,10 +296,10 @@ let test_multilevel_clamp_note () =
       Alcotest.(check bool) "no clamp note" true
         (find_substring err "resolution clamped" = None))
 
-(* A structural delta that disconnects the graph is invalid input: exit 65
-   with the structured message, on the exact and the multilevel delta
-   paths alike.  Removing vertex 7 of this instance cuts a neighbour off. *)
-let test_disconnecting_delta_exit_65 () =
+(* A structural delta that disconnects the graph is solved as given, on
+   the exact and the multilevel delta paths alike: exit 0 with a certified
+   update.  Removing vertex 7 of this instance cuts a neighbour off. *)
+let test_disconnecting_delta_certified () =
   let path = Filename.temp_file "hgp_disc" ".graph" in
   let dpath = Filename.temp_file "hgp_disc" ".delta" in
   Fun.protect
@@ -315,38 +315,102 @@ let test_disconnecting_delta_exit_65 () =
       List.iter
         (fun extra ->
           let what = String.concat " " ("solve --delta" :: extra) in
-          let code, out, err = run_cli ([ "solve"; path; "--delta"; dpath ] @ extra) in
-          Alcotest.(check int) (what ^ ": exit 65") 65 code;
-          Alcotest.(check string) (what ^ ": no stdout") "" out;
-          Alcotest.(check bool) (what ^ ": structured message") true
-            (find_substring err "invalid input (delta)" <> None))
+          let code, out, _ = run_cli ([ "solve"; path; "--delta"; dpath ] @ extra) in
+          Alcotest.(check int) (what ^ ": exit 0") 0 code;
+          Alcotest.(check bool) (what ^ ": certified") true
+            (find_substring out "certified=true" <> None))
         [ []; [ "--multilevel" ] ])
 
-(* The V-cycle takes no deadline, so [solve --multilevel] refuses
-   [--deadline-ms] as invalid input (exit 65) naming both flags, with or
-   without [--delta], rather than run without the budget. *)
-let test_multilevel_refuses_deadline () =
+(* [solve --multilevel] honours [--deadline-ms] as the delta path does: an
+   already-expired budget exits 75 naming the stage that noticed it, with
+   or without [--delta]. *)
+let test_multilevel_deadline_exit_75 () =
   with_fixture_file @@ fun inst ->
-  let code, out, err =
-    run_cli [ "solve"; inst; "--multilevel=8"; "--deadline-ms"; "50" ]
-  in
-  Alcotest.(check int) "exit 65" 65 code;
-  Alcotest.(check string) "no stdout" "" out;
-  List.iter
-    (fun needle ->
-      Alcotest.(check bool) ("stderr names " ^ needle) true
-        (find_substring err needle <> None))
-    [ "invalid input (solve)"; "--deadline-ms"; "--multilevel" ];
   let delta = Filename.temp_file "hgp_ml_deadline" ".delta" in
   Fun.protect
     ~finally:(fun () -> Sys.remove delta)
     (fun () ->
       write_file delta "%hgp-delta 1\n";
-      let code, _, _ =
-        run_cli
-          [ "solve"; inst; "--multilevel=8"; "--delta"; delta; "--deadline-ms"; "50" ]
-      in
-      Alcotest.(check int) "with --delta: exit 65" 65 code)
+      List.iter
+        (fun (what, extra) ->
+          let code, out, err =
+            run_cli ([ "solve"; inst; "--multilevel=8"; "--deadline-ms"; "0" ] @ extra)
+          in
+          Alcotest.(check int) (what ^ ": exit 75") 75 code;
+          Alcotest.(check string) (what ^ ": no stdout") "" out;
+          Alcotest.(check bool) (what ^ ": names the stage") true
+            (find_substring err "exceeded in multilevel" <> None))
+        [ ("cold", []); ("with --delta", [ "--delta"; delta ]) ])
+
+(* Two disjoint triangles: the task graph is solved as given.  An instance
+   file takes the Theorem-1 path through [solve] (rung ensemble, no lost
+   tree), [solve --multilevel] and an inline [batch] request; a METIS file
+   gets no phantom edge, so its printed cost is its cost on its own six
+   edges. *)
+let two_triangles_spec = "[10,[3,1,1],[3,1,1]]"
+
+let two_triangles () =
+  Hgp_graph.Graph.of_edges 6
+    [ (0, 1, 1.); (0, 2, 1.); (1, 2, 1.); (3, 4, 1.); (3, 5, 1.); (4, 5, 1.) ]
+
+(* The value of the "# key value" header line of [solve]'s stdout. *)
+let header out key =
+  List.find_map
+    (fun line ->
+      match String.split_on_char ' ' line with
+      | [ "#"; k; v ] when k = key -> Some v
+      | _ -> None)
+    (String.split_on_char '\n' out)
+
+let assignment_lines out =
+  List.filter (fun l -> l <> "" && l.[0] <> '#') (String.split_on_char '\n' out)
+
+let check_ensemble_answer what out =
+  List.iter
+    (fun (key, v) ->
+      Alcotest.(check (option string)) (what ^ ": " ^ key) (Some v) (header out key))
+    [ ("rung", "ensemble"); ("degraded", "false"); ("tree-failures", "0") ];
+  Alcotest.(check int) (what ^ ": one line per vertex") 6 (List.length (assignment_lines out))
+
+let test_disconnected_task_graph () =
+  let hy = Result.get_ok (Hgp_hierarchy.Topology.parse_result two_triangles_spec) in
+  let g = two_triangles () in
+  let ipath = Filename.temp_file "hgp_tri" ".hgp" in
+  let gpath = Filename.temp_file "hgp_tri" ".graph" in
+  let rpath = Filename.temp_file "hgp_tri" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ ipath; gpath; rpath ])
+    (fun () ->
+      let inst = Instance.create g ~demands:(Array.make 6 0.4) hy in
+      write_file ipath (Instance_io.to_string inst);
+      write_file gpath (Hgp_graph.Io.to_string g);
+      let code, out, _ = run_cli [ "solve"; ipath ] in
+      Alcotest.(check int) "solve: exit 0" 0 code;
+      check_ensemble_answer "solve" out;
+      let code, out, _ = run_cli [ "solve"; ipath; "--multilevel=2" ] in
+      Alcotest.(check int) "--multilevel=2: exit 0" 0 code;
+      Alcotest.(check bool) "--multilevel=2: coarse certificate within band" true
+        (find_substring out "within-band=true" <> None);
+      Alcotest.(check int) "--multilevel=2: one line per vertex" 6
+        (List.length (assignment_lines out));
+      write_file rpath (Protocol.request_to_line (Protocol.inline_request ~id:"tri" inst) ^ "\n");
+      let code, out, _ = run_cli [ "batch"; rpath ] in
+      Alcotest.(check int) "batch: exit 0" 0 code;
+      List.iter
+        (fun field ->
+          Alcotest.(check bool) ("batch: " ^ field) true (find_substring out field <> None))
+        [ "\"status\":\"ok\""; "\"rung\":\"ensemble\""; "\"degraded\":false"; "\"tree_failures\":0" ];
+      let code, out, _ = run_cli [ "solve"; gpath; "-H"; two_triangles_spec ] in
+      Alcotest.(check int) "METIS: exit 0" 0 code;
+      check_ensemble_answer "METIS" out;
+      let p = Array.make 6 (-1) in
+      List.iter
+        (fun l -> Scanf.sscanf l "%d %d" (fun v leaf -> p.(v) <- leaf))
+        (assignment_lines out);
+      let own = Instance.uniform_demands g hy ~load_factor:0.7 in
+      Alcotest.(check (option string)) "METIS: cost on the given graph"
+        (Some (Printf.sprintf "%.6g" (Hgp_core.Cost.assignment_cost own p)))
+        (header out "cost"))
 
 (* METIS input: an empty adjacency line is an isolated vertex (vertices 3
    and 4 below), and a file short of its vertex lines is invalid input —
@@ -555,12 +619,13 @@ let () =
         [
           Alcotest.test_case "--multilevel clamp note follows the coarse solve" `Quick
             test_multilevel_clamp_note;
-          Alcotest.test_case "disconnecting --delta exits 65" `Quick
-            test_disconnecting_delta_exit_65;
+          Alcotest.test_case "disconnecting --delta is certified" `Quick
+            test_disconnecting_delta_certified;
           Alcotest.test_case "METIS isolated vertices; truncated file exits 65" `Quick
             test_metis_isolated_and_truncated;
-          Alcotest.test_case "--multilevel refuses --deadline-ms" `Quick
-            test_multilevel_refuses_deadline;
+          Alcotest.test_case "--multilevel honours --deadline-ms" `Quick
+            test_multilevel_deadline_exit_75;
+          Alcotest.test_case "two disjoint triangles" `Quick test_disconnected_task_graph;
           Alcotest.test_case "unreadable inputs exit 66" `Quick test_unreadable_inputs_exit_66;
           Alcotest.test_case "oversized hierarchy exits 65" `Quick
             test_oversized_hierarchy_exit_65;

@@ -83,8 +83,8 @@ let random_delta ?(structural = false) rng (inst : Instance.t) =
   if not structural then base
   else begin
     let extra = ref [] in
-    (* remove one existing edge (graphs here have >= n edges, stays connected
-       often enough; connectivity is not required by the exact path) *)
+    (* remove one existing edge (it may disconnect the graph, which the
+       sessions solve as given) *)
     let u, v, _ = edges.(Prng.int rng m) in
     extra := Delta.Remove_edge (u, v) :: !extra;
     (* add a fresh edge if we can find an absent slot *)
@@ -337,36 +337,25 @@ let test_ml_zero_delta () =
   Alcotest.(check bool) "levels exist" true (r.Vcycle.u_total_levels > 0);
   Alcotest.(check bool) "certified" true r.Vcycle.u_certified
 
-(* A structural delta that cuts a vertex off: [Delta.apply] accepts the
-   disconnected result, but exact and coarsening sessions must both reject
-   it as invalid input (exit class 65) before the decomposition sees it,
-   and stay usable. *)
+(* A structural delta that cuts a vertex off leaves a disconnected graph,
+   which sessions solve as given: exact and coarsening sessions, under
+   every ensemble strategy, answer bit-identically to a cold solve with
+   every cache off, and certify the update. *)
 let isolate_vertex (inst : Instance.t) v =
   List.map
     (fun (u, _) -> Delta.Remove_edge (v, u))
     (Graph.fold_neighbors (fun acc u w -> (u, w) :: acc) [] inst.Instance.graph v)
 
-let expect_disconnected what f =
-  match f () with
-  | _ -> Alcotest.failf "%s: disconnecting delta accepted" what
-  | exception E.Error (E.Invalid_input { context; _ } as e) ->
-    Alcotest.(check string) (what ^ ": context") "delta" context;
-    Alcotest.(check int) (what ^ ": exit code") 65 (E.exit_code e)
-
-let test_disconnecting_delta_rejected () =
+let test_disconnecting_delta () =
   let inst = mk_instance ~n:60 9 in
   let cut = isolate_vertex inst 0 in
   Alcotest.(check bool) "the delta disconnects" false
     (Hgp_graph.Traversal.is_connected (Delta.apply inst cut).Instance.graph);
-  Pipeline.clear_caches ();
-  let session, _ = open_exact inst (options Ensemble.Mixed) in
-  expect_disconnected "exact session" (fun () -> Vcycle.resolve_delta session cut);
-  Alcotest.(check bool) "exact session still usable" true
-    (Vcycle.resolve_delta session []).Vcycle.u_certified;
-  let vsession, _ = Vcycle.start_session ~options:(vc_options Ensemble.Mixed) inst in
-  expect_disconnected "multilevel session" (fun () -> Vcycle.resolve_delta vsession cut);
-  Alcotest.(check bool) "multilevel session still usable" true
-    (Vcycle.resolve_delta vsession []).Vcycle.u_certified
+  List.iter
+    (fun (sname, strategy) ->
+      ignore (differential_case ("exact " ^ sname) inst (options strategy) cut);
+      ignore (ml_differential_case ("multilevel " ^ sname) inst (vc_options strategy) cut))
+    strategies
 
 (* ---- one session type: the retry and deadlines ---- *)
 
@@ -628,8 +617,8 @@ let () =
           Alcotest.test_case "session open = cold solve (72 cases)" `Slow
             test_ml_session_open_is_cold;
           Alcotest.test_case "zero delta" `Quick test_ml_zero_delta;
-          Alcotest.test_case "disconnecting delta is invalid input" `Quick
-            test_disconnecting_delta_rejected;
+          Alcotest.test_case "disconnecting delta = cold solve" `Quick
+            test_disconnecting_delta;
         ] );
       ( "session",
         [

@@ -379,6 +379,30 @@ let submit_update_ok server u =
   | `Rejected resp ->
     Alcotest.failf "unexpected update rejection: %s" (Protocol.response_to_line resp)
 
+(* An update's answer is bit-identical to a cold solve of the post-delta
+   instance with every cache off, and certified. *)
+let check_update_is_cold solve_req inst' (up : Protocol.updated) =
+  let options =
+    match Protocol.resolve solve_req with
+    | Ok res -> res.Protocol.options
+    | Error e -> Alcotest.failf "resolve: %s" (Hgp_error.to_string e)
+  in
+  Pipeline.clear_caches ();
+  Artifact_cache.set_enabled false;
+  let cold =
+    Fun.protect
+      ~finally:(fun () -> Artifact_cache.set_enabled true)
+      (fun () -> Pipeline.run inst' options)
+  in
+  (match cold with
+  | None -> Alcotest.fail "cold solve infeasible"
+  | Some sol ->
+    Alcotest.(check bool) "assignment bit-identical" true
+      (up.Protocol.up_assignment = sol.Solver.assignment);
+    Alcotest.(check bool) "cost bits" true
+      (Int64.bits_of_float up.Protocol.up_cost = Int64.bits_of_float sol.Solver.cost));
+  Alcotest.(check bool) "certified" true up.Protocol.up_certified
+
 (* A session-opening solve and an update against it in the SAME batch: the
    drain runs updates after the solve batch, so the session is visible; the
    updated assignment must be bit-identical to a cache-disabled cold solve
@@ -406,28 +430,7 @@ let test_session_update_bit_identical () =
     Alcotest.(check string) "order" "upd" second.Protocol.id;
     match second.Protocol.outcome with
     | Protocol.Updated up ->
-      let options =
-        match Protocol.resolve solve_req with
-        | Ok res -> res.Protocol.options
-        | Error e -> Alcotest.failf "resolve: %s" (Hgp_error.to_string e)
-      in
-      let inst' = Delta.apply inst delta in
-      Pipeline.clear_caches ();
-      Artifact_cache.set_enabled false;
-      let cold =
-        Fun.protect
-          ~finally:(fun () -> Artifact_cache.set_enabled true)
-          (fun () -> Pipeline.run inst' options)
-      in
-      (match cold with
-      | None -> Alcotest.fail "cold solve infeasible"
-      | Some sol ->
-        Alcotest.(check bool) "assignment bit-identical" true
-          (up.Protocol.up_assignment = sol.Solver.assignment);
-        Alcotest.(check bool) "cost bits" true
-          (Int64.bits_of_float up.Protocol.up_cost
-          = Int64.bits_of_float sol.Solver.cost));
-      Alcotest.(check bool) "certified" true up.Protocol.up_certified;
+      check_update_is_cold solve_req (Delta.apply inst delta) up;
       Alcotest.(check bool) "churn in [0,1]" true
         (up.Protocol.up_churn >= 0. && up.Protocol.up_churn <= 1.);
       Alcotest.(check bool) "some subtrees reused" true
@@ -555,9 +558,9 @@ let test_update_unknown_session () =
   | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs));
   ignore (Server.shutdown server)
 
-(* An update whose delta cuts a vertex off is answered with a structured
-   invalid-input failure (the solver needs a connected graph), and the
-   session keeps serving updates. *)
+(* An update whose delta cuts a vertex off is served like any other: the
+   disconnected graph is solved as given, and the session keeps serving
+   updates. *)
 let test_update_disconnecting_delta () =
   Pipeline.clear_caches ();
   let inst = mk_instance 11 in
@@ -565,16 +568,15 @@ let test_update_disconnecting_delta () =
   let cut =
     Hgp_graph.Graph.fold_neighbors (fun acc u _ -> Delta.Remove_edge (0, u) :: acc) [] g 0
   in
+  let solve_req = Protocol.inline_request ~id:"open" ~trees:2 ~seed:5 ~session:"s1" inst in
   let server = mk_server () in
-  submit_ok server (Protocol.inline_request ~id:"open" ~trees:2 ~seed:5 ~session:"s1" inst);
+  submit_ok server solve_req;
   submit_update_ok server
     (Protocol.update_request ~id:"cut" ~session:"s1" (Delta.to_string cut));
   (match Server.drain server with
-  | [ _; r ] -> (
-    match r.Protocol.outcome with
-    | Protocol.Failed (Hgp_error.Invalid_input { context; _ }) ->
-      Alcotest.(check string) "context" "delta" context
-    | _ -> Alcotest.failf "expected invalid-input, got %s" (Protocol.response_to_line r))
+  | [ _; { Protocol.outcome = Protocol.Updated up; _ } ] ->
+    check_update_is_cold solve_req (Delta.apply inst cut) up
+  | [ _; r ] -> Alcotest.failf "expected an update, got %s" (Protocol.response_to_line r)
   | rs -> Alcotest.failf "expected 2 responses, got %d" (List.length rs));
   submit_update_ok server (Protocol.update_request ~id:"noop" ~session:"s1" "%hgp-delta 1\n");
   (match Server.drain server with
@@ -692,7 +694,7 @@ let () =
             test_session_open_error_falls_back;
           Alcotest.test_case "bad delta rejected" `Quick
             test_update_bad_delta_rejected_at_admission;
-          Alcotest.test_case "disconnecting delta is invalid input" `Quick
+          Alcotest.test_case "disconnecting delta is served" `Quick
             test_update_disconnecting_delta;
           Alcotest.test_case "mixed window shares admission" `Quick
             test_mixed_window_shared_admission;

@@ -84,8 +84,9 @@ let test_infeasible_raises () =
 
 (* ---- differential tests against Hgp_baselines.Brute_force ---- *)
 
-(* Exhaustive tiny instances: every labeled connected graph on [n] vertices
-   (unit weights), n <= 5, against hierarchies of height 1 and 2.  The
+(* Exhaustive tiny instances: every labeled graph on [n] vertices, the
+   disconnected ones included (unit weights), n <= 5, against hierarchies
+   of height 1 and 2.  The
    solver's cost must stay within the (1+eps)(1+h) factor of the exact
    optimum (on these instances the tree embedding is near-lossless, so the
    Theorem-1 violation budget is the binding slack). *)
@@ -124,14 +125,13 @@ let test_differential_exhaustive () =
         (fun i (u, v) -> if mask land (1 lsl i) <> 0 then edges := (u, v, 1.) :: !edges)
         pairs;
       let g = Graph.of_edges n !edges in
-      if Hgp_graph.Traversal.is_connected g then
-        List.iter
-          (fun (hname, hy) ->
-            let inst = Instance.uniform_demands g hy ~load_factor:0.6 in
-            let options = { default with ensemble_size = 3; seed = 7 } in
-            check_vs_brute_force inst ~options
-              ~label:(Printf.sprintf "n=%d mask=%d %s" n mask hname))
-          hierarchies
+      List.iter
+        (fun (hname, hy) ->
+          let inst = Instance.uniform_demands g hy ~load_factor:0.6 in
+          let options = { default with ensemble_size = 3; seed = 7 } in
+          check_vs_brute_force inst ~options
+            ~label:(Printf.sprintf "n=%d mask=%d %s" n mask hname))
+        hierarchies
     done
   done
 

@@ -18,6 +18,15 @@ let test_bfs_order () =
   Alcotest.(check int) "covers all" 5 (Array.length order);
   Alcotest.(check int) "starts at src" 0 order.(0)
 
+(* The reachable ball in BFS order, then the rest in ascending id order. *)
+let test_bfs_order_all () =
+  let g = Graph.of_edges 6 [ (4, 2, 1.); (2, 5, 1.); (0, 3, 1.) ] in
+  Alcotest.(check (array int)) "ball then the rest" [| 4; 2; 5; 0; 1; 3 |]
+    (Traversal.bfs_order_all g 4);
+  let p = Gen.path 4 in
+  Alcotest.(check (array int)) "connected: the bfs order" (Traversal.bfs_order p 2)
+    (Traversal.bfs_order_all p 2)
+
 let test_dijkstra_weighted () =
   (* 0 -1- 1 -1- 2, and a heavy shortcut 0 -5- 2. *)
   let g = Graph.of_edges 3 [ (0, 1, 1.); (1, 2, 1.); (0, 2, 5.) ] in
@@ -90,6 +99,7 @@ let () =
           Alcotest.test_case "bfs hops path" `Quick test_bfs_hops_path;
           Alcotest.test_case "bfs unreachable" `Quick test_bfs_unreachable;
           Alcotest.test_case "bfs order" `Quick test_bfs_order;
+          Alcotest.test_case "bfs order covering every vertex" `Quick test_bfs_order_all;
           Alcotest.test_case "dijkstra weighted" `Quick test_dijkstra_weighted;
           Alcotest.test_case "dijkstra inverse length" `Quick test_dijkstra_inverse_length;
           Alcotest.test_case "components" `Quick test_components;
